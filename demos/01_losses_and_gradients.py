@@ -10,7 +10,6 @@ from mlclab import (
     contrastive_loss,
     finite_difference_gradient,
     logit_loss,
-    loss_base,
 )
 
 rng = np.random.default_rng(0)
@@ -27,7 +26,7 @@ y = np.array([
 ], dtype=np.int8)
 prototypes = rng.normal(size=(3, 4))
 batch = ContrastiveBatch(z=z, y=y, prototypes=prototypes)
-cfg = LossConfig()  # tau = 0.1, regularizer on
+cfg = LossConfig()  # tau = 0.1; the regularizer is chosen by id (reg vs reg-noreg)
 
 print("contrastive losses on the same batch:")
 for loss_id in ("base", "proto", "mulsupcon", "msc", "reg-noreg", "reg"):
@@ -42,9 +41,10 @@ for loss_id in ("bce", "asy", "zlpr"):
     print(f"  {loss_id:5s} value={res.loss_value:9.5f}")
 
 # every analytic gradient in the package is backed by this oracle
-bundle = loss_base(batch, cfg)
+bundle = contrastive_loss("base", batch, cfg)
 fd = finite_difference_gradient(
-    lambda zz: loss_base(ContrastiveBatch(z=zz, y=y, prototypes=prototypes), cfg).loss_value,
+    lambda zz: contrastive_loss(
+        "base", ContrastiveBatch(z=zz, y=y, prototypes=prototypes), cfg).loss_value,
     z,
 )
 print(f"\nfinite-difference check of the jaccard-weighted loss:")

@@ -7,7 +7,7 @@
 
 import numpy as np
 
-from mlclab import ContrastiveBatch, LossConfig, loss_reg, prr
+from mlclab import ContrastiveBatch, LossConfig, contrastive_loss, prr, reg_term
 from mlclab.verification import gate_report, minimum_residual
 
 # two nearly identical instances sharing a label, prototypes rotated away:
@@ -22,8 +22,8 @@ y = np.array([[1, 0], [1, 0], [0, 1], [0, 1]], dtype=np.int8)
 prototypes = np.array([[0.2, 0.9], [-0.9, -0.2]])
 batch = ContrastiveBatch(z=z, y=y, prototypes=prototypes)
 
-cfg = LossConfig(use_regularizer=True)
-bundle = loss_reg(batch, cfg)
+cfg = LossConfig()
+bundle = contrastive_loss("reg", batch, cfg)
 
 print("positive pairs (anchor, pool index, gate = -weight + score):")
 for i, k, g, c in zip(bundle.gate_anchor, bundle.gate_pool,
@@ -45,7 +45,6 @@ print(f"minimum-condition residual: {minimum_residual(bundle.structure):.4f}")
 # score = weight and watch the term vanish
 st = bundle.structure
 st.sigma = np.where(st.positive_mask, st.lam_norm, 0.0)
-from mlclab import reg_term
 res = reg_term(batch, st, cfg)
 print(f"regularizer value at the shared minimum: {abs(res.value_per_anchor).max():.1f}")
 print(f"regularizer gradient at the shared minimum: {np.abs(res.d_z).max():.1f}")

@@ -40,18 +40,10 @@ from .losses import (
     LossConfig,
     PairStructure,
     contrastive_loss,
-    generalized_contrastive,
     logit_loss,
     loss_asymmetric,
-    loss_base,
     loss_bce,
-    loss_msc,
-    loss_mulsupcon,
-    loss_proto,
-    loss_reg,
     loss_reg_matrix_value,
-    loss_supcon,
-    loss_supcon_reg,
     loss_zlpr,
     prr,
     reg_term,
@@ -72,7 +64,6 @@ from .training import (
     load_checkpoint,
     lr_schedule,
     save_checkpoint,
-    train_contrastive,
     train_model,
 )
 from .verification import (

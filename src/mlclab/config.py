@@ -62,8 +62,6 @@ SCHEMA: dict = {
     "loss.gamma_pos": (float, 0.0),
     "loss.gamma_neg": (float, 1.0),
     "loss.margin": (float, 0.0),
-    "loss.use_prototypes": (_parse_bool, False),
-    "loss.use_regularizer": (_parse_bool, True),
     "loss.use_alpha_weighting": (_parse_bool, False),
     "loss.epsilon": (float, 1e-12),
     "loss.proto_denominator": (str, "prototypes"),
@@ -128,8 +126,6 @@ class ExperimentConfig:
             gamma_pos=v["loss.gamma_pos"],
             gamma_neg=v["loss.gamma_neg"],
             margin=v["loss.margin"],
-            use_prototypes=v["loss.use_prototypes"],
-            use_regularizer=v["loss.use_regularizer"],
             use_alpha_weighting=v["loss.use_alpha_weighting"],
             epsilon=v["loss.epsilon"],
             proto_denominator=v["loss.proto_denominator"],

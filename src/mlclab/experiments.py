@@ -17,6 +17,7 @@ from .losses import contrastive_loss, is_contrastive
 from .training import (
     TrainResult,
     TrainedModel,
+    _epoch_batches,
     linear_eval,
     train_model,
 )
@@ -54,13 +55,6 @@ def run_training(
     return train_model(dataset, loss_id, cfg.loss_config(), cfg.train_config(seed=seed))
 
 
-def _train_batches(n: int, batch_size: int, seed: int):
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(n)
-    return [perm[s:s + batch_size] for s in range(0, n, batch_size)
-            if perm[s:s + batch_size].size >= 2]
-
-
 def measure_prr(
     model: TrainedModel,
     dataset: MultiLabelDataset,
@@ -79,8 +73,8 @@ def measure_prr(
         loss_cfg = replace(loss_cfg, tau=tau)
     x_train, y_train = dataset.subset("train")
     gates = []
-    for idx in _train_batches(x_train.shape[0], model.train_cfg.batch_size,
-                              model.train_cfg.seed):
+    for idx in _epoch_batches(x_train.shape[0], model.train_cfg.batch_size,
+                              np.random.default_rng(model.train_cfg.seed)):
         z = model.project(x_train[idx])
         batch = ContrastiveBatch(z=z, y=y_train[idx], prototypes=model.prototypes)
         bundle = contrastive_loss(model.loss_id, batch, loss_cfg)

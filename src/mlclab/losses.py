@@ -20,8 +20,7 @@ Loss selection by string identifier:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,20 +34,7 @@ from .numerics import (
 )
 
 LOGIT_LOSS_IDS = ("bce", "asy", "zlpr")
-CONTRASTIVE_LOSS_IDS = (
-    "base",
-    "proto",
-    "mulsupcon",
-    "msc",
-    "reg",
-    "reg-noreg",
-    "supcon",
-    "supcon-reg",
-)
-LOSS_IDS = LOGIT_LOSS_IDS + CONTRASTIVE_LOSS_IDS
-
 PROTOTYPE_LOSS_IDS = ("proto", "msc", "reg", "reg-noreg")
-REGULARIZED_LOSS_IDS = ("reg", "supcon-reg")
 
 
 @dataclass
@@ -68,8 +54,6 @@ class LossConfig:
     gamma_pos: float = 0.0
     gamma_neg: float = 1.0
     margin: float = 0.0
-    use_prototypes: bool = False
-    use_regularizer: bool = True
     use_alpha_weighting: bool = False
     epsilon: float = 1e-12
     proto_denominator: str = "prototypes"
@@ -198,6 +182,9 @@ def reg_term(batch: ContrastiveBatch, structure: PairStructure, cfg: LossConfig)
     constant for gradient purposes (sigma and lam_norm are detached), so each
     open gate subtracts exactly its coefficient from the host gradient and a
     positive pair can never push with a net repulsive coefficient.
+
+    The engine folds this term into its own single backward pass; this
+    standalone form is the reference the engine is tested against.
     """
     pool, n_batch = _pool_embeddings(
         batch, structure.include_batch, structure.include_prototypes
@@ -225,51 +212,67 @@ def reg_term(batch: ContrastiveBatch, structure: PairStructure, cfg: LossConfig)
     )
 
 
+@dataclass
+class LossSpec:
+    """The data that defines one contrastive loss for the engine.
+
+    The pool is the batch (include_batch) followed by the prototypes
+    (include_prototypes). coeff[i, k] is the forward coefficient of positive
+    pair (i, k) on that pool, denom_mask the softmax support, and outer the
+    per-anchor weights. log_g, when given, adds log-multipliers to the
+    denominator logits (-inf removes an entry). lam is the raw positive
+    weight matrix kept in the PairStructure (coeff when None).
+    """
+
+    coeff: np.ndarray
+    denom_mask: np.ndarray
+    outer: np.ndarray
+    include_batch: bool
+    include_prototypes: bool
+    log_g: np.ndarray | None = None
+    lam: np.ndarray | None = None
+
+
 def _run_engine(
     batch: ContrastiveBatch,
-    *,
-    coeff: np.ndarray,
-    denom_mask: np.ndarray,
-    outer: np.ndarray,
-    include_batch: bool,
-    include_prototypes: bool,
+    spec: LossSpec,
     cfg: LossConfig,
-    use_reg: bool,
-    log_g: np.ndarray | None = None,
-    lam_raw: np.ndarray | None = None,
+    regularized: bool,
     strict: bool = False,
     compute_gradients: bool = True,
 ) -> GradientBundle:
     """Shared forward/backward for every contrastive loss.
 
-    coeff[i, k] is the forward coefficient of positive pair (i, k); rows may
-    sum to any positive total mass T_i (losses that normalize per anchor pass
-    rows summing to 1). The per-anchor term is
+    Rows of coeff may sum to any positive total mass T_i (losses that
+    normalize per anchor pass rows summing to 1). The per-anchor term is
     -sum_k coeff[i, k] * log( exp(s_ik) / sum_j g_ij exp(s_ij) ), summed over
     the denominator set, and the loss is sum_i outer_i * term_i. Anchors with
     zero positive mass contribute nothing (a removable singularity of the
     normalized form); strict mode turns them into a domain error.
 
+    With regularized on, each positive pair adds -gate_ik * s_ik, where
+    gate_ik = max(0, -lam_norm_ik + sigma_ik) is a detached constant. The
+    cosine backward is linear in its upstream, so one backward on
+    outer * (-coeff + T * sigma - gate) carries both terms.
+
     compute_gradients=False skips the backward pass and gate extraction
     (d_z and d_prototypes come back as None, gate arrays empty); the
     finite-difference oracle uses this to evaluate values cheaply.
     """
-    pool, n_batch = _pool_embeddings(batch, include_batch, include_prototypes)
+    pool, n_batch = _pool_embeddings(batch, spec.include_batch, spec.include_prototypes)
     n, m = batch.n, pool.shape[0]
-    coeff = np.asarray(coeff, dtype=np.float64)
+    coeff, outer = spec.coeff, spec.outer
     if coeff.shape != (n, m):
         raise DomainError(f"coeff shape {coeff.shape} != ({n}, {m})")
-    denom_mask = np.asarray(denom_mask, dtype=bool)
-    outer = np.asarray(outer, dtype=np.float64)
 
     s = tempered_cosine_matrix(batch.z, pool, cfg.tau)
-    if log_g is None:
+    if spec.log_g is None:
         den_logits = s
-        eff_mask = denom_mask
+        eff_mask = spec.denom_mask
     else:
         with np.errstate(invalid="ignore"):
-            den_logits = s + log_g
-        eff_mask = denom_mask & (log_g > -np.inf)
+            den_logits = s + spec.log_g
+        eff_mask = spec.denom_mask & (spec.log_g > -np.inf)
 
     lse = masked_logsumexp(den_logits, eff_mask)
     sigma = np.exp(np.where(eff_mask, den_logits - lse[:, None], -np.inf))
@@ -285,14 +288,20 @@ def _run_engine(
 
     per_anchor = -np.sum(coeff * np.where(positive_mask, log_p, 0.0), axis=1)
     loss_value = float(np.dot(outer, per_anchor))
+    gates = None
+    if regularized:
+        gates = np.where(positive_mask, np.maximum(0.0, -lam_norm + sigma), 0.0)
+        loss_value += float(
+            np.dot(outer, -np.sum(gates * np.where(positive_mask, s, 0.0), axis=1))
+        )
 
     structure = PairStructure(
-        include_batch=include_batch,
-        include_prototypes=include_prototypes,
+        include_batch=spec.include_batch,
+        include_prototypes=spec.include_prototypes,
         n_batch_in_pool=n_batch,
         positive_mask=positive_mask,
         denominator_mask=eff_mask,
-        lam=coeff if lam_raw is None else np.asarray(lam_raw, dtype=np.float64),
+        lam=coeff if spec.lam is None else spec.lam,
         coeff=coeff,
         lam_norm=lam_norm,
         sigma=sigma,
@@ -300,13 +309,6 @@ def _run_engine(
     )
 
     if not compute_gradients:
-        if use_reg:
-            gates = np.where(
-                positive_mask, np.maximum(0.0, -lam_norm + sigma), 0.0
-            )
-            loss_value += float(
-                np.dot(outer, -np.sum(gates * np.where(positive_mask, s, 0.0), axis=1))
-            )
         empty = np.empty(0)
         return GradientBundle(
             loss_value=loss_value,
@@ -319,38 +321,32 @@ def _run_engine(
             structure=structure,
         )
 
-    # d loss / d s: -coeff on the positive slot, plus T_i * sigma over the denominator
-    upstream = outer[:, None] * (-coeff + total[:, None] * sigma)
-    d_anchor, d_pool = tempered_cosine_backward(batch.z, pool, cfg.tau, upstream)
+    # d loss / d s per anchor: -coeff on the positive slot, plus T_i * sigma
+    # over the denominator, minus the detached gate on the positive slot
+    d_s = -coeff + total[:, None] * sigma
+    combined = np.where(positive_mask, d_s, 0.0)
+    if gates is not None:
+        d_s = d_s - gates
+        combined = combined - gates
+    d_anchor, d_pool = tempered_cosine_backward(batch.z, pool, cfg.tau, outer[:, None] * d_s)
     d_z = d_anchor
-    if include_batch:
+    if spec.include_batch:
         d_z = d_z + d_pool[:n_batch]
-    d_prototypes = d_pool[n_batch:] if include_prototypes else None
-
-    host_coeff = np.where(positive_mask, -coeff + total[:, None] * sigma, 0.0)
-    if use_reg:
-        reg = reg_term(batch, structure, cfg)
-        loss_value += float(np.dot(outer, reg.value_per_anchor))
-        d_z = d_z + reg.d_z
-        if d_prototypes is not None and reg.d_prototypes is not None:
-            d_prototypes = d_prototypes + reg.d_prototypes
-        combined = host_coeff - reg.gates
+    if spec.include_prototypes:
+        d_prototypes = d_pool[n_batch:]
+    elif batch.prototypes is not None:
+        d_prototypes = np.zeros_like(batch.prototypes)
     else:
-        combined = host_coeff
+        d_prototypes = None
 
     gi, gk = np.nonzero(positive_mask)
-    gate_value = (-lam_norm + sigma)[gi, gk]
-
-    if batch.prototypes is not None and d_prototypes is None:
-        d_prototypes = np.zeros_like(batch.prototypes)
-
     return GradientBundle(
         loss_value=loss_value,
         d_z=d_z,
         d_prototypes=d_prototypes,
         gate_anchor=gi,
         gate_pool=gk,
-        gate_value=gate_value,
+        gate_value=(-lam_norm + sigma)[gi, gk],
         combined_coeff=combined[gi, gk],
         structure=structure,
     )
@@ -368,68 +364,33 @@ def _off_diagonal_mask(n: int) -> np.ndarray:
     return ~np.eye(n, dtype=bool)
 
 
-def generalized_contrastive(
-    batch: ContrastiveBatch,
-    weight_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    cfg: LossConfig,
-    denominator: str = "batch",
-    use_reg: bool = False,
-    strict: bool = False,
-    compute_gradients: bool = True,
-) -> GradientBundle:
-    """Generalized contrastive loss with a pluggable positive-weight strategy.
-
-    weight_fn(anchor_labels, pool_labels) must return the (n, m) raw weight
-    matrix lam, zero outside the positive pairs; the engine normalizes each
-    anchor's weights to sum to one and averages the per-anchor terms over the
-    batch. denominator selects the softmax support: "batch" (others in the
-    batch), "prototypes", or "batch+prototypes"; the anchor itself is always
-    excluded and the numerator pair is always included.
-    """
-    include_batch = denominator in ("batch", "batch+prototypes")
-    include_protos = denominator in ("prototypes", "batch+prototypes")
-    if denominator not in ("batch", "prototypes", "batch+prototypes"):
-        raise ConfigError(f"unknown denominator strategy {denominator!r}")
-    pool_labels_parts = []
+def _denominator_mask(n: int, m: int, include_batch: bool) -> np.ndarray:
+    """The whole pool, minus the anchor itself when the batch is in it."""
+    mask = np.ones((n, m), dtype=bool)
     if include_batch:
-        pool_labels_parts.append(batch.y.astype(np.float64))
-    if include_protos:
-        pool_labels_parts.append(np.eye(batch.n_labels))
-    pool_y = np.vstack(pool_labels_parts)
-    lam = np.asarray(weight_fn(batch.y.astype(np.float64), pool_y), dtype=np.float64)
-    if np.any(lam < 0):
-        raise DomainError("weight strategy produced negative weights")
-    n = batch.n
-    m = pool_y.shape[0]
-    if lam.shape != (n, m):
-        raise DomainError(f"weight strategy returned shape {lam.shape}, expected ({n}, {m})")
+        mask[:, :n] = _off_diagonal_mask(n)
+    return mask
+
+
+def _anchor_mean_spec(lam: np.ndarray, include_batch: bool, include_prototypes: bool) -> LossSpec:
+    """Raw weights lam normalized to sum to one per anchor (the anchor itself
+    excluded), with the per-anchor terms averaged over the batch."""
+    n, m = lam.shape
     if include_batch:
         lam[:, :n][np.eye(n, dtype=bool)] = 0.0
-
-    denom_mask = np.ones((n, m), dtype=bool)
-    if include_batch:
-        denom_mask[:, :n] = _off_diagonal_mask(n)
-
     total = lam.sum(axis=1)
     coeff = np.where(total[:, None] > 0.0, lam / np.where(total > 0, total, 1.0)[:, None], 0.0)
-    outer = np.full(n, 1.0 / n)
-    return _run_engine(
-        batch,
+    return LossSpec(
         coeff=coeff,
-        denom_mask=denom_mask,
-        outer=outer,
+        denom_mask=_denominator_mask(n, m, include_batch),
+        outer=np.full(n, 1.0 / n),
         include_batch=include_batch,
-        include_prototypes=include_protos,
-        cfg=cfg,
-        use_reg=use_reg,
-        lam_raw=lam,
-        strict=strict,
-        compute_gradients=compute_gradients,
+        include_prototypes=include_prototypes,
+        lam=lam,
     )
 
 
-def loss_base(batch: ContrastiveBatch, cfg: LossConfig, strict: bool = False,
-              compute_gradients: bool = True) -> GradientBundle:
+def _spec_base(batch: ContrastiveBatch, cfg: LossConfig) -> LossSpec:
     """Jaccard-weighted contrastive loss over batch instances.
 
     Positives of an anchor are the other instances sharing at least one
@@ -437,101 +398,59 @@ def loss_base(batch: ContrastiveBatch, cfg: LossConfig, strict: bool = False,
     their sum; the denominator is the rest of the batch. Anchors sharing no
     label with anyone are skipped.
     """
-
-    def weights(anchor_y, pool_y):
-        sizes_a = anchor_y.sum(axis=1)
-        sizes_p = pool_y.sum(axis=1)
-        inter = anchor_y @ pool_y.T
-        union = sizes_a[:, None] + sizes_p[None, :] - inter
-        with np.errstate(invalid="ignore", divide="ignore"):
-            jac = np.where(inter > 0, inter / union, 0.0)
-        return jac
-
-    return generalized_contrastive(batch, weights, cfg, denominator="batch", strict=strict,
-                                   compute_gradients=compute_gradients)
+    _, _, inter, union = _label_stats(batch.y)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        jac = np.where(inter > 0, inter / union, 0.0)
+    return _anchor_mean_spec(jac, include_batch=True, include_prototypes=False)
 
 
-def loss_supcon(batch: ContrastiveBatch, cfg: LossConfig, use_reg: bool = False,
-                compute_gradients: bool = True) -> GradientBundle:
+def _spec_supcon(batch: ContrastiveBatch, cfg: LossConfig) -> LossSpec:
     """Supervised contrastive loss for single-label batches; positives are
-    the other instances of the anchor's class with uniform weights. With
-    use_reg the gate regularizer is added on the positive pairs."""
+    the other instances of the anchor's class with uniform weights."""
     if np.any(batch.y.sum(axis=1) != 1):
         raise DomainError(
             "supcon requires exactly one label per instance; "
             "use the multi-label losses for multi-label batches"
         )
-
-    def weights(anchor_y, pool_y):
-        return anchor_y @ pool_y.T
-
-    return generalized_contrastive(
-        batch, weights, cfg, denominator="batch", use_reg=use_reg,
-        compute_gradients=compute_gradients,
-    )
+    yf = batch.y.astype(np.float64)
+    return _anchor_mean_spec(yf @ yf.T, include_batch=True, include_prototypes=False)
 
 
-def loss_supcon_reg(batch: ContrastiveBatch, cfg: LossConfig,
-                    compute_gradients: bool = True) -> GradientBundle:
-    return loss_supcon(batch, cfg, use_reg=True, compute_gradients=compute_gradients)
-
-
-def loss_proto(batch: ContrastiveBatch, cfg: LossConfig,
-               compute_gradients: bool = True) -> GradientBundle:
+def _spec_proto(batch: ContrastiveBatch, cfg: LossConfig) -> LossSpec:
     """Prototype-anchored loss: each instance is attracted to the prototypes
     of its labels, uniformly weighted; the softmax runs over the prototype
     set (or over batch plus prototypes with proto_denominator set to
     "batch+prototypes"). Gradients flow to both embeddings and prototypes."""
-    if batch.prototypes is None:
-        raise ConfigError("proto loss requires prototypes")
     include_batch = cfg.proto_denominator == "batch+prototypes"
-
-    def weights(anchor_y, pool_y):
-        n, big_l = anchor_y.shape[0], anchor_y.shape[1]
-        lam = np.zeros((n, pool_y.shape[0]))
-        lam[:, pool_y.shape[0] - big_l:] = anchor_y
-        return lam
-
-    return generalized_contrastive(
-        batch,
-        weights,
-        cfg,
-        denominator="batch+prototypes" if include_batch else "prototypes",
-        compute_gradients=compute_gradients,
-    )
+    n, big_l = batch.n, batch.n_labels
+    m = n + big_l if include_batch else big_l
+    lam = np.zeros((n, m))
+    lam[:, m - big_l:] = batch.y
+    return _anchor_mean_spec(lam, include_batch=include_batch, include_prototypes=True)
 
 
-def loss_mulsupcon(batch: ContrastiveBatch, cfg: LossConfig,
-                   compute_gradients: bool = True) -> GradientBundle:
+def _spec_mulsupcon(batch: ContrastiveBatch, cfg: LossConfig) -> LossSpec:
     """Per-label contrastive loss: each (instance, label) pair acts as its
     own anchor with uniform weight over that label's other carriers, and the
     grand total is normalized by the number of (instance, label) pairs in the
     batch. Empty per-label positive sets drop out."""
-    yf, sizes, _, _ = _label_stats(batch.y)
+    yf = batch.y.astype(np.float64)
     n = batch.n
     cnt = yf.sum(axis=0)
-    with np.errstate(divide="ignore"):
-        invc = np.where(cnt > 1, 1.0 / np.maximum(cnt - 1.0, 1.0), 0.0)
+    invc = np.where(cnt > 1, 1.0 / np.maximum(cnt - 1.0, 1.0), 0.0)
     lam = (yf * invc[None, :]) @ yf.T
     lam[np.eye(n, dtype=bool)] = 0.0
-    denom_mask = _off_diagonal_mask(n)
-    outer = np.full(n, 1.0 / yf.sum())
-    return _run_engine(
-        batch,
+    return LossSpec(
         coeff=lam,
-        denom_mask=denom_mask,
-        outer=outer,
+        denom_mask=_denominator_mask(n, n, include_batch=True),
+        outer=np.full(n, 1.0 / yf.sum()),
         include_batch=True,
         include_prototypes=False,
-        cfg=cfg,
-        use_reg=False,
-        lam_raw=lam,
-        compute_gradients=compute_gradients,
+        lam=lam,
     )
 
 
-def loss_msc(batch: ContrastiveBatch, cfg: LossConfig,
-             compute_gradients: bool = True) -> GradientBundle:
+def _spec_msc(batch: ContrastiveBatch, cfg: LossConfig) -> LossSpec:
     """Frequency-reweighted contrastive loss with prototypes.
 
     For each anchor label, the positives are the other carriers of that label
@@ -540,8 +459,6 @@ def loss_msc(batch: ContrastiveBatch, cfg: LossConfig,
     denominator spans batch plus prototypes (minus the anchor), with instance
     terms multiplied by beta; beta = 0 removes instance negatives entirely.
     """
-    if batch.prototypes is None:
-        raise ConfigError("msc loss requires prototypes")
     yf, sizes, inter, union = _label_stats(batch.y)
     n, big_l = batch.n, batch.n_labels
     off_diag = _off_diagonal_mask(n)
@@ -551,32 +468,32 @@ def loss_msc(batch: ContrastiveBatch, cfg: LossConfig,
     norm = yf * ((f_inst @ yf) + 1.0)
     inner = np.where(norm > 0, yf / np.where(norm > 0, norm, 1.0), 0.0)
     coeff_inst = f_inst * (inner @ yf.T) * (inter > 0) * off_diag
-    coeff_proto = inner
-    coeff = np.hstack([coeff_inst, coeff_proto]) / sizes[:, None]
+    coeff = np.hstack([coeff_inst, inner]) / sizes[:, None]
 
-    denom_mask = np.ones((n, n + big_l), dtype=bool)
-    denom_mask[:, :n] = off_diag
     log_g = np.zeros((n, n + big_l))
     with np.errstate(divide="ignore"):
         log_g[:, :n] = np.log(cfg.beta) if cfg.beta > 0 else -np.inf
-    outer = np.full(n, 1.0 / n)
-    return _run_engine(
-        batch,
+    return LossSpec(
         coeff=coeff,
-        denom_mask=denom_mask,
-        outer=outer,
+        denom_mask=_denominator_mask(n, n + big_l, include_batch=True),
+        outer=np.full(n, 1.0 / n),
         include_batch=True,
         include_prototypes=True,
-        cfg=cfg,
-        use_reg=False,
         log_g=log_g,
-        compute_gradients=compute_gradients,
     )
 
 
-def _reg_coeff(batch: ContrastiveBatch, cfg: LossConfig):
-    """Positive coefficients of the regularized loss on the joined pool
-    (batch then prototypes; prototype labels are one-hot)."""
+def _spec_reg(batch: ContrastiveBatch, cfg: LossConfig) -> LossSpec:
+    """Multi-label contrastive loss with prototypes in the pool, the host of
+    the gate regularizer.
+
+    Positive structure follows the per-label scheme of mulsupcon, but the
+    prototypes join the batch: each anchor label contributes its other
+    carriers plus its prototype, uniformly weighted per label (or weighted by
+    the shared-label overlap ratio when use_alpha_weighting is on), with
+    outer weight one over the anchor's label count. The softmax denominator
+    is batch plus prototypes minus the anchor.
+    """
     yf, sizes, _, _ = _label_stats(batch.y)
     n, big_l = batch.n, batch.n_labels
     pool_y = np.vstack([yf, np.eye(big_l)])
@@ -600,64 +517,47 @@ def _reg_coeff(batch: ContrastiveBatch, cfg: LossConfig):
         inv = yf / cnt[None, :].clip(min=1.0)
         lam = inv @ pool_y.T
     lam[self_cols] = 0.0
-    coeff = lam / sizes[:, None]
-    return coeff, lam
-
-
-def loss_reg(
-    batch: ContrastiveBatch, cfg: LossConfig, use_reg: bool | None = None,
-    compute_gradients: bool = True,
-) -> GradientBundle:
-    """Regularized multi-label contrastive loss with prototypes in the pool.
-
-    Positive structure follows the per-label scheme of loss_mulsupcon, but
-    the prototypes join the batch: each anchor label contributes its other
-    carriers plus its prototype, uniformly weighted per label (or weighted by
-    the shared-label overlap ratio when use_alpha_weighting is on), with
-    outer weight one over the anchor's label count. The softmax denominator
-    is batch plus prototypes minus the anchor. With the regularizer on, the
-    detached gate term clamps every positive pair's combined gradient
-    coefficient at zero from above.
-    """
-    if batch.prototypes is None:
-        raise ConfigError("reg loss requires prototypes")
-    if use_reg is None:
-        use_reg = cfg.use_regularizer
-    coeff, lam = _reg_coeff(batch, cfg)
-    n, big_l = batch.n, batch.n_labels
-    denom_mask = np.ones((n, n + big_l), dtype=bool)
-    denom_mask[:, :n] = _off_diagonal_mask(n)
-    outer = np.full(n, 1.0 / n)
-    return _run_engine(
-        batch,
-        coeff=coeff,
-        denom_mask=denom_mask,
-        outer=outer,
+    return LossSpec(
+        coeff=lam / sizes[:, None],
+        denom_mask=_denominator_mask(n, m, include_batch=True),
+        outer=np.full(n, 1.0 / n),
         include_batch=True,
         include_prototypes=True,
-        cfg=cfg,
-        use_reg=use_reg,
-        lam_raw=lam,
-        compute_gradients=compute_gradients,
+        lam=lam,
     )
 
 
-def loss_reg_matrix_value(batch: ContrastiveBatch, cfg: LossConfig, use_reg: bool | None = None) -> float:
+# loss id -> (spec builder, regularized); the gate regularizer is chosen by
+# id, so reg-noreg and supcon are the unregularized hosts of reg and supcon-reg
+_CONTRASTIVE_LOSSES = {
+    "base": (_spec_base, False),
+    "proto": (_spec_proto, False),
+    "mulsupcon": (_spec_mulsupcon, False),
+    "msc": (_spec_msc, False),
+    "reg": (_spec_reg, True),
+    "reg-noreg": (_spec_reg, False),
+    "supcon": (_spec_supcon, False),
+    "supcon-reg": (_spec_supcon, True),
+}
+CONTRASTIVE_LOSS_IDS = tuple(_CONTRASTIVE_LOSSES)
+REGULARIZED_LOSS_IDS = tuple(k for k, (_, reg) in _CONTRASTIVE_LOSSES.items() if reg)
+LOSS_IDS = LOGIT_LOSS_IDS + CONTRASTIVE_LOSS_IDS
+
+
+def loss_reg_matrix_value(batch: ContrastiveBatch, cfg: LossConfig, use_reg: bool = True) -> float:
     """Matrix-form value of the regularized loss (unweighted variant).
 
-    Computes the same number as loss_reg via dense masked-softmax algebra on
-    the joined pool: an (m, m, L) shared-label tensor yields the pair
-    weights, a diagonal mask removes self-similarity, and the gate term is
-    assembled from the detached scores. Used to cross-check the per-anchor
-    summation; the epsilon guard in the weight normalization perturbs values
-    by at most ~1e-12 relative.
+    Computes the same number as the reg loss (reg-noreg with use_reg off)
+    via dense masked-softmax algebra on the joined pool: an (m, m, L)
+    shared-label tensor yields the pair weights, a diagonal mask removes
+    self-similarity, and the gate term is assembled from the detached
+    scores. Used to cross-check the per-anchor summation; the epsilon guard
+    in the weight normalization perturbs values by at most ~1e-12 relative.
     """
     if batch.prototypes is None:
         raise ConfigError("reg loss requires prototypes")
     if cfg.use_alpha_weighting and cfg.alpha > 0:
         raise ConfigError("matrix form covers the unweighted variant only")
-    if use_reg is None:
-        use_reg = cfg.use_regularizer
     pool = np.vstack([batch.z, batch.prototypes])
     pool_y = np.vstack([batch.y.astype(np.float64), np.eye(batch.n_labels)])
     m = pool.shape[0]
@@ -796,26 +696,16 @@ def check_loss_id(loss_id: str) -> str:
 
 
 def contrastive_loss(loss_id: str, batch: ContrastiveBatch, cfg: LossConfig,
-                     compute_gradients: bool = True) -> GradientBundle:
-    """Evaluate a contrastive loss by string identifier."""
+                     compute_gradients: bool = True, strict: bool = False) -> GradientBundle:
+    """Evaluate a contrastive loss by string identifier: build the id's spec
+    and run it through the engine once. strict turns an anchor without
+    positive pairs into a DomainError."""
     check_loss_id(loss_id)
-    if loss_id == "base":
-        return loss_base(batch, cfg, compute_gradients=compute_gradients)
-    if loss_id == "proto":
-        return loss_proto(batch, cfg, compute_gradients=compute_gradients)
-    if loss_id == "mulsupcon":
-        return loss_mulsupcon(batch, cfg, compute_gradients=compute_gradients)
-    if loss_id == "msc":
-        return loss_msc(batch, cfg, compute_gradients=compute_gradients)
-    if loss_id == "reg":
-        return loss_reg(batch, cfg, compute_gradients=compute_gradients)
-    if loss_id == "reg-noreg":
-        return loss_reg(batch, cfg, use_reg=False, compute_gradients=compute_gradients)
-    if loss_id == "supcon":
-        return loss_supcon(batch, cfg, use_reg=False, compute_gradients=compute_gradients)
-    if loss_id == "supcon-reg":
-        return loss_supcon_reg(batch, cfg, compute_gradients=compute_gradients)
-    raise ConfigError(f"{loss_id!r} is not a contrastive loss id")
+    if loss_id not in _CONTRASTIVE_LOSSES:
+        raise ConfigError(f"{loss_id!r} is not a contrastive loss id")
+    build, regularized = _CONTRASTIVE_LOSSES[loss_id]
+    return _run_engine(batch, build(batch, cfg), cfg, regularized,
+                       strict=strict, compute_gradients=compute_gradients)
 
 
 def logit_loss(loss_id: str, logits, y, cfg: LossConfig) -> LogitLossResult:

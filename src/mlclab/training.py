@@ -32,7 +32,7 @@ from .losses import (
 )
 
 CHECKPOINT_FORMAT = "mlclab-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 # parameters exempt from weight decay (biases)
 _BIAS_KEYS = ("b1", "b2", "cls_b")
@@ -229,7 +229,7 @@ def _init_model(loss_id: str, n_features: int, n_labels: int,
             v1=rng.normal(0.0, np.sqrt(2.0 / h), size=(h, h)),
             v2=rng.normal(0.0, np.sqrt(2.0 / h), size=(h, tcfg.proj_dim)),
         )
-        if needs_prototypes(loss_id) or loss_cfg.use_prototypes:
+        if needs_prototypes(loss_id):
             raw = rng.normal(0.0, 1.0, size=(n_labels, tcfg.proj_dim))
             protos = raw / np.linalg.norm(raw, axis=1, keepdims=True)
     else:
@@ -347,18 +347,6 @@ def train_model(
             "prr": float(np.mean(prrs)) if prrs else None,
         })
     return TrainResult(model=model, log=log)
-
-
-def train_contrastive(
-    dataset: MultiLabelDataset,
-    loss_id: str,
-    loss_cfg: LossConfig,
-    tcfg: TrainConfig,
-) -> TrainResult:
-    """Contrastive pre-training; rejects logit loss ids."""
-    if not is_contrastive(loss_id):
-        raise ConfigError(f"{loss_id!r} is not a contrastive loss id")
-    return train_model(dataset, loss_id, loss_cfg, tcfg)
 
 
 # ---------------------------------------------------------------------------

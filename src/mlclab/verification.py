@@ -10,7 +10,7 @@ closed form assembled from per-pair cosine derivatives.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -145,16 +145,15 @@ def _check_contrastive_trial(loss_id, trial, rng, tol, h, cfg) -> GradCheckRepor
     batch = random_batch(rng, loss_id)
     regularized = loss_id in REGULARIZED_LOSS_IDS
     # the detached gate term is not variational: finite-difference the host loss
-    fd_cfg = replace(cfg, use_regularizer=False) if regularized else cfg
-    fd_id = {"reg": "reg", "supcon-reg": "supcon"}.get(loss_id, loss_id)
+    fd_id = {"reg": "reg-noreg", "supcon-reg": "supcon"}.get(loss_id, loss_id)
 
-    bundle = contrastive_loss(fd_id, batch, fd_cfg)
+    bundle = contrastive_loss(fd_id, batch, cfg)
     z0 = batch.z
 
     def value_of_z(z):
         batch.z = z
         try:
-            return contrastive_loss(fd_id, batch, fd_cfg, compute_gradients=False).loss_value
+            return contrastive_loss(fd_id, batch, cfg, compute_gradients=False).loss_value
         finally:
             batch.z = z0
 
@@ -168,7 +167,7 @@ def _check_contrastive_trial(loss_id, trial, rng, tol, h, cfg) -> GradCheckRepor
         def value_of_c(c):
             batch.prototypes = c
             try:
-                return contrastive_loss(fd_id, batch, fd_cfg, compute_gradients=False).loss_value
+                return contrastive_loss(fd_id, batch, cfg, compute_gradients=False).loss_value
             finally:
                 batch.prototypes = c0
 
@@ -179,7 +178,7 @@ def _check_contrastive_trial(loss_id, trial, rng, tol, h, cfg) -> GradCheckRepor
 
     reg_err = None
     if regularized:
-        full = contrastive_loss(loss_id, batch, replace(cfg, use_regularizer=True))
+        full = contrastive_loss(loss_id, batch, cfg)
         reg_dz = full.d_z - bundle.d_z
         ref_dz, ref_dc = reg_gradient_reference(batch, full, cfg)
         reg_err = float(relative_error(reg_dz, ref_dz).max())
@@ -325,7 +324,7 @@ def gate_report(batch: ContrastiveBatch, cfg: LossConfig, loss_id: str = "reg") 
     if loss_id not in ("reg", "reg-noreg", "supcon-reg"):
         raise ConfigError(f"gate_report expects a regularized loss id, got {loss_id!r}")
     bundle = contrastive_loss(loss_id, batch, cfg)
-    applies_reg = (loss_id == "supcon-reg") or (loss_id == "reg" and cfg.use_regularizer)
+    applies_reg = loss_id in REGULARIZED_LOSS_IDS
 
     clamp_dev = None
     if applies_reg and loss_id == "reg":

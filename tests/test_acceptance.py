@@ -28,13 +28,10 @@ from mlclab.evaluation import (
 from mlclab.experiments import get_dataset, run_single
 from mlclab.losses import (
     LossConfig,
+    contrastive_loss,
     loss_asymmetric,
-    loss_base,
     loss_bce,
-    loss_mulsupcon,
-    loss_reg,
     loss_reg_matrix_value,
-    loss_supcon,
     reg_term,
 )
 from mlclab.verification import check_gradients, random_batch
@@ -89,12 +86,11 @@ class TestCriterion2ClampInvariant:
         for trial in range(1000):
             loss_id = "reg" if trial % 2 == 0 else "supcon-reg"
             batch = random_batch(rng, loss_id)
-            cfg = LossConfig(use_regularizer=True)
+            cfg = LossConfig()
             if loss_id == "reg":
-                bundle = loss_reg(batch, cfg)
+                bundle = contrastive_loss("reg", batch, cfg)
             else:
-                from mlclab.losses import loss_supcon_reg
-                bundle = loss_supcon_reg(batch, cfg)
+                bundle = contrastive_loss("supcon-reg", batch, cfg)
             if bundle.gate_value.size == 0:
                 continue
             expected = np.minimum(0.0, bundle.gate_value)
@@ -115,7 +111,7 @@ class TestCriterion3SharedMinimum:
         for _ in range(100):
             batch = random_batch(rng, "reg")
             cfg = LossConfig()
-            structure = loss_reg(batch, cfg, use_reg=False).structure
+            structure = contrastive_loss("reg-noreg", batch, cfg).structure
             structure.sigma = np.where(structure.positive_mask,
                                        structure.lam_norm, 0.0)
             res = reg_term(batch, structure, cfg)
@@ -133,7 +129,6 @@ class TestCriterion3SharedMinimum:
     def test_organic_minimum_configurations(self):
         # orthonormal same-class batches reach the condition up to roundoff
         rng = np.random.default_rng(SEED + 2)
-        from mlclab.losses import loss_supcon_reg
         for _ in range(20):
             n = int(rng.integers(3, 8))
             d = n + int(rng.integers(0, 3))
@@ -141,8 +136,8 @@ class TestCriterion3SharedMinimum:
             y = np.zeros((n, 2), dtype=np.int8)
             y[:, 0] = 1
             batch = ContrastiveBatch(z=z, y=y)
-            v_reg = loss_supcon_reg(batch, LossConfig())
-            v_host = loss_supcon(batch, LossConfig())
+            v_reg = contrastive_loss("supcon-reg", batch, LossConfig())
+            v_host = contrastive_loss("supcon", batch, LossConfig())
             assert abs(v_reg.loss_value - v_host.loss_value) < 1e-12
             assert np.linalg.norm(v_reg.d_z - v_host.d_z) < 1e-12
 
@@ -154,20 +149,21 @@ class TestCriterion4Reductions:
         worst = 0.0
         for _ in range(25):
             b = random_batch(rng, "supcon")
-            worst = max(worst, abs(loss_mulsupcon(b, cfg).loss_value
-                                   - loss_supcon(b, cfg).loss_value))
+            worst = max(worst, abs(contrastive_loss("mulsupcon", b, cfg).loss_value
+                                   - contrastive_loss("supcon", b, cfg).loss_value))
         for _ in range(25):
             n, d = int(rng.integers(3, 10)), int(rng.integers(3, 8))
             z = rng.normal(size=(n, d))
             y = np.zeros((n, 3), dtype=np.int8)
             y[:, int(rng.integers(0, 3))] = 1
             b = ContrastiveBatch(z=z, y=y)
-            worst = max(worst, abs(loss_base(b, cfg).loss_value
-                                   - loss_supcon(b, cfg).loss_value))
+            worst = max(worst, abs(contrastive_loss("base", b, cfg).loss_value
+                                   - contrastive_loss("supcon", b, cfg).loss_value))
         for _ in range(25):
             b = random_batch(rng, "reg")
-            va = loss_reg(b, LossConfig(use_alpha_weighting=True, alpha=0.0)).loss_value
-            vb = loss_reg(b, LossConfig(use_alpha_weighting=False)).loss_value
+            va = contrastive_loss(
+                "reg", b, LossConfig(use_alpha_weighting=True, alpha=0.0)).loss_value
+            vb = contrastive_loss("reg", b, LossConfig(use_alpha_weighting=False)).loss_value
             worst = max(worst, abs(va - vb))
         for _ in range(25):
             n, big_l = int(rng.integers(2, 8)), int(rng.integers(2, 6))
@@ -188,9 +184,9 @@ class TestCriterion5MatrixFormEquivalence:
         worst = 0.0
         for trial in range(100):
             batch = random_batch(rng, "reg")
-            cfg = LossConfig(use_regularizer=(trial % 2 == 0))
-            v1 = loss_reg(batch, cfg).loss_value
-            v2 = loss_reg_matrix_value(batch, cfg)
+            cfg = LossConfig()
+            v1 = contrastive_loss("reg" if trial % 2 == 0 else "reg-noreg", batch, cfg).loss_value
+            v2 = loss_reg_matrix_value(batch, cfg, use_reg=(trial % 2 == 0))
             worst = max(worst, abs(v1 - v2))
         _report("criterion 5 (matrix-form equivalence, 100 batches)",
                 worst < 1e-10, f"max |difference| {worst:.2e}")

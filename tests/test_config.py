@@ -25,11 +25,11 @@ class TestParsing:
             "loss.tau = 0.5\n"
             "\n"
             "run.seeds = 3,4\n"
-            "loss.use_regularizer = false\n"
+            "loss.use_alpha_weighting = true\n"
         )
         assert cfg["loss.tau"] == 0.5
         assert cfg["run.seeds"] == (3, 4)
-        assert cfg["loss.use_regularizer"] is False
+        assert cfg["loss.use_alpha_weighting"] is True
 
     def test_unknown_key(self):
         with pytest.raises(ConfigError, match="unknown config key"):

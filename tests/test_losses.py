@@ -11,18 +11,10 @@ from mlclab.losses import (
     LOSS_IDS,
     LossConfig,
     contrastive_loss,
-    generalized_contrastive,
     logit_loss,
     loss_asymmetric,
-    loss_base,
     loss_bce,
-    loss_msc,
-    loss_mulsupcon,
-    loss_proto,
-    loss_reg,
     loss_reg_matrix_value,
-    loss_supcon,
-    loss_supcon_reg,
     loss_zlpr,
     prr,
     reg_term,
@@ -55,52 +47,24 @@ def _fd_check(loss_fn, batch, atol=2e-8):
 
 
 class TestGeneralizedContrastive:
-    def test_two_identical_labels_reduces_to_supcon(self):
-        rng = np.random.default_rng(0)
-        z = rng.normal(size=(2, 3))
-        y = np.array([[1, 0], [1, 0]], dtype=np.int8)
-        batch = ContrastiveBatch(z=z, y=y)
-        uniform = generalized_contrastive(
-            batch, lambda ay, py: ay @ py.T, CFG, denominator="batch")
-        sup = loss_supcon(batch, CFG)
-        assert uniform.loss_value == pytest.approx(sup.loss_value, abs=1e-15)
-
-    def test_fd_on_custom_weights(self):
-        rng = np.random.default_rng(1)
-        batch = random_batch(rng, "base")
-
-        def weight_fn(ay, py):
-            inter = ay @ py.T
-            return np.where(inter > 0, inter ** 2, 0.0)
-
-        def fn(b):
-            return generalized_contrastive(b, weight_fn, CFG, denominator="batch")
-
-        _fd_check(fn, batch)
-
     def test_equal_similarity_balances_coefficients(self):
         # orthonormal embeddings make sigma uniform; all class weights equal
         rng = np.random.default_rng(2)
         z = np.linalg.qr(rng.normal(size=(5, 5)))[0][:4]
         y = np.tile(np.array([[1, 0]], dtype=np.int8), (4, 1))
         batch = ContrastiveBatch(z=z, y=y)
-        bundle = loss_supcon(batch, CFG)
+        bundle = contrastive_loss("supcon", batch, CFG)
         st = bundle.structure
         # sigma uniform over the three others, lam_norm = 1/3 each
         np.testing.assert_allclose(st.sigma[st.denominator_mask], 1 / 3, atol=1e-12)
         np.testing.assert_allclose(st.lam_norm[st.positive_mask], 1 / 3, atol=1e-15)
-        _fd_check(lambda b: loss_supcon(b, CFG), batch)
+        _fd_check(lambda b: contrastive_loss("supcon", b, CFG), batch)
 
     def test_strict_mode_flags_anchor_without_positives(self):
         z = np.eye(3)
         y = np.eye(3, dtype=np.int8)
         with pytest.raises(DomainError, match="strict"):
-            loss_base(ContrastiveBatch(z=z, y=y), CFG, strict=True)
-
-    def test_unknown_denominator(self):
-        b = random_batch(np.random.default_rng(3), "base")
-        with pytest.raises(ConfigError):
-            generalized_contrastive(b, lambda ay, py: ay @ py.T, CFG, denominator="nope")
+            contrastive_loss("base", ContrastiveBatch(z=z, y=y), CFG, strict=True)
 
 
 class TestLossBase:
@@ -110,13 +74,13 @@ class TestLossBase:
         y = np.zeros((6, 3), dtype=np.int8)
         y[:, 1] = 1
         batch = ContrastiveBatch(z=z, y=y)
-        assert loss_base(batch, CFG).loss_value == pytest.approx(
-            loss_supcon(batch, CFG).loss_value, abs=1e-12)
+        assert contrastive_loss("base", batch, CFG).loss_value == pytest.approx(
+            contrastive_loss("supcon", batch, CFG).loss_value, abs=1e-12)
 
     def test_disjoint_labels_all_skipped(self):
         z = np.random.default_rng(5).normal(size=(3, 4))
         batch = ContrastiveBatch(z=z, y=np.eye(3, dtype=np.int8))
-        bundle = loss_base(batch, CFG)
+        bundle = contrastive_loss("base", batch, CFG)
         assert bundle.loss_value == 0.0
         np.testing.assert_array_equal(bundle.d_z, np.zeros_like(z))
 
@@ -125,7 +89,7 @@ class TestLossBase:
         y = (rng.random((6, 3)) < 0.5).astype(np.int8)
         y[y.sum(axis=1) == 0, 0] = 1
         batch = ContrastiveBatch(z=rng.normal(size=(6, 4)), y=y)
-        _fd_check(lambda b: loss_base(b, CFG), batch)
+        _fd_check(lambda b: contrastive_loss("base", b, CFG), batch)
 
 
 class TestLossProto:
@@ -137,7 +101,7 @@ class TestLossProto:
             y=np.array([[1, 0]], dtype=np.int8),
             prototypes=np.array([[1.0, 0.0], [0.0, 1.0]]),
         )
-        v = loss_proto(batch, LossConfig(tau=0.1)).loss_value
+        v = contrastive_loss("proto", batch, LossConfig(tau=0.1)).loss_value
         expected = -np.log(np.exp(10.0) / (np.exp(10.0) + 1.0))
         assert v == pytest.approx(expected, abs=1e-12)
         assert v == pytest.approx(4.5398899e-05, rel=1e-6)
@@ -148,24 +112,25 @@ class TestLossProto:
         y = (rng.random((5, 4)) < 0.5).astype(np.int8)
         y[y.sum(axis=1) == 0, 0] = 1
         batch = ContrastiveBatch(z=rng.normal(size=(5, 3)), y=y, prototypes=proto)
-        assert loss_proto(batch, CFG).loss_value == pytest.approx(np.log(4), abs=1e-12)
+        assert contrastive_loss("proto", batch, CFG).loss_value == pytest.approx(
+            np.log(4), abs=1e-12)
 
     def test_fd_both_inputs(self):
         batch = random_batch(np.random.default_rng(8), "proto")
-        _fd_check(lambda b: loss_proto(b, CFG), batch)
+        _fd_check(lambda b: contrastive_loss("proto", b, CFG), batch)
 
     def test_missing_prototypes(self):
         b = random_batch(np.random.default_rng(9), "base")
         with pytest.raises(ConfigError, match="prototypes"):
-            loss_proto(b, CFG)
+            contrastive_loss("proto", b, CFG)
 
     def test_batch_joined_denominator_variant(self):
         batch = random_batch(np.random.default_rng(10), "proto")
         cfg2 = LossConfig(proto_denominator="batch+prototypes")
-        v1 = loss_proto(batch, CFG).loss_value
-        v2 = loss_proto(batch, cfg2).loss_value
+        v1 = contrastive_loss("proto", batch, CFG).loss_value
+        v2 = contrastive_loss("proto", batch, cfg2).loss_value
         assert v2 > v1  # larger denominator support shrinks every softmax term
-        _fd_check(lambda b: loss_proto(b, cfg2), batch)
+        _fd_check(lambda b: contrastive_loss("proto", b, cfg2), batch)
 
 
 class TestLossMulsupcon:
@@ -173,8 +138,8 @@ class TestLossMulsupcon:
         rng = np.random.default_rng(11)
         for _ in range(10):
             batch = random_batch(rng, "supcon")
-            v1 = loss_mulsupcon(batch, CFG)
-            v2 = loss_supcon(batch, CFG)
+            v1 = contrastive_loss("mulsupcon", batch, CFG)
+            v2 = contrastive_loss("supcon", batch, CFG)
             assert v1.loss_value == pytest.approx(v2.loss_value, abs=1e-12)
             np.testing.assert_allclose(v1.d_z, v2.d_z, atol=1e-12)
 
@@ -183,14 +148,14 @@ class TestLossMulsupcon:
         y = (rng.random((8, 4)) < 0.45).astype(np.int8)
         y[y.sum(axis=1) == 0, 0] = 1
         batch = ContrastiveBatch(z=rng.normal(size=(8, 4)), y=y)
-        _fd_check(lambda b: loss_mulsupcon(b, CFG), batch)
+        _fd_check(lambda b: contrastive_loss("mulsupcon", b, CFG), batch)
 
     def test_empty_positive_sets_drop_out(self):
         # one label carried by a single instance contributes nothing
         z = np.random.default_rng(14).normal(size=(3, 3))
         y = np.array([[1, 1], [1, 0], [1, 0]], dtype=np.int8)
         batch = ContrastiveBatch(z=z, y=y)
-        bundle = loss_mulsupcon(batch, CFG)
+        bundle = contrastive_loss("mulsupcon", batch, CFG)
         st = bundle.structure
         # anchor 0's label 1 has no other carrier; its lam only reflects label 0
         assert st.lam[0, 1] == pytest.approx(0.5)  # 1/|P(0,0)| = 1/2
@@ -204,14 +169,14 @@ class TestLossMsc:
         y = np.array([[0, 1, 0]], dtype=np.int8)
         protos = rng.normal(size=(3, 4))
         batch = ContrastiveBatch(z=z, y=y, prototypes=protos)
-        v = loss_msc(batch, LossConfig(beta=1.0)).loss_value
+        v = contrastive_loss("msc", batch, LossConfig(beta=1.0)).loss_value
         s = tempered_cosine_matrix(z, protos, CFG.tau)[0]
         direct = -np.log(np.exp(s[1]) / np.exp(s).sum())
         assert v == pytest.approx(direct, abs=1e-12)
 
     def test_beta_zero_masks_instance_negatives(self):
         batch = random_batch(np.random.default_rng(16), "msc")
-        bundle = loss_msc(batch, LossConfig(beta=0.0))
+        bundle = contrastive_loss("msc", batch, LossConfig(beta=0.0))
         st = bundle.structure
         np.testing.assert_allclose(st.sigma.sum(axis=1), 1.0, atol=1e-9)
         assert np.all(st.sigma[:, :batch.n] == 0.0)
@@ -219,19 +184,19 @@ class TestLossMsc:
     def test_fd_with_beta(self):
         batch = random_batch(np.random.default_rng(17), "msc")
         cfg = LossConfig(beta=0.5)
-        _fd_check(lambda b: loss_msc(b, cfg), batch)
+        _fd_check(lambda b: contrastive_loss("msc", b, cfg), batch)
 
     def test_missing_prototypes(self):
         b = random_batch(np.random.default_rng(18), "base")
         with pytest.raises(ConfigError):
-            loss_msc(b, CFG)
+            contrastive_loss("msc", b, CFG)
 
 
 class TestRegTerm:
     def test_closed_gates_give_zero(self):
         # sigma below lam_norm on every positive: gate shut, no contribution
         batch = random_batch(np.random.default_rng(19), "reg")
-        bundle = loss_reg(batch, CFG, use_reg=False)
+        bundle = contrastive_loss("reg-noreg", batch, CFG)
         st = bundle.structure
         st.sigma = np.zeros_like(st.sigma)
         res = reg_term(batch, st, CFG)
@@ -241,7 +206,7 @@ class TestRegTerm:
     def test_minimum_condition_exact_zero(self):
         # sigma equal to lam_norm exactly: value and gradient are exact zeros
         batch = random_batch(np.random.default_rng(20), "reg")
-        bundle = loss_reg(batch, CFG, use_reg=False)
+        bundle = contrastive_loss("reg-noreg", batch, CFG)
         st = bundle.structure
         st.sigma = st.lam_norm.copy()
         res = reg_term(batch, st, CFG)
@@ -255,12 +220,53 @@ class TestRegTerm:
         z = np.array([[1.0, 0.0], [0.999, 0.01], [-1.0, 0.3], [0.2, -1.0]])
         y = np.array([[1, 0], [1, 0], [0, 1], [0, 1]], dtype=np.int8)
         batch = ContrastiveBatch(z=z, y=y, prototypes=np.eye(2))
-        reg = loss_reg(batch, LossConfig(use_regularizer=True))
-        noreg = loss_reg(batch, LossConfig(use_regularizer=False))
+        reg = contrastive_loss("reg", batch, CFG)
+        noreg = contrastive_loss("reg-noreg", batch, CFG)
         assert reg.gate_value.max() > 0  # at least one open gate
         np.testing.assert_allclose(
             reg.combined_coeff, np.minimum(0.0, reg.gate_value), atol=1e-15)
         assert not np.allclose(reg.d_z, noreg.d_z)
+
+
+class TestFusedRegularizer:
+    """The engine folds the gate term into its single backward; reg_term is
+    the standalone reference it must stay in step with."""
+
+    @pytest.mark.parametrize("loss_id,host_id", [("reg", "reg-noreg"), ("supcon-reg", "supcon")])
+    def test_engine_matches_host_plus_reg_term(self, loss_id, host_id):
+        rng = np.random.default_rng(42)
+        for _ in range(100):
+            batch = random_batch(rng, loss_id)
+            full = contrastive_loss(loss_id, batch, CFG)
+            host = contrastive_loss(host_id, batch, CFG)
+            ref = reg_term(batch, full.structure, CFG)
+            assert full.loss_value == host.loss_value + float(
+                np.dot(full.structure.outer, ref.value_per_anchor))
+            expected_dz = host.d_z + ref.d_z
+            scale = np.abs(expected_dz).max()
+            assert np.abs(full.d_z - expected_dz).max() <= 1e-12 * scale
+            if batch.prototypes is not None:
+                expected_dc = host.d_prototypes + ref.d_prototypes
+                scale = np.abs(expected_dc).max()
+                assert np.abs(full.d_prototypes - expected_dc).max() <= 1e-12 * scale
+
+    def test_one_cosine_pass_per_regularized_step(self, monkeypatch):
+        import mlclab.losses as losses
+
+        calls = {"fwd": 0, "bwd": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(losses, "tempered_cosine_matrix",
+                            counted("fwd", losses.tempered_cosine_matrix))
+        monkeypatch.setattr(losses, "tempered_cosine_backward",
+                            counted("bwd", losses.tempered_cosine_backward))
+        contrastive_loss("reg", random_batch(np.random.default_rng(43), "reg"), CFG)
+        assert calls == {"fwd": 1, "bwd": 1}
 
 
 class TestLossReg:
@@ -268,15 +274,17 @@ class TestLossReg:
         rng = np.random.default_rng(21)
         for _ in range(10):
             batch = random_batch(rng, "reg")
-            va = loss_reg(batch, LossConfig(use_alpha_weighting=True, alpha=0.0)).loss_value
-            vb = loss_reg(batch, LossConfig(use_alpha_weighting=False)).loss_value
+            va = contrastive_loss(
+                "reg", batch, LossConfig(use_alpha_weighting=True, alpha=0.0)).loss_value
+            vb = contrastive_loss(
+                "reg", batch, LossConfig(use_alpha_weighting=False)).loss_value
             assert va == pytest.approx(vb, abs=1e-12)
 
     def test_regularizer_toggle_at_minimum_condition(self):
         # orthonormal same-class embeddings with matching prototypes removed:
         # use the injected-structure route, which is exact
         batch = random_batch(np.random.default_rng(22), "reg")
-        bundle = loss_reg(batch, CFG, use_reg=False)
+        bundle = contrastive_loss("reg-noreg", batch, CFG)
         st = bundle.structure
         st.sigma = st.lam_norm.copy()
         res = reg_term(batch, st, CFG)
@@ -284,17 +292,16 @@ class TestLossReg:
 
     def test_fd_differentiable_part_with_alpha(self):
         batch = random_batch(np.random.default_rng(23), "reg")
-        cfg = LossConfig(use_alpha_weighting=True, alpha=1.0, use_regularizer=False)
-        _fd_check(lambda b: loss_reg(b, cfg), batch)
+        cfg = LossConfig(use_alpha_weighting=True, alpha=1.0)
+        _fd_check(lambda b: contrastive_loss("reg-noreg", b, cfg), batch)
 
     def test_matrix_form_agrees(self):
         rng = np.random.default_rng(24)
         for _ in range(20):
             batch = random_batch(rng, "reg")
             for use_reg in (True, False):
-                cfg = LossConfig(use_regularizer=use_reg)
-                v1 = loss_reg(batch, cfg).loss_value
-                v2 = loss_reg_matrix_value(batch, cfg)
+                v1 = contrastive_loss("reg" if use_reg else "reg-noreg", batch, CFG).loss_value
+                v2 = loss_reg_matrix_value(batch, CFG, use_reg=use_reg)
                 assert v1 == pytest.approx(v2, abs=1e-10)
 
     def test_matrix_form_rejects_alpha_weighting(self):
@@ -303,10 +310,13 @@ class TestLossReg:
             loss_reg_matrix_value(batch, LossConfig(use_alpha_weighting=True, alpha=1.0))
 
     def test_reg_noreg_is_ablation(self):
+        # the two ids share one spec and differ only in the gate term
         batch = random_batch(np.random.default_rng(26), "reg")
-        v1 = contrastive_loss("reg-noreg", batch, LossConfig(use_regularizer=True)).loss_value
-        v2 = loss_reg(batch, CFG, use_reg=False).loss_value
-        assert v1 == v2
+        noreg = contrastive_loss("reg-noreg", batch, CFG)
+        reg = contrastive_loss("reg", batch, CFG)
+        np.testing.assert_array_equal(noreg.structure.coeff, reg.structure.coeff)
+        np.testing.assert_array_equal(noreg.gate_value, reg.gate_value)
+        assert noreg.loss_value != reg.loss_value
 
 
 class TestSupcon:
@@ -314,14 +324,14 @@ class TestSupcon:
         y = np.array([[1, 1], [1, 0]], dtype=np.int8)
         batch = ContrastiveBatch(z=np.random.default_rng(27).normal(size=(2, 3)), y=y)
         with pytest.raises(DomainError, match="multi-label"):
-            loss_supcon(batch, CFG)
+            contrastive_loss("supcon", batch, CFG)
 
     def test_positive_negative_structure(self):
         rng = np.random.default_rng(28)
         z = rng.normal(size=(3, 4))
         y = np.array([[1, 0], [1, 0], [0, 1]], dtype=np.int8)
         batch = ContrastiveBatch(z=z, y=y)
-        bundle = _fd_check(lambda b: loss_supcon(b, CFG), batch)
+        bundle = _fd_check(lambda b: contrastive_loss("supcon", b, CFG), batch)
         st = bundle.structure
         assert st.positive_mask[0, 1] and st.positive_mask[1, 0]
         assert not st.positive_mask[0, 2]
@@ -333,7 +343,7 @@ class TestSupcon:
         z = rng.normal(size=(n, 4))
         y = np.zeros((n, 2), dtype=np.int8)
         y[:, 0] = 1
-        bundle = loss_supcon_reg(ContrastiveBatch(z=z, y=y), CFG)
+        bundle = contrastive_loss("supcon-reg", ContrastiveBatch(z=z, y=y), CFG)
         st = bundle.structure
         expected = -1.0 / (n - 1) + st.sigma[st.positive_mask]
         np.testing.assert_allclose(bundle.gate_value, expected, atol=1e-15)
@@ -344,8 +354,8 @@ class TestSupcon:
         y = np.zeros((5, 3), dtype=np.int8)
         y[:, 1] = 1
         batch = ContrastiveBatch(z=z, y=y)
-        v_reg = loss_supcon_reg(batch, CFG)
-        v_plain = loss_supcon(batch, CFG)
+        v_reg = contrastive_loss("supcon-reg", batch, CFG)
+        v_plain = contrastive_loss("supcon", batch, CFG)
         assert v_reg.loss_value == pytest.approx(v_plain.loss_value, abs=1e-12)
         np.testing.assert_allclose(v_reg.d_z, v_plain.d_z, atol=1e-12)
 

@@ -1,6 +1,8 @@
 """Training harness: schedule and clip contracts, determinism, divergence
 abort, two-stage separation, linear evaluation, and checkpoint round trips."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,6 @@ from mlclab.training import (
     load_checkpoint,
     lr_schedule,
     save_checkpoint,
-    train_contrastive,
     train_model,
 )
 
@@ -125,20 +126,15 @@ class TestTraining:
         assert result.model.classifier_w is not None
         assert all(row["prr"] is None for row in result.log)
 
-    def test_contrastive_guard(self):
-        ds = _tiny_dataset()
-        with pytest.raises(ConfigError):
-            train_contrastive(ds, "bce", LossConfig(), FAST)
-
     def test_prr_logged_for_regularized_loss(self):
         ds = _tiny_dataset()
-        result = train_contrastive(ds, "reg", LossConfig(), FAST)
+        result = train_model(ds, "reg", LossConfig(), FAST)
         assert all(row["prr"] is not None for row in result.log)
         assert all(0.0 <= row["prr"] <= 1.0 for row in result.log)
 
     def test_evaluation_never_touches_projection_head(self):
         ds = _tiny_dataset()
-        result = train_contrastive(ds, "reg", LossConfig(), FAST)
+        result = train_model(ds, "reg", LossConfig(), FAST)
         x = ds.features[:10]
         before = result.model.encoder.features(x)
         result.model.head.v1 = result.model.head.v1 * 0.0 + 17.0
@@ -157,7 +153,7 @@ class TestTraining:
         ds = MultiLabelDataset(features=feats, labels=y,
                                split=np.array(["train"] * n, dtype=object))
         cfg = TrainConfig(epochs=50, batch_size=32, lr=0.05, hidden=16, proj_dim=16)
-        result = train_contrastive(ds, "reg", LossConfig(), cfg)
+        result = train_model(ds, "reg", LossConfig(), cfg)
         from mlclab.training import _init_model
         fresh = _init_model("reg", ds.n_features, ds.n_labels, LossConfig(), cfg,
                             np.random.default_rng(cfg.seed))
@@ -253,6 +249,19 @@ class TestCheckpoint:
         p.write_text('{"format": "other"}')
         with pytest.raises(ConfigError):
             load_checkpoint(p)
+
+    def test_rejects_older_version(self, tmp_path):
+        # version 1 carried the loss_config keys use_prototypes and use_regularizer
+        ds = _tiny_dataset()
+        result = train_model(ds, "reg", LossConfig(), FAST)
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(result.model, path)
+        doc = json.loads(path.read_text())
+        doc["version"] = 1
+        doc["loss_config"].update(use_prototypes=False, use_regularizer=True)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match="version"):
+            load_checkpoint(path)
 
 
 class TestTrainConfigValidation:

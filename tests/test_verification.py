@@ -8,7 +8,7 @@ import pytest
 
 from mlclab.datamodel import ContrastiveBatch
 from mlclab.errors import ConfigError
-from mlclab.losses import LossConfig, loss_reg, loss_supcon_reg, reg_term
+from mlclab.losses import LossConfig, contrastive_loss
 from mlclab.verification import (
     GradCheckReport,
     check_gradients,
@@ -70,8 +70,8 @@ class TestRegGradientReference:
         rng = np.random.default_rng(11)
         for _ in range(5):
             batch = random_batch(rng, "reg")
-            with_reg = loss_reg(batch, LossConfig(use_regularizer=True))
-            without = loss_reg(batch, LossConfig(use_regularizer=False))
+            with_reg = contrastive_loss("reg", batch, CFG)
+            without = contrastive_loss("reg-noreg", batch, CFG)
             ref_dz, ref_dc = reg_gradient_reference(batch, with_reg, CFG)
             np.testing.assert_allclose(with_reg.d_z - without.d_z, ref_dz, atol=1e-12)
             np.testing.assert_allclose(
@@ -81,7 +81,7 @@ class TestRegGradientReference:
 class TestMinimumResidual:
     def test_constructed_sigma_equals_lam(self):
         batch = random_batch(np.random.default_rng(12), "reg")
-        st = loss_reg(batch, CFG, use_reg=False).structure
+        st = contrastive_loss("reg-noreg", batch, CFG).structure
         st.sigma = np.where(st.positive_mask, st.lam_norm, 0.0)
         # positive part vanishes; only negatives contribute, and here they are zero too
         assert minimum_residual(st) == 0.0
@@ -93,12 +93,12 @@ class TestMinimumResidual:
         z = np.linalg.qr(rng.normal(size=(5, 5)))[0][:4]
         y = np.zeros((4, 2), dtype=np.int8)
         y[:, 0] = 1
-        st = loss_supcon_reg(ContrastiveBatch(z=z, y=y), CFG).structure
+        st = contrastive_loss("supcon-reg", ContrastiveBatch(z=z, y=y), CFG).structure
         assert minimum_residual(st) < 1e-25
 
     def test_random_batch_positive(self):
         batch = random_batch(np.random.default_rng(14), "reg")
-        st = loss_reg(batch, CFG).structure
+        st = contrastive_loss("reg", batch, CFG).structure
         assert minimum_residual(st) > 0.0
 
 
@@ -110,7 +110,7 @@ class TestGateReport:
         y = np.array([[1, 0], [1, 0], [0, 1], [0, 1]], dtype=np.int8)
         protos = np.array([[0.2, 0.9], [-0.9, -0.2]])
         batch = ContrastiveBatch(z=z, y=y, prototypes=protos)
-        report = gate_report(batch, LossConfig(use_regularizer=True), "reg")
+        report = gate_report(batch, CFG, "reg")
         assert report.prr is not None and report.prr > 0
         pair_01 = (report.anchors == 0) & (report.pool_indices == 1)
         assert report.gate_values[pair_01].max() > 0
@@ -119,7 +119,7 @@ class TestGateReport:
         rng = np.random.default_rng(15)
         for _ in range(5):
             batch = random_batch(rng, "reg")
-            report = gate_report(batch, LossConfig(use_regularizer=True), "reg")
+            report = gate_report(batch, CFG, "reg")
             assert report.clamp_max_dev is not None
             assert report.clamp_max_dev <= 1e-12
 
@@ -133,9 +133,8 @@ class TestGateReport:
         batch = ContrastiveBatch(z=z, y=y)
         report = gate_report(batch, CFG, "supcon-reg")
         assert np.abs(report.gate_values).max() < 1e-12
-        from mlclab.losses import loss_supcon
-        v_reg = loss_supcon_reg(batch, CFG).loss_value
-        v_host = loss_supcon(batch, CFG).loss_value
+        v_reg = contrastive_loss("supcon-reg", batch, CFG).loss_value
+        v_host = contrastive_loss("supcon", batch, CFG).loss_value
         assert abs(v_reg - v_host) < 1e-12
 
     def test_rejects_unregularized_ids(self):
