@@ -18,6 +18,7 @@ from .config import ExperimentConfig, default_config, load_config
 from .datamodel import write_dataset
 from .errors import ConfigError, DomainError, OracleError, ParseError, TrainingDivergence
 from .experiments import (
+    _COMPARE_METRICS,
     evaluate_trained,
     format_csv,
     get_dataset,
@@ -106,44 +107,23 @@ def cmd_eval(args) -> int:
     return 0
 
 
-_COMPARE_HEADER = ["loss"] + [
-    f"{m}_{s}"
-    for m in ("micro_f1", "macro_f1", "hamming_x1000", "map", "align", "uniform")
-    for s in ("mean", "std")
-]
+_COMPARE_HEADER = ["loss"] + [f"{m}_{s}" for m in _COMPARE_METRICS for s in ("mean", "std")]
+
+# study verb -> (runner, CSV header, output file name)
+_STUDIES = {
+    "compare": (run_compare, _COMPARE_HEADER, "compare.csv"),
+    "sweep-tau": (run_sweep_tau, ["tau", "prr"], "sweep_tau.csv"),
+    "fraction": (run_fraction, ["fraction", "loss", "macro_f1"], "fraction.csv"),
+}
 
 
-def cmd_compare(args) -> int:
+def cmd_study(args) -> int:
+    runner, header, filename = _STUDIES[args.command]
     cfg = _load_cfg(args)
     out = _out_dir(args, cfg)
     dataset = get_dataset(cfg)
-    rows = run_compare(dataset, cfg)
-    csv_text = format_csv(_COMPARE_HEADER, rows)
-    (out / "compare.csv").write_text(csv_text, encoding="utf-8")
-    _echo_config(cfg, out)
-    print(csv_text, end="")
-    return 0
-
-
-def cmd_sweep_tau(args) -> int:
-    cfg = _load_cfg(args)
-    out = _out_dir(args, cfg)
-    dataset = get_dataset(cfg)
-    rows = run_sweep_tau(dataset, cfg)
-    csv_text = format_csv(["tau", "prr"], rows)
-    (out / "sweep_tau.csv").write_text(csv_text, encoding="utf-8")
-    _echo_config(cfg, out)
-    print(csv_text, end="")
-    return 0
-
-
-def cmd_fraction(args) -> int:
-    cfg = _load_cfg(args)
-    out = _out_dir(args, cfg)
-    dataset = get_dataset(cfg)
-    rows = run_fraction(dataset, cfg)
-    csv_text = format_csv(["fraction", "loss", "macro_f1"], rows)
-    (out / "fraction.csv").write_text(csv_text, encoding="utf-8")
+    csv_text = format_csv(header, runner(dataset, cfg))
+    (out / filename).write_text(csv_text, encoding="utf-8")
     _echo_config(cfg, out)
     print(csv_text, end="")
     return 0
@@ -188,15 +168,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="loss comparison table over seeds")
     common(p, loss_flag=False)
-    p.set_defaults(func=cmd_compare)
+    p.set_defaults(func=cmd_study)
 
     p = sub.add_parser("sweep-tau", help="PRR of a trained model across temperatures")
     common(p)
-    p.set_defaults(func=cmd_sweep_tau)
+    p.set_defaults(func=cmd_study)
 
     p = sub.add_parser("fraction", help="macro-F1 under shrinking train splits")
     common(p, loss_flag=False)
-    p.set_defaults(func=cmd_fraction)
+    p.set_defaults(func=cmd_study)
 
     return parser
 

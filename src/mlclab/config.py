@@ -9,7 +9,7 @@ directory re-runnable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError, ParseError
 from .losses import LOSS_IDS, LossConfig
@@ -43,6 +43,19 @@ def _parse_list(item_parser):
     return parse
 
 
+# section -> the dataclass whose fields are that section's keys
+_SECTIONS = {"loss": LossConfig, "train": TrainConfig}
+
+
+def _section_schema(section: str) -> dict:
+    """'<section>.<field>' -> (parser, field default) for every field."""
+    return {
+        f"{section}.{f.name}": (_parse_bool if isinstance(f.default, bool) else type(f.default),
+                                f.default)
+        for f in fields(_SECTIONS[section])
+    }
+
+
 # key -> (parser, default)
 SCHEMA: dict = {
     "data.source": (str, "generate"),
@@ -56,25 +69,8 @@ SCHEMA: dict = {
     "data.cooccur_boost": (float, 0.35),
     "data.split": (_parse_list(float), (0.8, 0.1, 0.1)),
     "loss.id": (str, "reg"),
-    "loss.tau": (float, 0.1),
-    "loss.alpha": (float, 0.0),
-    "loss.beta": (float, 1.0),
-    "loss.gamma_pos": (float, 0.0),
-    "loss.gamma_neg": (float, 1.0),
-    "loss.margin": (float, 0.0),
-    "loss.use_alpha_weighting": (_parse_bool, False),
-    "loss.epsilon": (float, 1e-12),
-    "loss.proto_denominator": (str, "prototypes"),
-    "train.epochs": (int, 20),
-    "train.batch_size": (int, 64),
-    "train.lr": (float, 0.05),
-    "train.momentum": (float, 0.9),
-    "train.weight_decay": (float, 1e-4),
-    "train.warmup_frac": (float, 0.05),
-    "train.clip": (float, 1.0),
-    "train.seed": (int, 0),
-    "train.hidden": (int, 64),
-    "train.proj_dim": (int, 256),
+    **_section_schema("loss"),
+    **_section_schema("train"),
     "eval.lrs": (_parse_list(float), (1.0, 0.1)),
     "eval.wds": (_parse_list(float), (1e-2, 1e-4)),
     "run.seeds": (_parse_list(int), (0, 1, 2, 3, 4)),
@@ -117,34 +113,16 @@ class ExperimentConfig:
         parser, _ = SCHEMA[key]
         self.values[key] = parser(value) if isinstance(value, str) else value
 
+    def _section_config(self, section: str, **overrides):
+        cls = _SECTIONS[section]
+        kwargs = {f.name: self.values[f"{section}.{f.name}"] for f in fields(cls)}
+        return cls(**{**kwargs, **overrides})
+
     def loss_config(self) -> LossConfig:
-        v = self.values
-        return LossConfig(
-            tau=v["loss.tau"],
-            alpha=v["loss.alpha"],
-            beta=v["loss.beta"],
-            gamma_pos=v["loss.gamma_pos"],
-            gamma_neg=v["loss.gamma_neg"],
-            margin=v["loss.margin"],
-            use_alpha_weighting=v["loss.use_alpha_weighting"],
-            epsilon=v["loss.epsilon"],
-            proto_denominator=v["loss.proto_denominator"],
-        )
+        return self._section_config("loss")
 
     def train_config(self, seed: int | None = None) -> TrainConfig:
-        v = self.values
-        return TrainConfig(
-            epochs=v["train.epochs"],
-            batch_size=v["train.batch_size"],
-            lr=v["train.lr"],
-            momentum=v["train.momentum"],
-            weight_decay=v["train.weight_decay"],
-            warmup_frac=v["train.warmup_frac"],
-            clip=v["train.clip"],
-            seed=v["train.seed"] if seed is None else seed,
-            hidden=v["train.hidden"],
-            proj_dim=v["train.proj_dim"],
-        )
+        return self._section_config("train", **({} if seed is None else {"seed": seed}))
 
     def render(self) -> str:
         lines = [f"{key} = {_fmt(self.values[key])}" for key in sorted(self.values)]

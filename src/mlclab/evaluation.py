@@ -28,13 +28,17 @@ def _check_binary_pair(pred, truth):
     return p.astype(np.int64), t.astype(np.int64)
 
 
+def _label_counts(pred, truth):
+    """Per-label true-positive, false-positive and false-negative counts."""
+    p, t = _check_binary_pair(pred, truth)
+    tp = np.sum(p & t, axis=0)
+    return tp, np.sum(p, axis=0) - tp, np.sum(t, axis=0) - tp
+
+
 def micro_f1(pred, truth) -> float:
     """F1 pooled over every (instance, label) cell: 2TP / (2TP + FP + FN),
     0 when the denominator is 0."""
-    p, t = _check_binary_pair(pred, truth)
-    tp = int(np.sum((p == 1) & (t == 1)))
-    fp = int(np.sum((p == 1) & (t == 0)))
-    fn = int(np.sum((p == 0) & (t == 1)))
+    tp, fp, fn = (int(c.sum()) for c in _label_counts(pred, truth))
     denom = 2 * tp + fp + fn
     return 2.0 * tp / denom if denom else 0.0
 
@@ -43,15 +47,9 @@ def macro_f1(pred, truth) -> float:
     """Per-label F1 averaged uniformly over all labels; empty labels (no
     positives in truth or prediction) contribute 0 under the strict
     convention documented in the module docstring."""
-    p, t = _check_binary_pair(pred, truth)
-    big_l = p.shape[1]
-    scores = np.zeros(big_l)
-    for j in range(big_l):
-        tp = int(np.sum((p[:, j] == 1) & (t[:, j] == 1)))
-        fp = int(np.sum((p[:, j] == 1) & (t[:, j] == 0)))
-        fn = int(np.sum((p[:, j] == 0) & (t[:, j] == 1)))
-        denom = 2 * tp + fp + fn
-        scores[j] = 2.0 * tp / denom if denom else 0.0
+    tp, fp, fn = _label_counts(pred, truth)
+    denom = 2 * tp + fp + fn
+    scores = np.where(denom > 0, 2.0 * tp / np.maximum(denom, 1), 0.0)
     return float(scores.mean())
 
 
@@ -94,19 +92,29 @@ def mean_average_precision(scores, truth) -> float | None:
 
 def alignment(features, labels) -> float | None:
     """Mean squared distance between unit-normalized features of instances
-    with exactly matching label sets; None when no exact-match pair exists."""
+    with exactly matching label sets; None when no exact-match pair exists.
+
+    Rows are grouped by label set; a group of k rows with mean mu holds
+    k * sum_i |f_i - mu|^2 of squared distance over its k(k-1)/2 pairs, so no
+    pairwise array is built."""
     f = row_normalize(as_matrix(features, "features"), "features")
     y = np.asarray(labels)
     if y.shape[0] != f.shape[0]:
         raise DomainError("features and labels must agree on instance count")
-    n = f.shape[0]
-    same = (y[:, None, :] == y[None, :, :]).all(axis=2)
-    iu = np.triu_indices(n, k=1)
-    pair_mask = same[iu]
-    if not pair_mask.any():
+    _, group = np.unique(y, axis=0, return_inverse=True)
+    group = group.ravel()
+    k = np.bincount(group)
+    n_pairs = int(np.sum(k * (k - 1) // 2))
+    if n_pairs == 0:
         return None
-    diffs = f[iu[0][pair_mask]] - f[iu[1][pair_mask]]
-    return float(np.mean(np.sum(diffs * diffs, axis=1)))
+    sums = np.zeros((k.size, f.shape[1]))
+    np.add.at(sums, group, f)
+    centered = f - (sums / k[:, None])[group]
+    spread = np.bincount(group, weights=np.sum(centered * centered, axis=1))
+    return float(np.dot(k, spread) / n_pairs)
+
+
+_GRAM_BLOCK = 256
 
 
 def uniformity(features) -> float | None:
@@ -114,16 +122,22 @@ def uniformity(features) -> float | None:
     pairs of unit-normalized features; None for fewer than two instances.
     Bounded in [-8, 0] on the unit sphere. The summand is symmetric, so
     ordered and unordered pair conventions give the same value; distinct
-    unordered pairs are used."""
+    unordered pairs are used. Squared distances come from the Gram matrix,
+    |a - b|^2 = |a|^2 + |b|^2 - 2 a.b, one block of rows at a time."""
     f = as_matrix(features, "features")
-    if f.shape[0] < 2:
+    n = f.shape[0]
+    if n < 2:
         return None
     f = row_normalize(f, "features")
-    iu = np.triu_indices(f.shape[0], k=1)
-    diffs = f[iu[0]] - f[iu[1]]
-    sq = np.sum(diffs * diffs, axis=1)
-    # stabilized log-mean-exp; exponents lie in [-8, 0] so this is gentle
-    return float(np.log(np.mean(np.exp(-2.0 * sq))))
+    sq_norm = np.sum(f * f, axis=1)
+    total = 0.0
+    for start in range(0, n, _GRAM_BLOCK):
+        rows = slice(start, min(start + _GRAM_BLOCK, n))
+        # pairs (i, j) with j > i: columns from the block's first row on, then
+        # the strict upper triangle relative to each row
+        sq = sq_norm[rows, None] + sq_norm[None, start:] - 2.0 * (f[rows] @ f[start:].T)
+        total += float(np.sum(np.triu(np.exp(-2.0 * np.maximum(sq, 0.0)), k=1)))
+    return float(np.log(total / (n * (n - 1) // 2)))
 
 
 @dataclass

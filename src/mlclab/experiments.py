@@ -7,13 +7,15 @@ command overwrites files with identical bytes.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .config import ExperimentConfig
 from .datamodel import ContrastiveBatch, MultiLabelDataset, generate_longtail, read_dataset
 from .errors import ConfigError, DomainError
 from .evaluation import MetricsReport, compute_report, macro_f1
-from .losses import contrastive_loss, is_contrastive
+from .losses import contrastive_loss, is_contrastive, prr
 from .training import (
     TrainResult,
     TrainedModel,
@@ -66,11 +68,7 @@ def measure_prr(
     contrastive model; tau optionally overrides the evaluation temperature."""
     if model.head is None:
         raise ConfigError("PRR needs a contrastive model (no projection head found)")
-    loss_cfg = model.loss_cfg
-    if tau is not None:
-        from dataclasses import replace
-
-        loss_cfg = replace(loss_cfg, tau=tau)
+    loss_cfg = model.loss_cfg if tau is None else replace(model.loss_cfg, tau=tau)
     x_train, y_train = dataset.subset("train")
     gates = []
     for idx in _epoch_batches(x_train.shape[0], model.train_cfg.batch_size,
@@ -79,10 +77,7 @@ def measure_prr(
         batch = ContrastiveBatch(z=z, y=y_train[idx], prototypes=model.prototypes)
         bundle = contrastive_loss(model.loss_id, batch, loss_cfg)
         gates.append(bundle.gate_value)
-    all_gates = np.concatenate(gates) if gates else np.empty(0)
-    if all_gates.size == 0:
-        return None
-    return float(np.mean(all_gates > 0.0))
+    return prr(np.concatenate(gates) if gates else np.empty(0))
 
 
 def evaluate_trained(

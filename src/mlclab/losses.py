@@ -21,6 +21,7 @@ Loss selection by string identifier:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -29,12 +30,12 @@ from .errors import ConfigError, DomainError
 from .numerics import (
     as_matrix,
     masked_logsumexp,
+    sigmoid,
     tempered_cosine_backward,
     tempered_cosine_matrix,
 )
 
 LOGIT_LOSS_IDS = ("bce", "asy", "zlpr")
-PROTOTYPE_LOSS_IDS = ("proto", "msc", "reg", "reg-noreg")
 
 
 @dataclass
@@ -44,8 +45,7 @@ class LossConfig:
     tau is the softmax temperature applied inside the cosine similarity;
     alpha the shared-label overlap exponent; beta the down-weight on instance
     negatives in the prototype denominator of the MSC loss; gamma_pos /
-    gamma_neg / margin parametrize the asymmetric logit loss; epsilon guards
-    0/0 in weight normalization and nothing else.
+    gamma_neg / margin parametrize the asymmetric logit loss.
     """
 
     tau: float = 0.1
@@ -55,7 +55,6 @@ class LossConfig:
     gamma_neg: float = 1.0
     margin: float = 0.0
     use_alpha_weighting: bool = False
-    epsilon: float = 1e-12
     proto_denominator: str = "prototypes"
 
     def __post_init__(self):
@@ -70,8 +69,6 @@ class LossConfig:
             raise ConfigError("gamma_pos and gamma_neg must be nonnegative")
         if not (0 <= self.margin < 1):
             raise ConfigError(f"margin must be in [0, 1), got {self.margin}")
-        if not (0 < self.epsilon <= 1e-6):
-            raise ConfigError(f"epsilon must be in (0, 1e-6], got {self.epsilon}")
         if self.proto_denominator not in ("prototypes", "batch+prototypes"):
             raise ConfigError(
                 f"proto_denominator must be 'prototypes' or 'batch+prototypes', "
@@ -527,21 +524,34 @@ def _spec_reg(batch: ContrastiveBatch, cfg: LossConfig) -> LossSpec:
     )
 
 
-# loss id -> (spec builder, regularized); the gate regularizer is chosen by
-# id, so reg-noreg and supcon are the unregularized hosts of reg and supcon-reg
+class _ContrastiveLoss(NamedTuple):
+    """Everything the package knows about one contrastive loss id."""
+
+    build: Callable[[ContrastiveBatch, LossConfig], LossSpec]
+    host: str | None      # the unregularized id this one adds the gate regularizer to
+    prototypes: bool      # the pool includes trainable label prototypes
+    single_label: bool    # every row must carry exactly one label
+
+
+# the gate regularizer is chosen by id: reg-noreg and supcon host reg and supcon-reg
 _CONTRASTIVE_LOSSES = {
-    "base": (_spec_base, False),
-    "proto": (_spec_proto, False),
-    "mulsupcon": (_spec_mulsupcon, False),
-    "msc": (_spec_msc, False),
-    "reg": (_spec_reg, True),
-    "reg-noreg": (_spec_reg, False),
-    "supcon": (_spec_supcon, False),
-    "supcon-reg": (_spec_supcon, True),
+    "base": _ContrastiveLoss(_spec_base, None, False, False),
+    "proto": _ContrastiveLoss(_spec_proto, None, True, False),
+    "mulsupcon": _ContrastiveLoss(_spec_mulsupcon, None, False, False),
+    "msc": _ContrastiveLoss(_spec_msc, None, True, False),
+    "reg": _ContrastiveLoss(_spec_reg, "reg-noreg", True, False),
+    "reg-noreg": _ContrastiveLoss(_spec_reg, None, True, False),
+    "supcon": _ContrastiveLoss(_spec_supcon, None, False, True),
+    "supcon-reg": _ContrastiveLoss(_spec_supcon, "supcon", False, True),
 }
 CONTRASTIVE_LOSS_IDS = tuple(_CONTRASTIVE_LOSSES)
-REGULARIZED_LOSS_IDS = tuple(k for k, (_, reg) in _CONTRASTIVE_LOSSES.items() if reg)
+REGULARIZED_LOSS_IDS = tuple(k for k, row in _CONTRASTIVE_LOSSES.items() if row.host)
+PROTOTYPE_LOSS_IDS = tuple(k for k, row in _CONTRASTIVE_LOSSES.items() if row.prototypes)
 LOSS_IDS = LOGIT_LOSS_IDS + CONTRASTIVE_LOSS_IDS
+
+
+# guards 0/0 in the matrix form's weight normalization
+_MATRIX_EPSILON = 1e-12
 
 
 def loss_reg_matrix_value(batch: ContrastiveBatch, cfg: LossConfig, use_reg: bool = True) -> float:
@@ -567,7 +577,7 @@ def loss_reg_matrix_value(batch: ContrastiveBatch, cfg: LossConfig, use_reg: boo
     shared = np.einsum("ac,bc->abc", pool_y, pool_y)
     shared *= mask_d[:, :, None]
     norm = shared.sum(axis=1)
-    lam = (shared / (norm[:, None, :] + cfg.epsilon)).sum(axis=2)
+    lam = (shared / (norm[:, None, :] + _MATRIX_EPSILON)).sum(axis=2)
     lam_norm = lam / pool_y.sum(axis=1)[:, None]
 
     lse = masked_logsumexp(sim, mask_d)
@@ -589,11 +599,6 @@ def loss_reg_matrix_value(batch: ContrastiveBatch, cfg: LossConfig, use_reg: boo
 _PROB_FLOOR = 1e-12
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
 def _check_logits(logits, y):
     x = as_matrix(logits, "logits")
     yb = np.asarray(y, dtype=np.float64)
@@ -607,7 +612,7 @@ def loss_bce(logits, y) -> LogitLossResult:
     probabilities clamped away from 0 and 1 before the logs."""
     x, yb = _check_logits(logits, y)
     n, big_l = x.shape
-    p = _sigmoid(x)
+    p = sigmoid(x)
     p_lo = np.maximum(p, _PROB_FLOOR)
     p_hi = np.minimum(p, 1.0 - _PROB_FLOOR)
     value = -(yb * np.log(p_lo) + (1.0 - yb) * np.log(1.0 - p_hi)).sum() / (n * big_l)
@@ -629,7 +634,7 @@ def loss_asymmetric(logits, y, cfg: LossConfig) -> LogitLossResult:
     """
     x, yb = _check_logits(logits, y)
     n, big_l = x.shape
-    p = _sigmoid(x)
+    p = sigmoid(x)
     s = np.maximum(p - cfg.margin, 0.0)
     s_lo = np.maximum(s, _PROB_FLOOR)
     s_hi = np.minimum(s, 1.0 - _PROB_FLOOR)
@@ -683,6 +688,17 @@ def needs_prototypes(loss_id: str) -> bool:
     return loss_id in PROTOTYPE_LOSS_IDS
 
 
+def needs_single_label(loss_id: str) -> bool:
+    return loss_id in _CONTRASTIVE_LOSSES and _CONTRASTIVE_LOSSES[loss_id].single_label
+
+
+def host_loss_id(loss_id: str) -> str:
+    """The unregularized id a regularized id adds the gate regularizer to;
+    any other id is its own host."""
+    row = _CONTRASTIVE_LOSSES.get(loss_id)
+    return row.host if row is not None and row.host else loss_id
+
+
 def is_contrastive(loss_id: str) -> bool:
     return loss_id in CONTRASTIVE_LOSS_IDS
 
@@ -703,8 +719,8 @@ def contrastive_loss(loss_id: str, batch: ContrastiveBatch, cfg: LossConfig,
     check_loss_id(loss_id)
     if loss_id not in _CONTRASTIVE_LOSSES:
         raise ConfigError(f"{loss_id!r} is not a contrastive loss id")
-    build, regularized = _CONTRASTIVE_LOSSES[loss_id]
-    return _run_engine(batch, build(batch, cfg), cfg, regularized,
+    row = _CONTRASTIVE_LOSSES[loss_id]
+    return _run_engine(batch, row.build(batch, cfg), cfg, row.host is not None,
                        strict=strict, compute_gradients=compute_gradients)
 
 

@@ -1,5 +1,5 @@
-"""Dense float64 kernels: tempered cosine similarity, masked softmax, and the
-finite-difference gradient oracle.
+"""Dense float64 kernels: tempered cosine similarity, masked softmax, a
+stable sigmoid, and the finite-difference gradient oracle.
 
 All functions are pure and operate on 2-D numpy arrays (rows are instances,
 columns are coordinates). Everything runs in 64-bit floating point; gradient
@@ -35,6 +35,12 @@ def row_normalize(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     if bad.size:
         raise DomainError(f"{name} has zero-norm row at index {int(bad[0])}")
     return a / norms[:, None]
+
+
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function without overflow for large |x|."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def tempered_cosine_matrix(a, b, tau: float) -> np.ndarray:

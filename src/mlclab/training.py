@@ -28,11 +28,13 @@ from .losses import (
     is_contrastive,
     logit_loss,
     needs_prototypes,
+    needs_single_label,
     prr,
 )
+from .numerics import sigmoid
 
 CHECKPOINT_FORMAT = "mlclab-checkpoint"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 # parameters exempt from weight decay (biases)
 _BIAS_KEYS = ("b1", "b2", "cls_b")
@@ -298,12 +300,19 @@ def train_model(
     loss uses them); logit losses train encoder + linear classifier. SGD with
     momentum, decoupled weight decay on the weight matrices and prototypes,
     cosine learning-rate schedule with linear warmup, and global-norm
-    gradient clipping. A non-finite loss aborts with the offending step.
+    gradient clipping. A single-label loss on multi-label rows is a config
+    error before the first step; a non-finite loss aborts with the offending
+    step.
     """
     check_loss_id(loss_id)
     x_train, y_train = dataset.subset("train")
     if x_train.shape[0] == 0:
         raise DomainError("train split is empty")
+    if needs_single_label(loss_id) and np.any(y_train.sum(axis=1) != 1):
+        raise ConfigError(
+            f"{loss_id} requires exactly one label per training instance; "
+            "use a multi-label loss for multi-label data"
+        )
     rng = np.random.default_rng(tcfg.seed)
     model = _init_model(loss_id, x_train.shape[1], y_train.shape[1], loss_cfg, tcfg, rng)
     params = model.params()
@@ -354,11 +363,6 @@ def train_model(
 # ---------------------------------------------------------------------------
 
 
-def _sigmoid(x):
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
 @dataclass
 class LinearEvalResult:
     """Per-label logistic probes on frozen features, with the grid choice."""
@@ -374,7 +378,7 @@ class LinearEvalResult:
     def scores(self, features) -> np.ndarray:
         x = (np.asarray(features, dtype=np.float64) - self.feature_mean) / self.feature_scale
         xb = np.hstack([x, np.ones((x.shape[0], 1))])
-        return _sigmoid(xb @ self.weights)
+        return sigmoid(xb @ self.weights)
 
     def predict(self, features) -> np.ndarray:
         return (self.scores(features) >= 0.5).astype(np.int8)
@@ -388,7 +392,7 @@ def _fit_probe(xb, y, lr, wd, max_iters, tol):
     penalty_mask = np.ones((xb.shape[1], 1))
     penalty_mask[-1, 0] = 0.0
     for _ in range(max_iters):
-        p = _sigmoid(xb @ w)
+        p = sigmoid(xb @ w)
         g = xb.T @ (p - y) / n + wd * w * penalty_mask
         if not np.all(np.isfinite(g)):
             return None
@@ -434,7 +438,7 @@ def linear_eval(
             w = _fit_probe(xb, y, lr, wd, max_iters, tol)
             if w is None:
                 continue
-            pred = (_sigmoid(xvb @ w) >= 0.5).astype(np.int8)
+            pred = (sigmoid(xvb @ w) >= 0.5).astype(np.int8)
             score = micro_f1(pred, yv)
             if best is None or score > best[0]:
                 best = (score, lr, wd, w)

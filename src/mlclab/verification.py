@@ -25,8 +25,10 @@ from .losses import (
     PairStructure,
     check_loss_id,
     contrastive_loss,
+    host_loss_id,
     logit_loss,
     needs_prototypes,
+    needs_single_label,
     prr,
 )
 from .numerics import (
@@ -74,11 +76,11 @@ class GradCheckReport:
 
 def random_batch(rng: np.random.Generator, loss_id: str) -> ContrastiveBatch:
     """Random batch in the gradcheck regime: n in [4,16], d in [3,8],
-    L in [2,6]; single-label rows for the supcon family."""
+    L in [2,6]; single-label rows for the ids that need them."""
     n = int(rng.integers(4, 17))
     d = int(rng.integers(3, 9))
     big_l = int(rng.integers(2, 7))
-    if loss_id in ("supcon", "supcon-reg"):
+    if needs_single_label(loss_id):
         y = np.zeros((n, big_l), dtype=np.int8)
         y[np.arange(n), rng.integers(0, big_l, size=n)] = 1
     else:
@@ -145,7 +147,7 @@ def _check_contrastive_trial(loss_id, trial, rng, tol, h, cfg) -> GradCheckRepor
     batch = random_batch(rng, loss_id)
     regularized = loss_id in REGULARIZED_LOSS_IDS
     # the detached gate term is not variational: finite-difference the host loss
-    fd_id = {"reg": "reg-noreg", "supcon-reg": "supcon"}.get(loss_id, loss_id)
+    fd_id = host_loss_id(loss_id)
 
     bundle = contrastive_loss(fd_id, batch, cfg)
     z0 = batch.z
@@ -316,29 +318,25 @@ def gate_report(batch: ContrastiveBatch, cfg: LossConfig, loss_id: str = "reg") 
     """Gate coefficients (-lam_norm + sigma) of every positive pair, the PRR,
     and an independent check of the positive-gradient clamp.
 
-    For the reg loss the lam/sigma pair is recomputed with per-anchor loops
-    (a second implementation of the same math), and the engine's combined
-    coefficients must equal min(0, gate) of the recomputed gates within
-    1e-12; any violation raises OracleError.
+    For a regularized id the engine's combined coefficients must equal
+    min(0, gate) within 1e-12; any violation raises OracleError. For reg the
+    reference gates come from a per-anchor loop recomputation of the
+    lam/sigma pair (a second implementation of the same math), for
+    supcon-reg from the bundle itself. reg-noreg reports its gates with no
+    clamp check (clamp_max_dev is None).
     """
     if loss_id not in ("reg", "reg-noreg", "supcon-reg"):
         raise ConfigError(f"gate_report expects a regularized loss id, got {loss_id!r}")
     bundle = contrastive_loss(loss_id, batch, cfg)
-    applies_reg = loss_id in REGULARIZED_LOSS_IDS
 
     clamp_dev = None
-    if applies_reg and loss_id == "reg":
-        lam_norm, sigma = _independent_reg_structure(batch, cfg)
-        gates_ref = (-lam_norm + sigma)[bundle.gate_anchor, bundle.gate_pool]
-        expected = np.minimum(0.0, gates_ref)
-        clamp_dev = float(np.max(np.abs(bundle.combined_coeff - expected))) if gates_ref.size else 0.0
-        if clamp_dev > 1e-12:
-            raise OracleError(
-                f"positive-gradient clamp violated: max deviation {clamp_dev:.3e}"
-            )
-    elif applies_reg:
-        expected = np.minimum(0.0, bundle.gate_value)
-        clamp_dev = float(np.max(np.abs(bundle.combined_coeff - expected))) if bundle.gate_value.size else 0.0
+    if loss_id in REGULARIZED_LOSS_IDS:
+        gates = bundle.gate_value
+        if loss_id == "reg":
+            lam_norm, sigma = _independent_reg_structure(batch, cfg)
+            gates = (-lam_norm + sigma)[bundle.gate_anchor, bundle.gate_pool]
+        deviation = np.abs(bundle.combined_coeff - np.minimum(0.0, gates))
+        clamp_dev = float(np.max(deviation, initial=0.0))
         if clamp_dev > 1e-12:
             raise OracleError(
                 f"positive-gradient clamp violated: max deviation {clamp_dev:.3e}"

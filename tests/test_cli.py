@@ -179,6 +179,15 @@ def test_fraction_degenerate_single_row(tmp_path):
     assert lines[1].startswith("1.0,reg,")
 
 
+def test_train_single_label_loss_on_multi_label_data_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "c.txt"
+    cfg.write_text("loss.id = supcon\ntrain.epochs = 1\ndata.n = 200\n")
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not (out / "checkpoint.json").exists()
+
+
 def test_malformed_config_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("loss.tau = not_a_number\n")

@@ -1,5 +1,7 @@
 """Config format: parse / render round trips, defaults, and error reporting."""
 
+from dataclasses import fields
+
 import pytest
 
 from mlclab.config import (
@@ -10,6 +12,8 @@ from mlclab.config import (
     parse_config_text,
 )
 from mlclab.errors import ConfigError, ParseError
+from mlclab.losses import LossConfig
+from mlclab.training import TrainConfig
 
 
 class TestParsing:
@@ -103,3 +107,35 @@ class TestAccessors:
     def test_constructor_rejects_unknown(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(values={"whatever": 1})
+
+
+class TestSectionsFromDataclasses:
+    @pytest.mark.parametrize("section,cls", [("loss", LossConfig), ("train", TrainConfig)])
+    def test_one_key_per_field_with_its_default(self, section, cls):
+        keys = {k for k in SCHEMA if k.startswith(section + ".")} - {"loss.id"}
+        assert keys == {f"{section}.{f.name}" for f in fields(cls)}
+        rendered = dict(line.split(" = ") for line in default_config().render().splitlines())
+        for f in fields(cls):
+            key = f"{section}.{f.name}"
+            parser, default = SCHEMA[key]
+            assert default == f.default and type(default) is type(f.default)
+            assert parser(rendered[key]) == f.default
+
+    def test_defaults_build_default_dataclasses(self):
+        cfg = default_config()
+        assert cfg.loss_config() == LossConfig()
+        assert cfg.train_config() == TrainConfig()
+
+    def test_every_field_is_read(self):
+        cfg = parse_config_text(
+            "loss.alpha = 0.5\nloss.use_alpha_weighting = true\n"
+            "loss.proto_denominator = batch+prototypes\ntrain.hidden = 7\ntrain.clip = 2.5\n"
+        )
+        lc, tc = cfg.loss_config(), cfg.train_config(seed=3)
+        assert (lc.alpha, lc.use_alpha_weighting, lc.proto_denominator) == (
+            0.5, True, "batch+prototypes")
+        assert (tc.hidden, tc.clip, tc.seed) == (7, 2.5, 3)
+
+    def test_removed_epsilon_key_rejected(self):
+        with pytest.raises(ConfigError, match="unknown config key"):
+            parse_config_text("loss.epsilon = 1e-12\n")

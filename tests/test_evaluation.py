@@ -216,3 +216,58 @@ class TestReportAndInvariances:
     def test_nonbinary_rejected(self):
         with pytest.raises(DomainError):
             micro_f1(np.array([[2, 0]]), np.array([[1, 0]]))
+
+
+def _pairwise_alignment(f, y):
+    f = f / np.linalg.norm(f, axis=1, keepdims=True)
+    d = [np.sum((f[a] - f[b]) ** 2) for a in range(len(f)) for b in range(a + 1, len(f))
+         if np.array_equal(y[a], y[b])]
+    return float(np.mean(d)) if d else None
+
+
+def _pairwise_uniformity(f):
+    f = f / np.linalg.norm(f, axis=1, keepdims=True)
+    iu = np.triu_indices(len(f), k=1)
+    sq = np.sum((f[iu[0]] - f[iu[1]]) ** 2, axis=1)
+    return float(np.log(np.mean(np.exp(-2.0 * sq))))
+
+
+class TestAgainstPairwiseReferences:
+    """The metrics avoid pairwise arrays; these brute-force forms are the
+    definitions they must reproduce."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_alignment_and_uniformity_at_n_250(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 250
+        f = rng.normal(size=(n, 16))
+        # few labels so that many rows share an exact label set
+        y = (rng.random((n, 3)) < 0.4).astype(np.int8)
+        assert alignment(f, y) == pytest.approx(_pairwise_alignment(f, y), rel=1e-12)
+        assert uniformity(f) == pytest.approx(_pairwise_uniformity(f), rel=1e-12)
+
+    def test_clustered_features(self):
+        # tight clusters per label set: small distances next to unit norms
+        rng = np.random.default_rng(7)
+        y = (rng.random((250, 2)) < 0.5).astype(np.int8)
+        centers = rng.normal(size=(4, 8))
+        f = centers[y[:, 0] * 2 + y[:, 1]] + 1e-3 * rng.normal(size=(250, 8))
+        assert alignment(f, y) == pytest.approx(_pairwise_alignment(f, y), rel=1e-12)
+        assert uniformity(f) == pytest.approx(_pairwise_uniformity(f), rel=1e-12)
+
+    def test_f1_matches_per_label_counts(self):
+        rng = np.random.default_rng(8)
+        for _ in range(100):
+            n, big_l = int(rng.integers(1, 30)), int(rng.integers(1, 6))
+            pred = (rng.random((n, big_l)) < rng.random()).astype(int)
+            truth = (rng.random((n, big_l)) < rng.random()).astype(int)
+            scores = []
+            for j in range(big_l):
+                tp = int(np.sum((pred[:, j] == 1) & (truth[:, j] == 1)))
+                fp = int(np.sum((pred[:, j] == 1) & (truth[:, j] == 0)))
+                fn = int(np.sum((pred[:, j] == 0) & (truth[:, j] == 1)))
+                scores.append(2.0 * tp / (2 * tp + fp + fn) if 2 * tp + fp + fn else 0.0)
+            assert macro_f1(pred, truth) == float(np.mean(scores))
+            tp = int(np.sum(pred & truth))
+            denom = 2 * tp + int(np.sum(pred != truth))
+            assert micro_f1(pred, truth) == (2.0 * tp / denom if denom else 0.0)

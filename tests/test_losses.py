@@ -8,14 +8,21 @@ import pytest
 from mlclab.datamodel import ContrastiveBatch
 from mlclab.errors import ConfigError, DomainError
 from mlclab.losses import (
+    CONTRASTIVE_LOSS_IDS,
+    LOGIT_LOSS_IDS,
     LOSS_IDS,
+    PROTOTYPE_LOSS_IDS,
+    REGULARIZED_LOSS_IDS,
     LossConfig,
     contrastive_loss,
+    host_loss_id,
     logit_loss,
     loss_asymmetric,
     loss_bce,
     loss_reg_matrix_value,
     loss_zlpr,
+    needs_prototypes,
+    needs_single_label,
     prr,
     reg_term,
 )
@@ -513,12 +520,29 @@ class TestLossConfigValidation:
         with pytest.raises(ConfigError):
             LossConfig(margin=1.0)
 
-    def test_bad_epsilon(self):
-        with pytest.raises(ConfigError):
-            LossConfig(epsilon=1e-3)
-        with pytest.raises(ConfigError):
-            LossConfig(epsilon=0.0)
-
     def test_bad_proto_denominator(self):
         with pytest.raises(ConfigError):
             LossConfig(proto_denominator="everything")
+
+
+class TestLossTable:
+    def test_derived_id_sets(self):
+        assert LOSS_IDS == LOGIT_LOSS_IDS + CONTRASTIVE_LOSS_IDS
+        assert REGULARIZED_LOSS_IDS == ("reg", "supcon-reg")
+        assert PROTOTYPE_LOSS_IDS == ("proto", "msc", "reg", "reg-noreg")
+        assert [lid for lid in LOSS_IDS if needs_single_label(lid)] == ["supcon", "supcon-reg"]
+
+    def test_unregularized_ids_host_themselves(self):
+        for lid in LOSS_IDS:
+            if lid not in REGULARIZED_LOSS_IDS:
+                assert host_loss_id(lid) == lid
+
+    @pytest.mark.parametrize("loss_id", REGULARIZED_LOSS_IDS)
+    def test_regularized_id_shares_its_hosts_facts(self, loss_id):
+        host = host_loss_id(loss_id)
+        assert host in CONTRASTIVE_LOSS_IDS and host not in REGULARIZED_LOSS_IDS
+        assert needs_prototypes(loss_id) == needs_prototypes(host)
+        assert needs_single_label(loss_id) == needs_single_label(host)
+        batch = random_batch(np.random.default_rng(44), loss_id)
+        np.testing.assert_array_equal(contrastive_loss(loss_id, batch, CFG).structure.coeff,
+                                      contrastive_loss(host, batch, CFG).structure.coeff)

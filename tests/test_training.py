@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mlclab.config import ExperimentConfig
-from mlclab.datamodel import generate_longtail
+from mlclab.datamodel import MultiLabelDataset, generate_longtail
 from mlclab.errors import ConfigError, DomainError, TrainingDivergence
 from mlclab.evaluation import alignment, micro_f1
 from mlclab.losses import LossConfig
@@ -262,6 +262,45 @@ class TestCheckpoint:
         path.write_text(json.dumps(doc))
         with pytest.raises(ConfigError, match="version"):
             load_checkpoint(path)
+
+
+    def test_rejects_version_2(self, tmp_path):
+        # version 2 carried the loss_config key epsilon
+        ds = _tiny_dataset()
+        result = train_model(ds, "bce", LossConfig(), FAST)
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(result.model, path)
+        doc = json.loads(path.read_text())
+        doc["version"] = 2
+        doc["loss_config"]["epsilon"] = 1e-12
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match="version"):
+            load_checkpoint(path)
+
+
+class TestSingleLabelLosses:
+    def test_multi_label_data_rejected_before_first_step(self, monkeypatch):
+        import mlclab.training as training
+
+        def no_step(*args, **kwargs):
+            raise AssertionError("a training step ran")
+
+        monkeypatch.setattr(training, "_batch_step", no_step)
+        ds = _tiny_dataset()
+        assert np.any(ds.subset("train")[1].sum(axis=1) != 1)
+        for loss_id in ("supcon", "supcon-reg"):
+            with pytest.raises(ConfigError, match="exactly one label"):
+                train_model(ds, loss_id, LossConfig(), FAST)
+
+    def test_single_label_data_trains(self):
+        ds = _tiny_dataset()
+        y = np.zeros_like(ds.labels)
+        y[np.arange(ds.n), np.argmax(ds.labels, axis=1)] = 1
+        single = MultiLabelDataset(features=ds.features, labels=y, split=ds.split, meta=ds.meta)
+        for loss_id in ("supcon", "supcon-reg"):
+            result = train_model(single, loss_id, LossConfig(), FAST)
+            assert len(result.log) == FAST.epochs
+            assert all(np.isfinite(row["loss"]) for row in result.log)
 
 
 class TestTrainConfigValidation:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mlclab.datamodel import ContrastiveBatch
-from mlclab.errors import ConfigError
+from mlclab.errors import ConfigError, OracleError
 from mlclab.losses import LossConfig, contrastive_loss
 from mlclab.verification import (
     GradCheckReport,
@@ -141,6 +141,33 @@ class TestGateReport:
         batch = random_batch(np.random.default_rng(17), "base")
         with pytest.raises(ConfigError):
             gate_report(batch, CFG, "base")
+
+    def test_clamp_checked_for_supcon_reg(self):
+        rng = np.random.default_rng(18)
+        for _ in range(20):
+            report = gate_report(random_batch(rng, "supcon-reg"), CFG, "supcon-reg")
+            assert report.clamp_max_dev is not None
+            assert report.clamp_max_dev <= 1e-12
+
+    def test_host_id_reports_gates_without_clamp_check(self):
+        batch = random_batch(np.random.default_rng(19), "reg-noreg")
+        report = gate_report(batch, CFG, "reg-noreg")
+        assert report.clamp_max_dev is None
+        assert report.gate_values.size > 0
+
+    @pytest.mark.parametrize("loss_id", ["reg", "supcon-reg"])
+    def test_perturbed_combined_coeff_raises(self, loss_id, monkeypatch):
+        import mlclab.verification as verification
+
+        def perturbed(*args, **kwargs):
+            bundle = contrastive_loss(*args, **kwargs)
+            bundle.combined_coeff = bundle.combined_coeff + 1e-9
+            return bundle
+
+        monkeypatch.setattr(verification, "contrastive_loss", perturbed)
+        batch = random_batch(np.random.default_rng(20), loss_id)
+        with pytest.raises(OracleError, match="clamp"):
+            gate_report(batch, CFG, loss_id)
 
 
 def test_report_dataclass_fields():
