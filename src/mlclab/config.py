@@ -15,23 +15,13 @@ from .errors import ConfigError, ParseError
 from .losses import LOSS_IDS, LossConfig
 from .training import TrainConfig
 
-_BOOL_NAMES = {"true": True, "false": False}
-
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, (list, tuple)):
         return ",".join(_fmt(v) for v in value)
     return str(value)
-
-
-def _parse_bool(s: str) -> bool:
-    if s.lower() not in _BOOL_NAMES:
-        raise ValueError(f"expected true/false, got {s!r}")
-    return _BOOL_NAMES[s.lower()]
 
 
 def _parse_list(item_parser):
@@ -50,8 +40,7 @@ _SECTIONS = {"loss": LossConfig, "train": TrainConfig}
 def _section_schema(section: str) -> dict:
     """'<section>.<field>' -> (parser, field default) for every field."""
     return {
-        f"{section}.{f.name}": (_parse_bool if isinstance(f.default, bool) else type(f.default),
-                                f.default)
+        f"{section}.{f.name}": (type(f.default), f.default)
         for f in fields(_SECTIONS[section])
     }
 

@@ -84,7 +84,6 @@ def evaluate_trained(
     model: TrainedModel,
     dataset: MultiLabelDataset,
     cfg: ExperimentConfig,
-    with_prr: bool = True,
 ) -> tuple[MetricsReport, dict]:
     """Frozen-feature linear evaluation plus representation metrics on the
     test split; PRR is attached for contrastive models."""
@@ -106,7 +105,7 @@ def evaluate_trained(
     scores = probe.scores(f_test)
     pred = (scores >= 0.5).astype(np.int8)
     prr_value = None
-    if with_prr and model.head is not None and is_contrastive(model.loss_id):
+    if model.head is not None and is_contrastive(model.loss_id):
         prr_value = measure_prr(model, dataset)
     report = compute_report(
         pred, y_test, scores=scores, features=f_test, labels=y_test,

@@ -30,6 +30,7 @@ from .errors import ConfigError, DomainError
 from .numerics import (
     as_matrix,
     masked_logsumexp,
+    require_finite_floats,
     sigmoid,
     tempered_cosine_backward,
     tempered_cosine_matrix,
@@ -40,12 +41,13 @@ LOGIT_LOSS_IDS = ("bce", "asy", "zlpr")
 
 @dataclass
 class LossConfig:
-    """Scalar knobs shared by the loss zoo.
+    """Scalar knobs shared by the loss zoo; every float must be finite.
 
     tau is the softmax temperature applied inside the cosine similarity;
-    alpha the shared-label overlap exponent; beta the down-weight on instance
-    negatives in the prototype denominator of the MSC loss; gamma_pos /
-    gamma_neg / margin parametrize the asymmetric logit loss.
+    alpha the shared-label overlap exponent of the reg losses (0 weights each
+    label's positives uniformly); beta the down-weight on instance negatives
+    in the prototype denominator of the MSC loss; gamma_pos / gamma_neg /
+    margin parametrize the asymmetric logit loss.
     """
 
     tau: float = 0.1
@@ -54,11 +56,11 @@ class LossConfig:
     gamma_pos: float = 0.0
     gamma_neg: float = 1.0
     margin: float = 0.0
-    use_alpha_weighting: bool = False
     proto_denominator: str = "prototypes"
 
     def __post_init__(self):
-        if not (np.isfinite(self.tau) and self.tau > 0):
+        require_finite_floats(self)
+        if self.tau <= 0:
             raise ConfigError(f"tau must be positive, got {self.tau}")
         if self.alpha < 0:
             raise ConfigError(f"alpha must be nonnegative, got {self.alpha}")
@@ -98,10 +100,6 @@ class PairStructure:
     lam_norm: np.ndarray           # (n, m) coeff / (per-anchor total mass)
     sigma: np.ndarray              # (n, m) softmax scores, 0 off the denominator
     outer: np.ndarray              # (n,) per-anchor outer weights
-
-    @property
-    def total_mass(self) -> np.ndarray:
-        return self.coeff.sum(axis=1)
 
     def negatives_mask(self) -> np.ndarray:
         return self.denominator_mask & ~self.positive_mask
@@ -486,34 +484,29 @@ def _spec_reg(batch: ContrastiveBatch, cfg: LossConfig) -> LossSpec:
 
     Positive structure follows the per-label scheme of mulsupcon, but the
     prototypes join the batch: each anchor label contributes its other
-    carriers plus its prototype, uniformly weighted per label (or weighted by
-    the shared-label overlap ratio when use_alpha_weighting is on), with
-    outer weight one over the anchor's label count. The softmax denominator
-    is batch plus prototypes minus the anchor.
+    carriers plus its prototype, weighted by the shared-label overlap ratio
+    (|y_i & y_k| / |y_k|) ** alpha and normalized per label, with outer
+    weight one over the anchor's label count. alpha = 0 weights each label's
+    positives uniformly. The softmax denominator is batch plus prototypes
+    minus the anchor.
     """
-    yf, sizes, _, _ = _label_stats(batch.y)
+    yf = batch.y.astype(np.float64)
+    sizes = yf.sum(axis=1)
     n, big_l = batch.n, batch.n_labels
     pool_y = np.vstack([yf, np.eye(big_l)])
     m = n + big_l
     self_cols = np.zeros((n, m), dtype=bool)
     self_cols[:, :n] = np.eye(n, dtype=bool)
 
-    if cfg.use_alpha_weighting:
-        inter_pool = yf @ pool_y.T
-        pool_sizes = pool_y.sum(axis=1)
-        ratio = inter_pool / pool_sizes[None, :]
-        f_pool = np.where(inter_pool > 0, ratio ** cfg.alpha, 0.0)
-        f_pool[self_cols] = 0.0
-        # per-(anchor, label) normalizer over that label's pool carriers
-        norm = yf * (f_pool @ pool_y)
-        inner = np.where(norm > 0, yf / np.where(norm > 0, norm, 1.0), 0.0)
-        lam = f_pool * (inner @ pool_y.T)
-    else:
-        cnt = yf.sum(axis=0)
-        # pool carriers of label j excluding the anchor: cnt[j] instances - self + prototype
-        inv = yf / cnt[None, :].clip(min=1.0)
-        lam = inv @ pool_y.T
-    lam[self_cols] = 0.0
+    inter_pool = yf @ pool_y.T
+    pool_sizes = pool_y.sum(axis=1)
+    ratio = inter_pool / pool_sizes[None, :]
+    f_pool = np.where(inter_pool > 0, ratio ** cfg.alpha, 0.0)
+    f_pool[self_cols] = 0.0
+    # per-(anchor, label) normalizer over that label's pool carriers
+    norm = yf * (f_pool @ pool_y)
+    inner = np.where(norm > 0, yf / np.where(norm > 0, norm, 1.0), 0.0)
+    lam = f_pool * (inner @ pool_y.T)
     return LossSpec(
         coeff=lam / sizes[:, None],
         denom_mask=_denominator_mask(n, m, include_batch=True),
@@ -555,7 +548,7 @@ _MATRIX_EPSILON = 1e-12
 
 
 def loss_reg_matrix_value(batch: ContrastiveBatch, cfg: LossConfig, use_reg: bool = True) -> float:
-    """Matrix-form value of the regularized loss (unweighted variant).
+    """Matrix-form value of the regularized loss at alpha = 0.
 
     Computes the same number as the reg loss (reg-noreg with use_reg off)
     via dense masked-softmax algebra on the joined pool: an (m, m, L)
@@ -566,8 +559,8 @@ def loss_reg_matrix_value(batch: ContrastiveBatch, cfg: LossConfig, use_reg: boo
     """
     if batch.prototypes is None:
         raise ConfigError("reg loss requires prototypes")
-    if cfg.use_alpha_weighting and cfg.alpha > 0:
-        raise ConfigError("matrix form covers the unweighted variant only")
+    if cfg.alpha > 0:
+        raise ConfigError("matrix form covers alpha = 0 only")
     pool = np.vstack([batch.z, batch.prototypes])
     pool_y = np.vstack([batch.y.astype(np.float64), np.eye(batch.n_labels)])
     m = pool.shape[0]

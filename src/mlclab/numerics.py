@@ -1,14 +1,15 @@
 """Dense float64 kernels: tempered cosine similarity, masked softmax, a
-stable sigmoid, and the finite-difference gradient oracle.
+stable sigmoid, and the finite-difference gradient oracle; plus the finite
+check every config dataclass runs on its float fields.
 
-All functions are pure and operate on 2-D numpy arrays (rows are instances,
+The kernels are pure and operate on 2-D numpy arrays (rows are instances,
 columns are coordinates). Everything runs in 64-bit floating point; gradient
 checks at 1e-5 tolerance are not feasible in 32-bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -26,6 +27,14 @@ def as_matrix(x, name: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise DomainError(f"{name} contains non-finite entries")
     return a
+
+
+def require_finite_floats(cfg) -> None:
+    """Reject a NaN or infinite value in any float field of a config dataclass."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if isinstance(f.default, float) and not np.isfinite(value):
+            raise ConfigError(f"{f.name} must be finite, got {value}")
 
 
 def row_normalize(a: np.ndarray, name: str = "matrix") -> np.ndarray:

@@ -5,7 +5,9 @@ regression.
 
 Everything is deterministic in (config, seed): seeded initialization, seeded
 shuffles, fixed reduction order, and full-batch deterministic linear probes.
-Two runs with the same inputs produce byte-identical checkpoints and logs.
+Two runs with the same inputs on the same BLAS library and thread count
+produce byte-identical checkpoints and logs; a different thread count can
+change the last bits of matrix products, and so of the checkpoint.
 
 Logit losses train the same encoder with a linear classification head
 instead of the projection head, so every loss feeds the same frozen-feature
@@ -31,10 +33,10 @@ from .losses import (
     needs_single_label,
     prr,
 )
-from .numerics import sigmoid
+from .numerics import require_finite_floats, sigmoid
 
 CHECKPOINT_FORMAT = "mlclab-checkpoint"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 # parameters exempt from weight decay (biases)
 _BIAS_KEYS = ("b1", "b2", "cls_b")
@@ -42,6 +44,8 @@ _BIAS_KEYS = ("b1", "b2", "cls_b")
 
 @dataclass
 class TrainConfig:
+    """Optimizer and architecture settings; every float must be finite."""
+
     epochs: int = 20
     batch_size: int = 64
     lr: float = 0.05
@@ -54,6 +58,7 @@ class TrainConfig:
     proj_dim: int = 256
 
     def __post_init__(self):
+        require_finite_floats(self)
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
         if self.batch_size < 2:
@@ -155,20 +160,6 @@ class TrainedModel:
         if self.prototypes is not None:
             p["prototypes"] = self.prototypes
         return p
-
-    def set_params(self, params: dict[str, np.ndarray]) -> None:
-        self.encoder.w1 = params["w1"]
-        self.encoder.b1 = params["b1"]
-        self.encoder.w2 = params["w2"]
-        self.encoder.b2 = params["b2"]
-        if self.head is not None:
-            self.head.v1 = params["v1"]
-            self.head.v2 = params["v2"]
-        if self.classifier_w is not None:
-            self.classifier_w = params["cls_w"]
-            self.classifier_b = params["cls_b"]
-        if self.prototypes is not None:
-            self.prototypes = params["prototypes"]
 
     def project(self, x) -> np.ndarray:
         if self.head is None:
@@ -315,6 +306,7 @@ def train_model(
         )
     rng = np.random.default_rng(tcfg.seed)
     model = _init_model(loss_id, x_train.shape[1], y_train.shape[1], loss_cfg, tcfg, rng)
+    # the optimizer updates the model's own arrays in place
     params = model.params()
     velocity = {k: np.zeros_like(v) for k, v in params.items()}
 
@@ -339,12 +331,13 @@ def train_model(
                 raise TrainingDivergence(f"non-finite loss at step {step}")
             grads = clip_gradient(grads, tcfg.clip)
             lr_now = lr_schedule(step, total_steps, tcfg.lr, tcfg.warmup_frac)
-            for key in params:
-                velocity[key] = tcfg.momentum * velocity[key] + grads[key]
-                params[key] = params[key] - lr_now * velocity[key]
+            for key, p in params.items():
+                v = velocity[key]
+                v *= tcfg.momentum
+                v += grads[key]
+                p -= lr_now * v
                 if tcfg.weight_decay > 0 and key not in _BIAS_KEYS:
-                    params[key] = params[key] - lr_now * tcfg.weight_decay * params[key]
-            model.set_params(params)
+                    p -= lr_now * tcfg.weight_decay * p
             losses.append(loss_val)
             if batch_prr is not None:
                 prrs.append(batch_prr)

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .datamodel import ContrastiveBatch
+from .datamodel import ContrastiveBatch, overlap_ratio
 from .errors import ConfigError, OracleError
 from .losses import (
     CONTRASTIVE_LOSS_IDS,
@@ -143,7 +143,7 @@ def _max_err(analytic, reference):
     return float(rel.max()), float(np.abs(analytic - reference).max()), worst
 
 
-def _check_contrastive_trial(loss_id, trial, rng, tol, h, cfg) -> GradCheckReport:
+def _check_contrastive_trial(loss_id, trial, rng, tol, cfg) -> GradCheckReport:
     batch = random_batch(rng, loss_id)
     regularized = loss_id in REGULARIZED_LOSS_IDS
     # the detached gate term is not variational: finite-difference the host loss
@@ -159,7 +159,7 @@ def _check_contrastive_trial(loss_id, trial, rng, tol, h, cfg) -> GradCheckRepor
         finally:
             batch.z = z0
 
-    fd_z = finite_difference_gradient(value_of_z, batch.z, h)
+    fd_z = finite_difference_gradient(value_of_z, batch.z, FD_STEP)
     rel, abs_err, worst = _max_err(bundle.d_z, fd_z)
     worst = ("z",) + worst
 
@@ -173,7 +173,7 @@ def _check_contrastive_trial(loss_id, trial, rng, tol, h, cfg) -> GradCheckRepor
             finally:
                 batch.prototypes = c0
 
-        fd_c = finite_difference_gradient(value_of_c, batch.prototypes, h)
+        fd_c = finite_difference_gradient(value_of_c, batch.prototypes, FD_STEP)
         rel_c, abs_c, worst_c = _max_err(bundle.d_prototypes, fd_c)
         if rel_c > rel:
             rel, abs_err, worst = rel_c, abs_c, ("c",) + worst_c
@@ -204,7 +204,7 @@ def _check_contrastive_trial(loss_id, trial, rng, tol, h, cfg) -> GradCheckRepor
     )
 
 
-def _check_logit_trial(loss_id, trial, rng, tol, h, cfg) -> GradCheckReport:
+def _check_logit_trial(loss_id, trial, rng, tol, cfg) -> GradCheckReport:
     n = int(rng.integers(3, 9))
     big_l = int(rng.integers(2, 7))
     y = (rng.random((n, big_l)) < 0.4).astype(np.int8)
@@ -216,7 +216,8 @@ def _check_logit_trial(loss_id, trial, rng, tol, h, cfg) -> GradCheckReport:
         logits[near] += 0.1
 
     res = logit_loss(loss_id, logits, y, cfg)
-    fd = finite_difference_gradient(lambda x: logit_loss(loss_id, x, y, cfg).loss_value, logits, h)
+    fd = finite_difference_gradient(
+        lambda x: logit_loss(loss_id, x, y, cfg).loss_value, logits, FD_STEP)
     rel, abs_err, worst = _max_err(res.d_logits, fd)
     return GradCheckReport(
         loss_id=loss_id,
@@ -234,8 +235,8 @@ def _check_logit_trial(loss_id, trial, rng, tol, h, cfg) -> GradCheckReport:
 
 
 def check_gradients(loss_id: str, trials: int, tol: float, seed: int,
-                    h: float = FD_STEP, cfg: LossConfig | None = None):
-    """Run seeded finite-difference trials for one loss id.
+                    cfg: LossConfig | None = None):
+    """Run seeded finite-difference trials for one loss id, at step FD_STEP.
 
     Deterministic in the master seed: trial seeds are spawned from it, so
     trials are independent and could run concurrently. Returns one report per
@@ -249,9 +250,9 @@ def check_gradients(loss_id: str, trials: int, tol: float, seed: int,
     for t, ss in enumerate(streams):
         rng = np.random.default_rng(ss)
         if loss_id in LOGIT_LOSS_IDS:
-            reports.append(_check_logit_trial(loss_id, t, rng, tol, h, cfg))
+            reports.append(_check_logit_trial(loss_id, t, rng, tol, cfg))
         elif loss_id in CONTRASTIVE_LOSS_IDS:
-            reports.append(_check_contrastive_trial(loss_id, t, rng, tol, h, cfg))
+            reports.append(_check_contrastive_trial(loss_id, t, rng, tol, cfg))
         else:  # pragma: no cover - check_loss_id already rejected it
             raise ConfigError(f"unknown loss id {loss_id!r}")
     return reports
@@ -291,7 +292,8 @@ class GateReport:
 
 def _independent_reg_structure(batch: ContrastiveBatch, cfg: LossConfig):
     """Per-anchor loop recomputation of (lam_norm, sigma) for the reg loss,
-    sharing nothing with the engine's vectorized path."""
+    sharing nothing with the engine's vectorized path: each label's pool
+    carriers are weighted by the scalar overlap_ratio and normalized."""
     n, big_l = batch.n, batch.n_labels
     pool = np.vstack([batch.z, batch.prototypes])
     pool_y = np.vstack([batch.y, np.eye(big_l, dtype=np.int8)])
@@ -303,8 +305,10 @@ def _independent_reg_structure(batch: ContrastiveBatch, cfg: LossConfig):
         lam_row = np.zeros(m)
         for j in labels:
             members = [k for k in range(m) if pool_y[k, j] == 1 and k != i]
-            for k in members:
-                lam_row[k] += 1.0 / len(members)
+            weights = [overlap_ratio(batch.y[i], pool_y[k], cfg.alpha) for k in members]
+            total = sum(weights)
+            for k, w in zip(members, weights):
+                lam_row[k] += w / total
         lam_norm[i] = lam_row / len(labels)
         s_row = tempered_cosine_matrix(batch.z[i], pool, cfg.tau)[0]
         mask = np.ones(m, dtype=bool)
@@ -312,6 +316,10 @@ def _independent_reg_structure(batch: ContrastiveBatch, cfg: LossConfig):
         lse = masked_logsumexp(s_row[None, :], mask[None, :])[0]
         sigma[i] = np.where(mask, np.exp(s_row - lse), 0.0)
     return lam_norm, sigma
+
+
+# the regularized ids and the hosts they add the gate regularizer to
+_GATED_LOSS_IDS = REGULARIZED_LOSS_IDS + tuple(host_loss_id(k) for k in REGULARIZED_LOSS_IDS)
 
 
 def gate_report(batch: ContrastiveBatch, cfg: LossConfig, loss_id: str = "reg") -> GateReport:
@@ -322,10 +330,10 @@ def gate_report(batch: ContrastiveBatch, cfg: LossConfig, loss_id: str = "reg") 
     min(0, gate) within 1e-12; any violation raises OracleError. For reg the
     reference gates come from a per-anchor loop recomputation of the
     lam/sigma pair (a second implementation of the same math), for
-    supcon-reg from the bundle itself. reg-noreg reports its gates with no
-    clamp check (clamp_max_dev is None).
+    supcon-reg from the bundle itself. A host id (reg-noreg, supcon) reports
+    its gates with no clamp check (clamp_max_dev is None).
     """
-    if loss_id not in ("reg", "reg-noreg", "supcon-reg"):
+    if loss_id not in _GATED_LOSS_IDS:
         raise ConfigError(f"gate_report expects a regularized loss id, got {loss_id!r}")
     bundle = contrastive_loss(loss_id, batch, cfg)
 

@@ -16,7 +16,7 @@ import pytest
 
 from mlclab.cli import main
 from mlclab.config import default_config
-from mlclab.datamodel import ContrastiveBatch
+from mlclab.datamodel import ContrastiveBatch, positive_sets
 from mlclab.evaluation import (
     alignment,
     hamming,
@@ -160,11 +160,15 @@ class TestCriterion4Reductions:
             worst = max(worst, abs(contrastive_loss("base", b, cfg).loss_value
                                    - contrastive_loss("supcon", b, cfg).loss_value))
         for _ in range(25):
+            # alpha = 0: each other carrier of label j, and prototype j, weighs 1/(carriers + 1)
             b = random_batch(rng, "reg")
-            va = contrastive_loss(
-                "reg", b, LossConfig(use_alpha_weighting=True, alpha=0.0)).loss_value
-            vb = contrastive_loss("reg", b, LossConfig(use_alpha_weighting=False)).loss_value
-            worst = max(worst, abs(va - vb))
+            lam = contrastive_loss("reg", b, LossConfig(alpha=0.0)).structure.lam
+            uniform = np.zeros_like(lam)
+            for i, anchor in enumerate(positive_sets(b.y)):
+                for j, carriers in anchor.per_label.items():
+                    uniform[i, carriers] += 1.0 / (carriers.size + 1)
+                    uniform[i, b.n + j] += 1.0 / (carriers.size + 1)
+            worst = max(worst, float(np.abs(lam - uniform).max()))
         for _ in range(25):
             n, big_l = int(rng.integers(2, 8)), int(rng.integers(2, 6))
             logits = rng.normal(0, 3, size=(n, big_l))

@@ -188,6 +188,23 @@ def test_train_single_label_loss_on_multi_label_data_exits_2(tmp_path, capsys):
     assert not (out / "checkpoint.json").exists()
 
 
+@pytest.mark.parametrize("line", ["train.lr = nan", "train.clip = nan", "loss.alpha = nan",
+                                  "train.lr = inf"])
+def test_train_non_finite_value_exits_2(line, tmp_path, capsys, monkeypatch):
+    import mlclab.training as training
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("a training step ran")
+
+    monkeypatch.setattr(training, "_batch_step", no_step)
+    cfg = tmp_path / "c.txt"
+    cfg.write_text(f"{line}\ntrain.epochs = 1\ndata.n = 200\n")
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not (out / "checkpoint.json").exists()
+
+
 def test_malformed_config_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("loss.tau = not_a_number\n")

@@ -29,11 +29,11 @@ class TestParsing:
             "loss.tau = 0.5\n"
             "\n"
             "run.seeds = 3,4\n"
-            "loss.use_alpha_weighting = true\n"
+            "loss.alpha = 2.0\n"
         )
         assert cfg["loss.tau"] == 0.5
         assert cfg["run.seeds"] == (3, 4)
-        assert cfg["loss.use_alpha_weighting"] is True
+        assert cfg["loss.alpha"] == 2.0
 
     def test_unknown_key(self):
         with pytest.raises(ConfigError, match="unknown config key"):
@@ -61,7 +61,7 @@ class TestRenderRoundTrip:
             "data.split = 0.7,0.2,0.1\n"
             "train.weight_decay = 3e-05\n"
             "run.losses = bce,reg\n"
-            "loss.use_alpha_weighting = true\n"
+            "loss.alpha = 0.5\n"
         )
         text = cfg.render()
         cfg2 = parse_config_text(text)
@@ -128,14 +128,14 @@ class TestSectionsFromDataclasses:
 
     def test_every_field_is_read(self):
         cfg = parse_config_text(
-            "loss.alpha = 0.5\nloss.use_alpha_weighting = true\n"
+            "loss.alpha = 0.5\n"
             "loss.proto_denominator = batch+prototypes\ntrain.hidden = 7\ntrain.clip = 2.5\n"
         )
         lc, tc = cfg.loss_config(), cfg.train_config(seed=3)
-        assert (lc.alpha, lc.use_alpha_weighting, lc.proto_denominator) == (
-            0.5, True, "batch+prototypes")
+        assert (lc.alpha, lc.proto_denominator) == (0.5, "batch+prototypes")
         assert (tc.hidden, tc.clip, tc.seed) == (7, 2.5, 3)
 
     def test_removed_epsilon_key_rejected(self):
-        with pytest.raises(ConfigError, match="unknown config key"):
-            parse_config_text("loss.epsilon = 1e-12\n")
+        for line in ("loss.epsilon = 1e-12\n", "loss.use_alpha_weighting = true\n"):
+            with pytest.raises(ConfigError, match="unknown config key"):
+                parse_config_text(line)

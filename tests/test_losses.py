@@ -2,10 +2,12 @@
 identities, the gate regularizer's clamp and shared-minimum properties, and
 the matrix-form equivalence of the regularized loss."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from mlclab.datamodel import ContrastiveBatch
+from mlclab.datamodel import ContrastiveBatch, overlap_ratio, positive_sets
 from mlclab.errors import ConfigError, DomainError
 from mlclab.losses import (
     CONTRASTIVE_LOSS_IDS,
@@ -276,16 +278,31 @@ class TestFusedRegularizer:
         assert calls == {"fwd": 1, "bwd": 1}
 
 
+def _reg_lam_reference(y, alpha):
+    """Pair-by-pair reg weights: per anchor label j, the other carriers of j
+    and prototype j, weighted by overlap_ratio and normalized over the label."""
+    n, big_l = y.shape
+    pool_y = np.vstack([y, np.eye(big_l, dtype=y.dtype)])
+    lam = np.zeros((n, n + big_l))
+    for i, anchor in enumerate(positive_sets(y)):
+        for j, carriers in anchor.per_label.items():
+            members = list(carriers) + [n + j]
+            weights = [overlap_ratio(y[i], pool_y[k], alpha) for k in members]
+            for k, w in zip(members, weights):
+                lam[i, k] += w / sum(weights)
+    return lam
+
+
 class TestLossReg:
-    def test_alpha_zero_equals_unweighted(self):
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 2.0])
+    def test_lam_matches_pair_by_pair_reference(self, alpha):
         rng = np.random.default_rng(21)
+        cfg = LossConfig(alpha=alpha)
         for _ in range(10):
             batch = random_batch(rng, "reg")
-            va = contrastive_loss(
-                "reg", batch, LossConfig(use_alpha_weighting=True, alpha=0.0)).loss_value
-            vb = contrastive_loss(
-                "reg", batch, LossConfig(use_alpha_weighting=False)).loss_value
-            assert va == pytest.approx(vb, abs=1e-12)
+            lam = contrastive_loss("reg", batch, cfg).structure.lam
+            np.testing.assert_allclose(lam, _reg_lam_reference(batch.y, alpha),
+                                       rtol=0, atol=1e-12)
 
     def test_regularizer_toggle_at_minimum_condition(self):
         # orthonormal same-class embeddings with matching prototypes removed:
@@ -299,7 +316,7 @@ class TestLossReg:
 
     def test_fd_differentiable_part_with_alpha(self):
         batch = random_batch(np.random.default_rng(23), "reg")
-        cfg = LossConfig(use_alpha_weighting=True, alpha=1.0)
+        cfg = LossConfig(alpha=1.0)
         _fd_check(lambda b: contrastive_loss("reg-noreg", b, cfg), batch)
 
     def test_matrix_form_agrees(self):
@@ -314,7 +331,7 @@ class TestLossReg:
     def test_matrix_form_rejects_alpha_weighting(self):
         batch = random_batch(np.random.default_rng(25), "reg")
         with pytest.raises(ConfigError):
-            loss_reg_matrix_value(batch, LossConfig(use_alpha_weighting=True, alpha=1.0))
+            loss_reg_matrix_value(batch, LossConfig(alpha=1.0))
 
     def test_reg_noreg_is_ablation(self):
         # the two ids share one spec and differ only in the gate term
@@ -523,6 +540,50 @@ class TestLossConfigValidation:
     def test_bad_proto_denominator(self):
         with pytest.raises(ConfigError):
             LossConfig(proto_denominator="everything")
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize(
+        "name", [f.name for f in fields(LossConfig) if isinstance(f.default, float)])
+    def test_non_finite_float_rejected(self, name, value):
+        with pytest.raises(ConfigError, match="finite"):
+            LossConfig(**{name: value})
+
+
+# one non-default value per LossConfig field
+_KNOB_VALUES = {
+    "tau": 0.5,
+    "alpha": 1.0,
+    "beta": 0.5,
+    "gamma_pos": 1.0,
+    "gamma_neg": 2.0,
+    "margin": 0.05,
+    "proto_denominator": "batch+prototypes",
+}
+
+
+def _values_on_seeded_batches(cfg):
+    rng = np.random.default_rng(45)
+    values = {}
+    for loss_id in LOSS_IDS:
+        if loss_id in LOGIT_LOSS_IDS:
+            logits = rng.normal(0.0, 2.0, size=(8, 4))
+            y = (rng.random((8, 4)) < 0.4).astype(np.int8)
+            values[loss_id] = logit_loss(loss_id, logits, y, cfg).loss_value
+        else:
+            values[loss_id] = contrastive_loss(loss_id, random_batch(rng, loss_id), cfg).loss_value
+    return values
+
+
+class TestEveryKnobIsRead:
+    def test_table_covers_every_field(self):
+        assert set(_KNOB_VALUES) == {f.name for f in fields(LossConfig)}
+
+    @pytest.mark.parametrize("name", sorted(_KNOB_VALUES))
+    def test_knob_changes_some_loss(self, name):
+        default = _values_on_seeded_batches(LossConfig())
+        changed = _values_on_seeded_batches(LossConfig(**{name: _KNOB_VALUES[name]}))
+        assert any(changed[lid] != default[lid] for lid in LOSS_IDS), (
+            f"no loss id reads LossConfig.{name}")
 
 
 class TestLossTable:

@@ -2,6 +2,7 @@
 abort, two-stage separation, linear evaluation, and checkpoint round trips."""
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -265,17 +266,19 @@ class TestCheckpoint:
 
 
     def test_rejects_version_2(self, tmp_path):
-        # version 2 carried the loss_config key epsilon
+        # version 2 carried the loss_config key epsilon, version 3 use_alpha_weighting
         ds = _tiny_dataset()
         result = train_model(ds, "bce", LossConfig(), FAST)
         path = tmp_path / "ckpt.json"
         save_checkpoint(result.model, path)
-        doc = json.loads(path.read_text())
-        doc["version"] = 2
-        doc["loss_config"]["epsilon"] = 1e-12
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ConfigError, match="version"):
-            load_checkpoint(path)
+        saved = path.read_text()
+        for version, removed in ((2, {"epsilon": 1e-12}), (3, {"use_alpha_weighting": False})):
+            doc = json.loads(saved)
+            doc["version"] = version
+            doc["loss_config"].update(removed)
+            path.write_text(json.dumps(doc))
+            with pytest.raises(ConfigError, match="version"):
+                load_checkpoint(path)
 
 
 class TestSingleLabelLosses:
@@ -304,6 +307,13 @@ class TestSingleLabelLosses:
 
 
 class TestTrainConfigValidation:
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize(
+        "name", [f.name for f in fields(TrainConfig) if isinstance(f.default, float)])
+    def test_non_finite_float_rejected(self, name, value):
+        with pytest.raises(ConfigError, match="finite"):
+            TrainConfig(**{name: value})
+
     def test_bad_warmup(self):
         with pytest.raises(ConfigError):
             TrainConfig(warmup_frac=1.0)

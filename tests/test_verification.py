@@ -123,6 +123,12 @@ class TestGateReport:
             assert report.clamp_max_dev is not None
             assert report.clamp_max_dev <= 1e-12
 
+    def test_reg_clamp_reference_reads_alpha(self):
+        rng = np.random.default_rng(21)
+        for _ in range(5):
+            report = gate_report(random_batch(rng, "reg"), LossConfig(alpha=1.5), "reg")
+            assert report.clamp_max_dev <= 1e-12
+
     def test_minimum_condition_no_material_gates(self):
         # orthonormal same-class rows sit at the shared minimum: every gate
         # magnitude is at ulp level and the regularized loss matches the host
@@ -149,9 +155,10 @@ class TestGateReport:
             assert report.clamp_max_dev is not None
             assert report.clamp_max_dev <= 1e-12
 
-    def test_host_id_reports_gates_without_clamp_check(self):
-        batch = random_batch(np.random.default_rng(19), "reg-noreg")
-        report = gate_report(batch, CFG, "reg-noreg")
+    @pytest.mark.parametrize("loss_id", ["reg-noreg", "supcon"])
+    def test_host_id_reports_gates_without_clamp_check(self, loss_id):
+        batch = random_batch(np.random.default_rng(19), loss_id)
+        report = gate_report(batch, CFG, loss_id)
         assert report.clamp_max_dev is None
         assert report.gate_values.size > 0
 
