@@ -11,9 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 
+import numpy as np
+
 from .errors import ConfigError, ParseError
 from .losses import LOSS_IDS, LossConfig
-from .training import TrainConfig
+from .training import TrainConfig, check_weight_decays
 
 
 def _fmt(value) -> str:
@@ -72,7 +74,11 @@ SCHEMA: dict = {
 
 @dataclass
 class ExperimentConfig:
-    """Fully-defaulted experiment configuration keyed by dotted names."""
+    """Fully-defaulted experiment configuration keyed by dotted names.
+
+    Construction and every override validate the whole config: the loss
+    ids, the `loss.*` and `train.*` sections (by building their dataclasses)
+    and the probe grid, so a bad value fails before any data is generated."""
 
     values: dict = field(default_factory=dict)
 
@@ -83,6 +89,9 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown config key {key!r}")
             merged[key] = val
         self.values = merged
+        self._validate()
+
+    def _validate(self) -> None:
         if self.values["loss.id"] not in LOSS_IDS:
             raise ConfigError(
                 f"unknown loss id {self.values['loss.id']!r}; valid: {' | '.join(LOSS_IDS)}"
@@ -90,6 +99,12 @@ class ExperimentConfig:
         for loss in self.values["run.losses"]:
             if loss not in LOSS_IDS:
                 raise ConfigError(f"unknown loss id {loss!r} in run.losses")
+        self.loss_config()
+        self.train_config()
+        check_weight_decays(self.values["eval.wds"])
+        # eval.lrs is not read by the Newton probe; it stays a valid key
+        if not all(np.isfinite(lr) and lr > 0 for lr in self.values["eval.lrs"]):
+            raise ConfigError(f"eval.lrs must be finite and > 0, got {self.values['eval.lrs']}")
 
     def __getitem__(self, key: str):
         if key not in self.values:
@@ -100,7 +115,13 @@ class ExperimentConfig:
         if key not in SCHEMA:
             raise ConfigError(f"unknown config key {key!r}")
         parser, _ = SCHEMA[key]
+        previous = self.values[key]
         self.values[key] = parser(value) if isinstance(value, str) else value
+        try:
+            self._validate()
+        except ConfigError:
+            self.values[key] = previous
+            raise
 
     def _section_config(self, section: str, **overrides):
         cls = _SECTIONS[section]

@@ -86,7 +86,9 @@ def evaluate_trained(
     cfg: ExperimentConfig,
 ) -> tuple[MetricsReport, dict]:
     """Frozen-feature linear evaluation plus representation metrics on the
-    test split; PRR is attached for contrastive models."""
+    test split; PRR is attached for contrastive models. The details dict
+    records the probe's chosen weight decay, its validation micro-F1, the
+    number of degenerate labels and one record per weight-decay cell."""
     x_train, y_train = dataset.subset("train")
     x_val, y_val = dataset.subset("val")
     x_test, y_test = dataset.subset("test")
@@ -98,10 +100,7 @@ def evaluate_trained(
     f_train = model.encoder.features(x_train)
     f_val = model.encoder.features(x_val)
     f_test = model.encoder.features(x_test)
-    probe = linear_eval(
-        f_train, y_train, f_val, y_val,
-        lrs=cfg["eval.lrs"], wds=cfg["eval.wds"],
-    )
+    probe = linear_eval(f_train, y_train, f_val, y_val, wds=cfg["eval.wds"])
     scores = probe.scores(f_test)
     pred = (scores >= 0.5).astype(np.int8)
     prr_value = None
@@ -112,10 +111,10 @@ def evaluate_trained(
         prr_value=prr_value,
     )
     details = {
-        "chosen_lr": probe.chosen_lr,
         "chosen_wd": probe.chosen_wd,
         "val_micro_f1": probe.val_micro_f1,
         "degenerate_labels": int(probe.degenerate_labels.sum()),
+        "probe_cells": probe.cells,
     }
     return report, details
 

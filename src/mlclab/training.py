@@ -3,6 +3,11 @@ encoder with a projection head (and trainable label prototypes where the loss
 wants them), then frozen-feature linear evaluation with per-label logistic
 regression.
 
+The linear probe minimizes mean BCE + wd/2 |w|^2 (bias exempt) for each
+label exactly, by Newton's method (iteratively reweighted least squares;
+Hastie et al., ESL 4.4.1) from w = 0, to max |grad| < tol, once per
+weight-decay cell of the grid.
+
 Everything is deterministic in (config, seed): seeded initialization, seeded
 shuffles, fixed reduction order, and full-batch deterministic linear probes.
 Two runs with the same inputs on the same BLAS library and thread count
@@ -358,15 +363,20 @@ def train_model(
 
 @dataclass
 class LinearEvalResult:
-    """Per-label logistic probes on frozen features, with the grid choice."""
+    """Per-label logistic probes on frozen features, with the grid choice.
+
+    `cells` holds one record per weight-decay cell, in grid order: its
+    Newton iteration count, the final max |grad| of its objective (None
+    when non-finite), whether it converged, and its validation micro-F1
+    (None for a dropped cell)."""
 
     weights: np.ndarray           # (p + 1, L), last row is the bias
     feature_mean: np.ndarray
     feature_scale: np.ndarray
-    chosen_lr: float
     chosen_wd: float
     val_micro_f1: float
-    degenerate_labels: np.ndarray  # labels with no positive training example
+    degenerate_labels: np.ndarray  # labels with no positive or no negative in train
+    cells: list[dict] = field(default_factory=list)
 
     def scores(self, features) -> np.ndarray:
         x = (np.asarray(features, dtype=np.float64) - self.feature_mean) / self.feature_scale
@@ -377,24 +387,116 @@ class LinearEvalResult:
         return (self.scores(features) >= 0.5).astype(np.int8)
 
 
-def _fit_probe(xb, y, lr, wd, max_iters, tol):
-    """Full-batch gradient descent on mean BCE + L2 (bias exempt), all labels
-    jointly; deterministic from the zero initialization."""
-    n = xb.shape[0]
-    w = np.zeros((xb.shape[1], y.shape[1]))
-    penalty_mask = np.ones((xb.shape[1], 1))
-    penalty_mask[-1, 0] = 0.0
-    for _ in range(max_iters):
-        p = sigmoid(xb @ w)
-        g = xb.T @ (p - y) / n + wd * w * penalty_mask
-        if not np.all(np.isfinite(g)):
-            return None
-        if np.max(np.abs(g)) < tol:
+# a Newton step may not raise the objective by more than its rounding error;
+# the objective is a sum of nonnegative terms, so that error is relative
+_ROUNDING = 64 * np.finfo(np.float64).eps
+# after 40 halvings the step is 1e-12 of the Newton step: the cell is dropped
+_MAX_HALVINGS = 40
+# rows per block when accumulating a Hessian: bounds the work buffer to
+# _ROW_BLOCK x (p + 1) floats whatever the number of training rows
+_ROW_BLOCK = 256
+
+
+def _probe_objective(u, y, w, wd):
+    """Per-label mean BCE from the logits u plus wd/2 |w|^2 over the
+    non-bias rows; each BCE term is softplus(-u) for y = 1 and softplus(u)
+    for y = 0, which keeps every term accurate to its last bits."""
+    terms = np.where(y > 0, -u, u)
+    np.logaddexp(0.0, terms, out=terms)
+    return terms.mean(axis=0) + 0.5 * wd * np.sum(w[:-1] ** 2, axis=0)
+
+
+def _newton_steps(xb, p, g, wd):
+    """Solve H_j s_j = g_j for each label column j, with the Hessian
+    H_j = X^T diag(p_j (1 - p_j)) X / n + wd * I (bias exempt) accumulated
+    over row blocks. Raises LinAlgError when a Hessian is singular."""
+    n, m = xb.shape
+    steps = np.empty_like(g)
+    h = np.empty((m, m))
+    part = np.empty((m, m))
+    buf = np.empty((min(_ROW_BLOCK, n), m))
+    diag = np.arange(m - 1)
+    for j in range(p.shape[1]):
+        h.fill(0.0)
+        h[diag, diag] = wd
+        for start in range(0, n, _ROW_BLOCK):
+            pj = p[start:start + _ROW_BLOCK, j]
+            block = buf[:pj.size]
+            np.multiply(xb[start:start + _ROW_BLOCK], np.sqrt(pj * (1.0 - pj) / n)[:, None],
+                        out=block)
+            np.matmul(block.T, block, out=part)  # symmetric rank-k update
+            h += part
+        steps[:, j] = np.linalg.solve(h, g[:, j])
+    return steps
+
+
+def _fit_probe(xb, y, wd, max_iters, tol):
+    """Newton's method (IRLS) on mean BCE + wd/2 |w|^2, bias exempt, for each
+    label column of y from w = 0. A label stops moving once its max |grad|
+    is below tol. A step that would raise a label's objective, beyond the
+    rounding error of evaluating it, is halved until it does not.
+
+    Returns (w, iterations, final max |grad|). w is None when a step is
+    singular or non-finite or tol is not reached within max_iters steps.
+    Deterministic: every label is solved independently, in a fixed order.
+    """
+    n, m = xb.shape
+    w = np.zeros((m, y.shape[1]))
+    active = np.arange(y.shape[1])
+    grad_max = np.zeros(y.shape[1])
+    for it in range(max_iters + 1):
+        wa, ya = w[:, active], y[:, active]
+        u = xb @ wa
+        p = sigmoid(u)
+        g = xb.T @ (p - ya) / n
+        g[:-1] += wd * wa[:-1]
+        grad_max[active] = np.max(np.abs(g), axis=0)
+        if not np.all(np.isfinite(grad_max)):
+            return None, it, None
+        moving = grad_max[active] >= tol
+        if not moving.any():
+            return w, it, float(grad_max.max(initial=0.0))
+        if it == max_iters:
             break
-        w = w - lr * g
-    if not np.all(np.isfinite(w)):
-        return None
-    return w
+        active, wa, ya, u, p, g = (a[..., moving] for a in (active, wa, ya, u, p, g))
+        try:
+            step = _newton_steps(xb, p, g, wd)
+        except np.linalg.LinAlgError:
+            break
+        if not np.all(np.isfinite(step)):
+            break
+        limit = _probe_objective(u, ya, wa, wd) * (1.0 + _ROUNDING)
+        del u, p  # free the (n, labels) arrays before the line search
+        trial = wa - step
+        rising = _probe_objective(xb @ trial, ya, trial, wd) > limit
+        for _ in range(_MAX_HALVINGS):
+            if not rising.any():
+                break
+            cols = np.flatnonzero(rising)
+            step[:, cols] *= 0.5
+            trial[:, cols] = wa[:, cols] - step[:, cols]
+            rising[cols] = _probe_objective(xb @ trial[:, cols], ya[:, cols],
+                                            trial[:, cols], wd) > limit[cols]
+        if rising.any():
+            break
+        w[:, active] = trial
+    return None, it, float(np.max(grad_max))
+
+
+def check_weight_decays(wds) -> None:
+    """The probe grid must be non-empty, finite and >= 0: a negative weight
+    decay makes the Newton Hessian indefinite."""
+    if len(wds) == 0 or not all(np.isfinite(wd) and wd >= 0 for wd in wds):
+        raise ConfigError(f"probe weight decays (eval.wds) must be non-empty, finite and >= 0, "
+                          f"got {tuple(wds)}")
+
+
+def _degenerate_bias(y, tol):
+    """Bias of a label with no positive (or no negative) in train: its
+    objective has no finite minimizer, so w = 0 and sigmoid(b) = tol / (1 +
+    tol) (or 1 / (1 + tol)) put |dJ/db| below tol with constant
+    all-negative (all-positive) predictions."""
+    return np.where(y.mean(axis=0) > 0.5, -np.log(tol), np.log(tol))
 
 
 def linear_eval(
@@ -402,19 +504,33 @@ def linear_eval(
     train_labels,
     val_features,
     val_labels,
-    lrs=(1.0, 0.1),
+    lrs=None,
     wds=(1e-2, 1e-4),
-    max_iters: int = 5000,
+    max_iters: int = 50,
     tol: float = 1e-8,
 ) -> LinearEvalResult:
-    """Train one logistic regressor per label on frozen features and pick
-    (lr, weight decay) from the grid by validation micro-F1 at threshold 0.5.
+    """Train one L2-regularized logistic regressor per label on frozen
+    features and pick the weight decay from `wds` by validation micro-F1 at
+    threshold 0.5 (ties keep the first cell).
 
-    Features are standardized with train-split statistics. Labels with no
-    positive training instance degenerate to the prior and are flagged.
+    Each cell minimizes mean BCE + wd/2 |w|^2 (bias exempt) exactly, by
+    Newton's method from w = 0 (see `_fit_probe`): a converged cell has
+    max |grad| < tol. A cell is dropped when a step is singular or
+    non-finite or tol is not reached within max_iters steps; if every cell
+    is dropped this raises TrainingDivergence. Features are standardized
+    with train-split statistics. Labels with no positive or no negative
+    training instance have no finite minimizer; they get w = 0, a bias whose
+    gradient is below tol (constant predictions), and are flagged.
+
+    `lrs` is accepted for callers that still pass the `eval.lrs` grid and
+    is not read: Newton's method has no step size.
     """
     from .evaluation import micro_f1  # local import to avoid a module cycle
 
+    del lrs
+    check_weight_decays(wds)
+    if max_iters < 1 or not (0 < tol < 1):
+        raise ConfigError(f"need max_iters >= 1 and 0 < tol < 1, got {max_iters} and {tol}")
     x = np.asarray(train_features, dtype=np.float64)
     y = np.asarray(train_labels, dtype=np.float64)
     mean = x.mean(axis=0)
@@ -425,27 +541,40 @@ def linear_eval(
     xvb = np.hstack([xv, np.ones((xv.shape[0], 1))])
     yv = np.asarray(val_labels)
 
+    positives = y.sum(axis=0)
+    degenerate = (positives == 0) | (positives == y.shape[0])
+    fitted = np.flatnonzero(~degenerate)
+    y_fit = y[:, fitted]
+    degenerate_bias = _degenerate_bias(y[:, degenerate], tol)
+
     best = None
-    for lr in lrs:
-        for wd in wds:
-            w = _fit_probe(xb, y, lr, wd, max_iters, tol)
-            if w is None:
-                continue
-            pred = (sigmoid(xvb @ w) >= 0.5).astype(np.int8)
-            score = micro_f1(pred, yv)
-            if best is None or score > best[0]:
-                best = (score, lr, wd, w)
+    cells = []
+    for wd in wds:
+        w = np.zeros((xb.shape[1], y.shape[1]))
+        w[-1, degenerate] = degenerate_bias
+        w_fit, iterations, grad_max = _fit_probe(xb, y_fit, wd, max_iters, tol)
+        cell = {"wd": float(wd), "iterations": iterations, "grad_max": grad_max,
+                "converged": w_fit is not None, "val_micro_f1": None}
+        cells.append(cell)
+        if w_fit is None:
+            continue
+        w[:, fitted] = w_fit
+        pred = (sigmoid(xvb @ w) >= 0.5).astype(np.int8)
+        cell["val_micro_f1"] = score = float(micro_f1(pred, yv))
+        if best is None or score > best[0]:
+            best = (score, float(wd), w)
     if best is None:
-        raise TrainingDivergence("every linear-eval grid cell diverged")
-    score, lr, wd, w = best
+        raise TrainingDivergence(
+            f"every linear-eval grid cell was dropped (max_iters={max_iters}, tol={tol})")
+    score, wd, w = best
     return LinearEvalResult(
         weights=w,
         feature_mean=mean,
         feature_scale=scale,
-        chosen_lr=lr,
         chosen_wd=wd,
         val_micro_f1=score,
-        degenerate_labels=(y.sum(axis=0) == 0),
+        degenerate_labels=degenerate,
+        cells=cells,
     )
 
 

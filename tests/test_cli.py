@@ -209,3 +209,33 @@ def test_malformed_config_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("loss.tau = not_a_number\n")
     assert main(["gen-data", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("line", ["train.lr = nan", "loss.tau = -0.1", "eval.wds = -1",
+                                  "eval.wds = nan"])
+def test_gen_data_invalid_value_exits_2_before_output(line, tmp_path, capsys):
+    cfg = tmp_path / "c.txt"
+    cfg.write_text(f"{line}\ndata.n = 200\n")
+    out = tmp_path / "o"
+    assert main(["gen-data", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_eval_details_record_probe_cells(tiny_config, tmp_path):
+    run, data, ev = tmp_path / "run", tmp_path / "data", tmp_path / "eval"
+    main(["train", "--config", str(tiny_config), "--out", str(run)])
+    main(["gen-data", "--config", str(tiny_config), "--out", str(data)])
+    args = ["eval", "--checkpoint", str(run / "checkpoint.json"),
+            "--dataset", str(data / "dataset.txt"), "--config", str(tiny_config)]
+    assert main(args + ["--out", str(ev)]) == 0
+    details = json.loads((ev / "eval_details.json").read_text())
+    assert set(details) == {"chosen_wd", "val_micro_f1", "degenerate_labels", "probe_cells"}
+    (cell,) = details["probe_cells"]
+    assert cell["wd"] == details["chosen_wd"] == 1e-4
+    assert cell["converged"] and cell["grad_max"] < 1e-8
+    assert cell["val_micro_f1"] == details["val_micro_f1"]
+    # deterministic values only: a rerun writes the same bytes
+    assert main(args + ["--out", str(tmp_path / "eval2")]) == 0
+    assert (tmp_path / "eval2" / "eval_details.json").read_bytes() == \
+        (ev / "eval_details.json").read_bytes()

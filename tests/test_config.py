@@ -139,3 +139,27 @@ class TestSectionsFromDataclasses:
         for line in ("loss.epsilon = 1e-12\n", "loss.use_alpha_weighting = true\n"):
             with pytest.raises(ConfigError, match="unknown config key"):
                 parse_config_text(line)
+
+
+class TestParseTimeValidation:
+    @pytest.mark.parametrize("text", [
+        "train.lr = nan\n", "train.batch_size = 1\n", "loss.tau = 0\n",
+        "loss.proto_denominator = nope\n", "eval.wds = -1\n", "eval.wds = 0.01,nan\n",
+        "eval.wds = \n", "eval.lrs = inf\n", "eval.lrs = -1\n",
+    ])
+    def test_bad_value_fails_at_parse(self, text):
+        with pytest.raises(ConfigError):
+            parse_config_text(text)
+
+    def test_zero_weight_decay_and_empty_lrs_accepted(self):
+        cfg = parse_config_text("eval.wds = 0.0\neval.lrs = \n")
+        assert cfg["eval.wds"] == (0.0,) and cfg["eval.lrs"] == ()
+
+    def test_bad_override_rejected_and_not_kept(self):
+        cfg = default_config()
+        with pytest.raises(ConfigError):
+            cfg.override("train.lr", "nan")
+        assert cfg["train.lr"] == TrainConfig().lr
+        with pytest.raises(ConfigError):
+            cfg.override("eval.wds", "-0.5")
+        assert cfg["eval.wds"] == (1e-2, 1e-4)

@@ -25,6 +25,24 @@ from mlclab.training import (
 FAST = TrainConfig(epochs=2, batch_size=16, lr=0.05, hidden=16, proj_dim=24)
 
 
+def _probe_problem(seed, n, p, n_labels):
+    rng = np.random.default_rng(seed)
+    feats = rng.normal(size=(n, p))
+    logits = feats @ rng.normal(size=(p, n_labels)) + rng.normal(size=n_labels)
+    y = (rng.random((n, n_labels)) < 1.0 / (1.0 + np.exp(-logits))).astype(np.int8)
+    return feats, y
+
+
+def _probe_gradient(train_features, train_labels, res):
+    """Gradient of mean BCE + wd/2 |w|^2 (bias exempt) at the returned weights."""
+    xs = (np.asarray(train_features, dtype=np.float64) - res.feature_mean) / res.feature_scale
+    xb = np.hstack([xs, np.ones((xs.shape[0], 1))])
+    p = 1.0 / (1.0 + np.exp(-(xb @ res.weights)))
+    g = xb.T @ (p - train_labels) / xs.shape[0]
+    g[:-1] += res.chosen_wd * res.weights[:-1]
+    return g
+
+
 def _tiny_dataset(seed=0, n=120):
     return generate_longtail(n, 5, 6, seed=seed, avg_labels=1.8)
 
@@ -204,25 +222,87 @@ class TestLinearEval:
 
     def test_degenerate_label_flagged(self):
         rng = np.random.default_rng(4)
-        y = np.zeros((100, 3), dtype=np.int8)
-        y[:, 0] = 1
-        y[::3, 1] = 1  # label 2 never appears
+        y = np.zeros((100, 4), dtype=np.int8)
+        y[:, 0] = 1       # every row positive
+        y[::3, 1] = 1
+        y[1::2, 3] = 1    # label 2 never appears
         feats = rng.normal(size=(100, 4))
         res = linear_eval(feats[:80], y[:80], feats[80:], y[80:])
-        assert bool(res.degenerate_labels[2])
-        assert not bool(res.degenerate_labels[0])
-        # degenerate labels degenerate to the prior: all-negative predictions
-        assert res.predict(feats)[:, 2].sum() == 0
+        np.testing.assert_array_equal(res.degenerate_labels, [True, False, True, False])
+        # no finite minimizer: w = 0 and constant predictions of the only class seen
+        np.testing.assert_array_equal(res.weights[:-1, [0, 2]], 0.0)
+        pred = res.predict(rng.normal(size=(50, 4)) * 10)
+        assert pred[:, 0].min() == 1 and pred[:, 2].max() == 0
+        g = _probe_gradient(feats[:80], y[:80], res)
+        assert np.max(np.abs(g[:, [0, 2]])) <= 1e-8
+
+    def test_converged_cells_meet_tol(self):
+        feats, y = _probe_problem(0, 300, 6, 3)
+        tol = 1e-8
+        for wd in (1e-2, 1e-4, 0.0):
+            res = linear_eval(feats[:200], y[:200], feats[200:], y[200:], wds=(wd,), tol=tol)
+            (cell,) = res.cells
+            assert cell["converged"] and cell["wd"] == wd
+            assert 1 <= cell["iterations"] <= 50
+            g = _probe_gradient(feats[:200], y[:200], res)
+            assert np.max(np.abs(g)) < tol
+            assert cell["grad_max"] < tol
+
+    def test_newton_matches_gradient_descent(self):
+        feats, y = _probe_problem(5, 60, 3, 2)
+        wd = 1e-2
+        res = linear_eval(feats[:40], y[:40], feats[40:], y[40:], wds=(wd,), tol=1e-12)
+        xs = (feats[:40] - res.feature_mean) / res.feature_scale
+        xb = np.hstack([xs, np.ones((40, 1))])
+        penalty = np.array([[1.0], [1.0], [1.0], [0.0]])
+        w = np.zeros((4, 2))
+        for _ in range(200_000):
+            p = 1.0 / (1.0 + np.exp(-(xb @ w)))
+            w -= 1.0 * (xb.T @ (p - y[:40]) / 40 + wd * penalty * w)
+        np.testing.assert_allclose(res.weights, w, rtol=0, atol=1e-6)
+
+    def test_every_cell_dropped_raises(self):
+        feats, y = _probe_problem(6, 120, 3, 2)
+        with pytest.raises(TrainingDivergence, match="every linear-eval grid cell"):
+            linear_eval(feats[:90], y[:90], feats[90:], y[90:], max_iters=1)
+
+    def test_singular_cell_dropped(self):
+        # a constant feature standardizes to a zero column, so without weight
+        # decay the Hessian is exactly singular and that cell is dropped
+        feats, y = _probe_problem(8, 120, 3, 2)
+        feats[:, 1] = 3.0
+        res = linear_eval(feats[:90], y[:90], feats[90:], y[90:], wds=(0.0, 1e-2))
+        dropped, kept = res.cells
+        assert not dropped["converged"] and dropped["val_micro_f1"] is None
+        assert kept["converged"] and res.chosen_wd == 1e-2
+
+    def test_bit_identical_and_lrs_ignored(self):
+        feats, y = _probe_problem(7, 200, 5, 3)
+        args = (feats[:150], y[:150], feats[150:], y[150:])
+        r1 = linear_eval(*args, lrs=(1.0,))
+        r2 = linear_eval(*args, lrs=(0.1,))
+        r3 = linear_eval(*args)
+        assert r1.weights.tobytes() == r2.weights.tobytes() == r3.weights.tobytes()
+        assert r1.cells == r2.cells == r3.cells
 
     def test_grid_choice_recorded(self):
-        rng = np.random.default_rng(5)
-        y = (rng.random((120, 2)) < 0.5).astype(np.int8)
-        y[y.sum(axis=1) == 0, 0] = 1
-        feats = rng.normal(size=(120, 3))
-        res = linear_eval(feats[:90], y[:90], feats[90:], y[90:],
-                          lrs=(1.0, 0.1), wds=(1e-2, 1e-4))
-        assert res.chosen_lr in (1.0, 0.1)
-        assert res.chosen_wd in (1e-2, 1e-4)
+        feats, y = _probe_problem(5, 120, 3, 2)
+        res = linear_eval(feats[:90], y[:90], feats[90:], y[90:], wds=(1e-2, 1e-4, 1e-2))
+        assert [c["wd"] for c in res.cells] == [1e-2, 1e-4, 1e-2]
+        scores = [c["val_micro_f1"] for c in res.cells]
+        # the first cell with the best validation micro-F1 wins ties
+        assert res.val_micro_f1 == max(scores)
+        assert res.chosen_wd == res.cells[scores.index(max(scores))]["wd"]
+        assert scores[0] == scores[2]
+        for cell in res.cells:
+            assert set(cell) == {"wd", "iterations", "grad_max", "converged", "val_micro_f1"}
+        json.dumps(res.cells)  # plain JSON types only
+
+    @pytest.mark.parametrize("wds", [(), (-1e-3,), (np.nan,), (1e-2, np.inf)])
+    def test_bad_weight_decays_rejected(self, wds):
+        feats, y = _probe_problem(6, 60, 3, 2)
+        with pytest.raises(ConfigError, match="eval.wds"):
+            linear_eval(feats[:40], y[:40], feats[40:], y[40:], wds=wds)
 
 
 class TestCheckpoint:
