@@ -72,13 +72,34 @@ SCHEMA: dict = {
 }
 
 
+# key -> (test every value of the key must pass, the rule it states); a list
+# key is tested item by item, and every number must also be finite
+_RANGES = {
+    "data.n": (lambda v: v >= 1, ">= 1"),
+    "data.labels": (lambda v: v >= 1, ">= 1"),
+    "data.features": (lambda v: v >= 1, ">= 1"),
+    "data.seed": (lambda v: v >= 0, ">= 0"),
+    "data.tail_exponent": (lambda v: v > 0, "> 0"),
+    "data.avg_labels": (lambda v: v > 0, "> 0"),
+    "data.noise": (lambda v: v >= 0, ">= 0"),
+    "data.cooccur_boost": (lambda v: 0 <= v <= 1, "in [0, 1]"),
+    "data.split": (lambda v: v >= 0, ">= 0"),
+    # eval.lrs is not read by the Newton probe; it stays a valid key
+    "eval.lrs": (lambda v: v > 0, "> 0"),
+    "run.seeds": (lambda v: v >= 0, ">= 0"),
+    "run.taus": (lambda v: v > 0, "> 0"),
+    "run.fractions": (lambda v: 0 < v <= 1, "in (0, 1]"),
+}
+
+
 @dataclass
 class ExperimentConfig:
     """Fully-defaulted experiment configuration keyed by dotted names.
 
     Construction and every override validate the whole config: the loss
-    ids, the `loss.*` and `train.*` sections (by building their dataclasses)
-    and the probe grid, so a bad value fails before any data is generated."""
+    ids, the `loss.*` and `train.*` sections (by building their dataclasses),
+    the probe grid, and the ranges of the `data.*` and `run.*` keys, so a
+    bad value fails before any data is generated."""
 
     values: dict = field(default_factory=dict)
 
@@ -102,9 +123,18 @@ class ExperimentConfig:
         self.loss_config()
         self.train_config()
         check_weight_decays(self.values["eval.wds"])
-        # eval.lrs is not read by the Newton probe; it stays a valid key
-        if not all(np.isfinite(lr) and lr > 0 for lr in self.values["eval.lrs"]):
-            raise ConfigError(f"eval.lrs must be finite and > 0, got {self.values['eval.lrs']}")
+        for key, (ok, rule) in _RANGES.items():
+            value = self.values[key]
+            items = value if isinstance(value, (tuple, list)) else (value,)
+            if not all(np.isfinite(x) and ok(x) for x in items):
+                raise ConfigError(f"{key} must be finite and {rule}, got {_fmt(value)}")
+        if self.values["data.avg_labels"] > self.values["data.labels"]:
+            raise ConfigError(f"data.avg_labels = {self.values['data.avg_labels']} exceeds "
+                              f"data.labels = {self.values['data.labels']}")
+        split = self.values["data.split"]
+        if len(split) != 3 or abs(sum(split) - 1.0) > 1e-9:
+            raise ConfigError(f"data.split must be three fractions summing to 1, "
+                              f"got {_fmt(split)}")
 
     def __getitem__(self, key: str):
         if key not in self.values:

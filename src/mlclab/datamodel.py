@@ -2,9 +2,14 @@
 dataset generation, and the on-disk text format.
 
 A label matrix is an (n, L) array with entries in {0, 1}. Instances with zero
-labels are rejected at batch construction: the contrastive losses divide by
-per-instance label counts, which is undefined at 0, and failing fast beats a
-silent skip.
+labels are rejected: the contrastive losses divide by per-instance label
+counts, which is undefined at 0, and failing fast beats a silent skip.
+
+Labels are validated once, at the boundary: when a MultiLabelDataset is built
+(generated or read from disk) and when a ContrastiveBatch is built through
+its public constructor. Training and PRR measurement slice their batches
+from an already-validated dataset and build them with
+ContrastiveBatch._trusted, which skips the checks.
 """
 
 from __future__ import annotations
@@ -102,7 +107,8 @@ class ContrastiveBatch:
 
     Invariants checked at construction: matching row counts, binary labels
     with at least one label per instance, no zero-norm embedding rows, and a
-    prototype per label when prototypes are present.
+    prototype per label when prototypes are present. `_trusted` skips these
+    checks for callers that already hold them.
     """
 
     z: np.ndarray
@@ -131,6 +137,21 @@ class ContrastiveBatch:
             zero = np.nonzero(pnorms == 0.0)[0]
             if zero.size:
                 raise DomainError(f"prototypes has zero-norm row at index {int(zero[0])}")
+
+    @classmethod
+    def _trusted(cls, z: np.ndarray, y: np.ndarray,
+                 prototypes: np.ndarray | None = None) -> "ContrastiveBatch":
+        """A batch built without the construction checks.
+
+        For the training step and PRR measurement only: y is rows of a
+        MultiLabelDataset's labels (binary int8, no empty row), z is a
+        float64 output of the projection head with one row per label row,
+        and prototypes are the model's own (L, dim) matrix. The loss engine
+        still rejects zero-norm rows of z and of the prototypes.
+        """
+        batch = cls.__new__(cls)
+        batch.z, batch.y, batch.prototypes = z, y, prototypes
+        return batch
 
     @property
     def n(self) -> int:

@@ -28,6 +28,9 @@ import numpy as np
 from .datamodel import ContrastiveBatch
 from .errors import ConfigError, DomainError
 from .numerics import (
+    _cosine_backward,
+    _cosine_forward,
+    _unit_rows,
     as_matrix,
     masked_logsumexp,
     require_finite_floats,
@@ -154,7 +157,9 @@ def prr(gate_values) -> float | None:
     return float(np.mean(g > 0.0))
 
 
-def _pool_embeddings(batch: ContrastiveBatch, include_batch: bool, include_prototypes: bool):
+def _pool_blocks(batch: ContrastiveBatch, include_batch: bool, include_prototypes: bool):
+    """The pool's row blocks in order (batch, then prototypes), and how many
+    of its rows are batch rows."""
     parts = []
     if include_batch:
         parts.append(batch.z)
@@ -164,8 +169,7 @@ def _pool_embeddings(batch: ContrastiveBatch, include_batch: bool, include_proto
         parts.append(batch.prototypes)
     if not parts:
         raise ConfigError("pool must include the batch, the prototypes, or both")
-    n_batch = batch.n if include_batch else 0
-    return np.vstack(parts), n_batch
+    return parts, (batch.n if include_batch else 0)
 
 
 def reg_term(batch: ContrastiveBatch, structure: PairStructure, cfg: LossConfig) -> RegTermResult:
@@ -181,9 +185,8 @@ def reg_term(batch: ContrastiveBatch, structure: PairStructure, cfg: LossConfig)
     The engine folds this term into its own single backward pass; this
     standalone form is the reference the engine is tested against.
     """
-    pool, n_batch = _pool_embeddings(
-        batch, structure.include_batch, structure.include_prototypes
-    )
+    parts, n_batch = _pool_blocks(batch, structure.include_batch, structure.include_prototypes)
+    pool = np.vstack(parts)
     s = tempered_cosine_matrix(batch.z, pool, cfg.tau)
     gates = np.where(
         structure.positive_mask,
@@ -253,14 +256,27 @@ def _run_engine(
     compute_gradients=False skips the backward pass and gate extraction
     (d_z and d_prototypes come back as None, gate arrays empty); the
     finite-difference oracle uses this to evaluate values cheaply.
+
+    The engine checks nothing of the batch but zero-norm rows: its arrays
+    come from the validating ContrastiveBatch constructor or, on the
+    training and PRR paths, from the trusted one, where a non-finite
+    embedding shows up as a non-finite loss.
     """
-    pool, n_batch = _pool_embeddings(batch, spec.include_batch, spec.include_prototypes)
-    n, m = batch.n, pool.shape[0]
+    _, n_batch = _pool_blocks(batch, spec.include_batch, spec.include_prototypes)
+    # each block is normalized once; the backward reuses the unit rows and norms
+    zn, z_norms = _unit_rows(batch.z, "embeddings")
+    units = [(zn, z_norms)] if spec.include_batch else []
+    if spec.include_prototypes:
+        units.append(_unit_rows(batch.prototypes, "prototypes"))
+    # vstack copies, so pn never aliases zn (see _cosine_forward)
+    pn = np.vstack([u for u, _ in units])
+    pool_norms = np.concatenate([norms for _, norms in units])
+    n, m = batch.n, pn.shape[0]
     coeff, outer = spec.coeff, spec.outer
     if coeff.shape != (n, m):
         raise DomainError(f"coeff shape {coeff.shape} != ({n}, {m})")
 
-    s = tempered_cosine_matrix(batch.z, pool, cfg.tau)
+    s = _cosine_forward(zn, pn, cfg.tau)
     if spec.log_g is None:
         den_logits = s
         eff_mask = spec.denom_mask
@@ -323,7 +339,8 @@ def _run_engine(
     if gates is not None:
         d_s = d_s - gates
         combined = combined - gates
-    d_anchor, d_pool = tempered_cosine_backward(batch.z, pool, cfg.tau, outer[:, None] * d_s)
+    d_anchor, d_pool = _cosine_backward(zn, z_norms, pn, pool_norms, cfg.tau,
+                                        outer[:, None] * d_s)
     d_z = d_anchor
     if spec.include_batch:
         d_z = d_z + d_pool[:n_batch]

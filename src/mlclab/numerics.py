@@ -5,6 +5,15 @@ check every config dataclass runs on its float fields.
 The kernels are pure and operate on 2-D numpy arrays (rows are instances,
 columns are coordinates). Everything runs in 64-bit floating point; gradient
 checks at 1e-5 tolerance are not feasible in 32-bit.
+
+The tempered cosine has one arithmetic path: the private kernels
+`_unit_rows`, `_cosine_forward` and `_cosine_backward`. The public
+`tempered_cosine_matrix` and `tempered_cosine_backward` check everything
+(temperature, 2-D finite input, shapes, zero-norm rows) and then call those
+kernels. The loss engine calls the kernels directly on its own float64
+blocks, so it normalizes each block once per step and hands the unit rows
+and norms from the forward to the backward; `_unit_rows` still rejects a
+zero-norm row there.
 """
 
 from __future__ import annotations
@@ -37,19 +46,58 @@ def require_finite_floats(cfg) -> None:
             raise ConfigError(f"{f.name} must be finite, got {value}")
 
 
-def row_normalize(a: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Scale each row to unit Euclidean norm; zero-norm rows are a domain error."""
+def _unit_rows(a: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """(a / norms[:, None], norms) with the rows' Euclidean norms; a zero-norm
+    row is a domain error. The result is always a fresh array."""
     norms = np.linalg.norm(a, axis=1)
     bad = np.nonzero(norms == 0.0)[0]
     if bad.size:
         raise DomainError(f"{name} has zero-norm row at index {int(bad[0])}")
-    return a / norms[:, None]
+    return a / norms[:, None], norms
+
+
+def row_normalize(a: np.ndarray, name: str = "matrix") -> np.ndarray:
+    """Scale each row to unit Euclidean norm; zero-norm rows are a domain error."""
+    return _unit_rows(a, name)[0]
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Logistic function without overflow for large |x|."""
     e = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def _check_tau(tau) -> None:
+    if not (isinstance(tau, (int, float)) and np.isfinite(tau) and tau > 0):
+        raise ConfigError(f"temperature must be a positive real, got {tau!r}")
+
+
+def _checked_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
+    a = as_matrix(a, "a")
+    b = as_matrix(b, "b")
+    if a.shape[1] != b.shape[1]:
+        raise DomainError(f"dimension mismatch: a has {a.shape[1]} columns, b has {b.shape[1]}")
+    return a, b
+
+
+def _cosine_forward(an: np.ndarray, bn: np.ndarray, tau: float) -> np.ndarray:
+    """Tempered cosine of unit rows: (an @ bn.T) / tau, unchecked.
+
+    an and bn must be distinct arrays even when they hold the same rows:
+    numpy sends A @ A.T to the symmetric rank-k kernel, whose last bits
+    differ from the general product's.
+    """
+    return (an @ bn.T) / tau
+
+
+def _cosine_backward(an, a_norms, bn, b_norms, tau: float, g: np.ndarray):
+    """Gradients of sum(g * _cosine_forward(an, bn, tau)) with respect to the
+    raw rows a = an * a_norms and b = bn * b_norms, unchecked."""
+    d_an = (g @ bn) / tau
+    d_bn = (g.T @ an) / tau
+    da = (d_an - np.sum(d_an * an, axis=1, keepdims=True) * an) / a_norms[:, None]
+    db = (d_bn - np.sum(d_bn * bn, axis=1, keepdims=True) * bn) / b_norms[:, None]
+    return da, db
 
 
 def tempered_cosine_matrix(a, b, tau: float) -> np.ndarray:
@@ -59,15 +107,11 @@ def tempered_cosine_matrix(a, b, tau: float) -> np.ndarray:
     entry lies in [-1/tau, 1/tau]. Temperature is applied here, once; callers
     feeding the result into softmax must not divide again.
     """
-    if not (isinstance(tau, (int, float)) and np.isfinite(tau) and tau > 0):
-        raise ConfigError(f"temperature must be a positive real, got {tau!r}")
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    if a.shape[1] != b.shape[1]:
-        raise DomainError(f"dimension mismatch: a has {a.shape[1]} columns, b has {b.shape[1]}")
-    an = row_normalize(a, "a")
-    bn = row_normalize(b, "b")
-    return (an @ bn.T) / tau
+    _check_tau(tau)
+    a, b = _checked_pair(a, b)
+    an, _ = _unit_rows(a, "a")
+    bn, _ = _unit_rows(b, "b")
+    return _cosine_forward(an, bn, tau)
 
 
 def tempered_cosine_backward(a, b, tau: float, upstream: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -77,22 +121,14 @@ def tempered_cosine_backward(a, b, tau: float, upstream: np.ndarray) -> tuple[np
     shorthand): for a row v with unit vector u = v/|v| and incoming gradient
     g on u, the gradient on v is (g - (g.u) u) / |v|.
     """
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
+    _check_tau(tau)
+    a, b = _checked_pair(a, b)
     g = np.asarray(upstream, dtype=np.float64)
     if g.shape != (a.shape[0], b.shape[0]):
         raise DomainError(f"upstream shape {g.shape} does not match ({a.shape[0]}, {b.shape[0]})")
-    a_norms = np.linalg.norm(a, axis=1)
-    b_norms = np.linalg.norm(b, axis=1)
-    if np.any(a_norms == 0.0) or np.any(b_norms == 0.0):
-        raise DomainError("zero-norm row in cosine backward")
-    an = a / a_norms[:, None]
-    bn = b / b_norms[:, None]
-    d_an = (g @ bn) / tau
-    d_bn = (g.T @ an) / tau
-    da = (d_an - np.sum(d_an * an, axis=1, keepdims=True) * an) / a_norms[:, None]
-    db = (d_bn - np.sum(d_bn * bn, axis=1, keepdims=True) * bn) / b_norms[:, None]
-    return da, db
+    an, a_norms = _unit_rows(a, "a")
+    bn, b_norms = _unit_rows(b, "b")
+    return _cosine_backward(an, a_norms, bn, b_norms, tau, g)
 
 
 @dataclass(frozen=True)

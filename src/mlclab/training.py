@@ -76,6 +76,8 @@ class TrainConfig:
             raise ConfigError("lr, momentum, weight_decay must be nonnegative")
         if self.hidden < 1 or self.proj_dim < 1:
             raise ConfigError("hidden and proj_dim must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -262,7 +264,8 @@ def _batch_step(model: TrainedModel, xb, yb):
     f, enc_cache = model.encoder.forward(xb)
     if model.head is not None:
         z, head_cache = model.head.forward(f)
-        batch = ContrastiveBatch(z=z, y=yb, prototypes=model.prototypes)
+        # yb is rows of the validated dataset; the engine rejects zero-norm z
+        batch = ContrastiveBatch._trusted(z, yb, model.prototypes)
         bundle = contrastive_loss(model.loss_id, batch, model.loss_cfg)
         head_grads, d_f = model.head.backward(head_cache, bundle.d_z)
         grads = model.encoder.backward(enc_cache, d_f)

@@ -222,6 +222,24 @@ def test_gen_data_invalid_value_exits_2_before_output(line, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("line", [
+    "data.n = 0", "data.labels = 0", "data.features = 0", "data.seed = -1",
+    "data.tail_exponent = 0", "data.tail_exponent = inf", "data.avg_labels = 0",
+    "data.avg_labels = 21", "data.avg_labels = nan", "data.noise = -0.1", "data.noise = nan",
+    "data.cooccur_boost = nan", "data.cooccur_boost = 1.5", "data.split = 0.5,0.5",
+    "data.split = 0.8,0.3,-0.1", "data.split = 0.8,0.1,nan", "run.taus = nan",
+    "run.taus = 0", "run.fractions = nan", "run.fractions = 0", "run.fractions = 1.5",
+    "run.seeds = -1", "train.seed = -1",
+])
+def test_gen_data_bad_data_or_run_value_exits_2_before_output(line, tmp_path, capsys):
+    cfg = tmp_path / "c.txt"
+    cfg.write_text(f"data.n = 200\n{line}\n")
+    out = tmp_path / "o"
+    assert main(["gen-data", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_eval_details_record_probe_cells(tiny_config, tmp_path):
     run, data, ev = tmp_path / "run", tmp_path / "data", tmp_path / "eval"
     main(["train", "--config", str(tiny_config), "--out", str(run)])

@@ -151,6 +151,12 @@ class TestParseTimeValidation:
         with pytest.raises(ConfigError):
             parse_config_text(text)
 
+    def test_data_and_run_range_edges_accepted(self):
+        cfg = parse_config_text(
+            "data.noise = 0\ndata.cooccur_boost = 1\ndata.avg_labels = 20\n"
+            "data.split = 1,0,0\nrun.fractions = 1\nrun.taus = 1e-3\nrun.seeds = 0\n")
+        assert cfg["data.split"] == (1.0, 0.0, 0.0) and cfg["run.fractions"] == (1.0,)
+
     def test_zero_weight_decay_and_empty_lrs_accepted(self):
         cfg = parse_config_text("eval.wds = 0.0\neval.lrs = \n")
         assert cfg["eval.wds"] == (0.0,) and cfg["eval.lrs"] == ()

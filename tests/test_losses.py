@@ -29,6 +29,7 @@ from mlclab.losses import (
     reg_term,
 )
 from mlclab.numerics import (
+    _cosine_forward,
     finite_difference_gradient,
     relative_error,
     tempered_cosine_matrix,
@@ -260,22 +261,74 @@ class TestFusedRegularizer:
                 assert np.abs(full.d_prototypes - expected_dc).max() <= 1e-12 * scale
 
     def test_one_cosine_pass_per_regularized_step(self, monkeypatch):
+        # the engine calls the numerics kernels directly: one normalization
+        # per block, one forward product, one backward
         import mlclab.losses as losses
 
-        calls = {"fwd": 0, "bwd": 0}
+        calls = {"fwd": 0, "bwd": 0, "unit": []}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
-                calls[name] += 1
+                if name == "unit":
+                    calls["unit"].append(args[1])
+                else:
+                    calls[name] += 1
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(losses, "tempered_cosine_matrix",
-                            counted("fwd", losses.tempered_cosine_matrix))
-        monkeypatch.setattr(losses, "tempered_cosine_backward",
-                            counted("bwd", losses.tempered_cosine_backward))
+        monkeypatch.setattr(losses, "_cosine_forward", counted("fwd", losses._cosine_forward))
+        monkeypatch.setattr(losses, "_cosine_backward", counted("bwd", losses._cosine_backward))
+        monkeypatch.setattr(losses, "_unit_rows", counted("unit", losses._unit_rows))
+        for name in ("tempered_cosine_matrix", "tempered_cosine_backward"):
+            monkeypatch.setattr(losses, name, None)  # the public checked pair is off the path
         contrastive_loss("reg", random_batch(np.random.default_rng(43), "reg"), CFG)
-        assert calls == {"fwd": 1, "bwd": 1}
+        assert calls == {"fwd": 1, "bwd": 1, "unit": ["embeddings", "prototypes"]}
+
+
+class TestTrustedBatch:
+    """Training and PRR build batches with ContrastiveBatch._trusted; the
+    engine must give them the same bits as a validated batch."""
+
+    @pytest.mark.parametrize("loss_id", CONTRASTIVE_LOSS_IDS)
+    def test_trusted_and_validated_batches_give_same_bits(self, loss_id):
+        rng = np.random.default_rng(44)
+        for _ in range(5):
+            raw = random_batch(rng, loss_id)
+            validated = ContrastiveBatch(z=raw.z.tolist(), y=raw.y.astype(np.int64),
+                                         prototypes=raw.prototypes)
+            trusted = ContrastiveBatch._trusted(raw.z, raw.y, raw.prototypes)
+            a = contrastive_loss(loss_id, validated, CFG)
+            b = contrastive_loss(loss_id, trusted, CFG)
+            assert np.float64(a.loss_value).tobytes() == np.float64(b.loss_value).tobytes()
+            for x, y in ((a.d_z, b.d_z), (a.d_prototypes, b.d_prototypes),
+                         (a.gate_value, b.gate_value)):
+                assert (x is None and y is None) or x.tobytes() == y.tobytes()
+
+    @pytest.mark.parametrize("loss_id", CONTRASTIVE_LOSS_IDS)
+    def test_pool_never_aliases_anchors(self, loss_id, monkeypatch):
+        # A @ A.T takes numpy's symmetric kernel, whose last bits differ
+        import mlclab.losses as losses
+
+        seen = []
+
+        def forward(an, bn, tau):
+            seen.append(np.shares_memory(an, bn))
+            return _cosine_forward(an, bn, tau)
+
+        monkeypatch.setattr(losses, "_cosine_forward", forward)
+        contrastive_loss(loss_id, random_batch(np.random.default_rng(46), loss_id), CFG)
+        assert seen == [False]
+
+    def test_engine_rejects_zero_norm_row_of_trusted_batch(self):
+        batch = random_batch(np.random.default_rng(45), "reg")
+        z = batch.z.copy()
+        z[1] = 0.0
+        with pytest.raises(DomainError, match="embeddings has zero-norm row at index 1"):
+            contrastive_loss("reg", ContrastiveBatch._trusted(z, batch.y, batch.prototypes), CFG)
+        protos = batch.prototypes.copy()
+        protos[0] = 0.0
+        with pytest.raises(DomainError, match="prototypes has zero-norm row at index 0"):
+            contrastive_loss("reg", ContrastiveBatch._trusted(batch.z, batch.y, protos), CFG)
 
 
 def _reg_lam_reference(y, alpha):

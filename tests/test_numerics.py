@@ -6,6 +6,9 @@ import pytest
 
 from mlclab.errors import ConfigError, DomainError, OracleError
 from mlclab.numerics import (
+    _cosine_backward,
+    _cosine_forward,
+    _unit_rows,
     finite_difference_gradient,
     masked_log_softmax,
     relative_error,
@@ -70,6 +73,67 @@ class TestTemperedCosine:
             lambda x: float(np.sum(w * tempered_cosine_matrix(a, x, 0.3))), b)
         np.testing.assert_allclose(da, fa, atol=1e-9)
         np.testing.assert_allclose(db, fb, atol=1e-9)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestCosineKernels:
+    """The public pair checks its input and then runs the private kernels,
+    which the loss engine calls directly on blocks it normalized once."""
+
+    def test_public_pair_is_the_kernels(self):
+        rng = np.random.default_rng(6)
+        a, b, g = rng.normal(size=(5, 3)), rng.normal(size=(4, 3)), rng.normal(size=(5, 4))
+        an, a_norms = _unit_rows(a, "a")
+        bn, b_norms = _unit_rows(b, "b")
+        assert _same_bits(tempered_cosine_matrix(a, b, 0.3), _cosine_forward(an, bn, 0.3))
+        for public, kernel in zip(tempered_cosine_backward(a, b, 0.3, g),
+                                  _cosine_backward(an, a_norms, bn, b_norms, 0.3, g)):
+            assert _same_bits(public, kernel)
+
+    @pytest.mark.parametrize("with_prototypes", [False, True])
+    def test_blockwise_normalization_matches_pooled(self, with_prototypes):
+        # the engine's pool: unit blocks stacked, never an alias of the anchors
+        rng = np.random.default_rng(7)
+        z, p = rng.normal(size=(9, 6)), rng.normal(size=(4, 6))
+        zn, z_norms = _unit_rows(z, "z")
+        blocks = [(zn, z_norms)] + ([_unit_rows(p, "p")] if with_prototypes else [])
+        pn = np.vstack([u for u, _ in blocks])
+        pool_norms = np.concatenate([n for _, n in blocks])
+        pool = np.vstack([z, p]) if with_prototypes else z
+        assert _same_bits(pn, _unit_rows(pool, "pool")[0])
+        assert _same_bits(_cosine_forward(zn, pn, 0.1), tempered_cosine_matrix(z, pool, 0.1))
+        g = rng.normal(size=(9, pn.shape[0]))
+        for kernel, public in zip(_cosine_backward(zn, z_norms, pn, pool_norms, 0.1, g),
+                                  tempered_cosine_backward(z, pool, 0.1, g)):
+            assert _same_bits(kernel, public)
+
+    def test_unit_rows_rejects_zero_norm_row(self):
+        with pytest.raises(DomainError, match="embeddings has zero-norm row at index 2"):
+            _unit_rows(np.array([[1.0, 0.0], [0.0, 2.0], [0.0, 0.0]]), "embeddings")
+
+    @pytest.mark.parametrize("bad,error", [
+        ({"a": [[np.nan, 1.0]]}, DomainError),
+        ({"b": [[1.0, np.inf]]}, DomainError),
+        ({"a": [[0.0, 0.0]]}, DomainError),
+        ({"b": [[1.0, 0.0, 0.0]]}, DomainError),
+        ({"tau": 0.0}, ConfigError),
+        ({"tau": float("nan")}, ConfigError),
+        ({"tau": -1.0}, ConfigError),
+    ])
+    def test_public_pair_rejects_bad_input(self, bad, error):
+        args = {"a": [[1.0, 2.0]], "b": [[3.0, 1.0], [0.5, 1.0]], "tau": 0.5, **bad}
+        with pytest.raises(error):
+            tempered_cosine_matrix(args["a"], args["b"], args["tau"])
+        with pytest.raises(error):
+            tempered_cosine_backward(args["a"], args["b"], args["tau"], np.ones((1, 2)))
+
+    def test_backward_rejects_upstream_shape(self):
+        with pytest.raises(DomainError, match="upstream shape"):
+            tempered_cosine_backward([[1.0, 2.0]], [[3.0, 1.0]], 0.5, np.ones((2, 1)))
 
 
 class TestMaskedLogSoftmax:

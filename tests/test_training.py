@@ -138,12 +138,51 @@ class TestTraining:
             with pytest.raises(TrainingDivergence, match="step"):
                 train_model(ds, "bce", LossConfig(), cfg)
 
+    @staticmethod
+    def _break_init(monkeypatch, breaker):
+        import mlclab.training as training
+
+        init = training._init_model
+
+        def broken(*args, **kwargs):
+            model = init(*args, **kwargs)
+            breaker(model)
+            return model
+
+        monkeypatch.setattr(training, "_init_model", broken)
+
+    def test_collapsed_projection_aborts_contrastive_training(self, monkeypatch):
+        # zero rows of z reach the engine unvalidated; its normalization rejects them
+        self._break_init(monkeypatch, lambda m: m.head.v2.fill(0.0))
+        with pytest.raises(TrainingDivergence, match="step 0: embeddings has zero-norm row"):
+            train_model(_tiny_dataset(), "reg", LossConfig(), FAST)
+
+    def test_non_finite_parameters_abort_contrastive_training(self, monkeypatch):
+        def poison(model):
+            model.encoder.w1[0, 0] = np.nan
+
+        self._break_init(monkeypatch, poison)
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(TrainingDivergence, match="non-finite loss at step 0"):
+                train_model(_tiny_dataset(), "reg", LossConfig(), FAST)
+
     def test_logit_loss_trains_classifier_head(self):
         ds = _tiny_dataset()
         result = train_model(ds, "bce", LossConfig(), FAST)
         assert result.model.head is None
         assert result.model.classifier_w is not None
         assert all(row["prr"] is None for row in result.log)
+
+    def test_prr_rejects_model_with_non_finite_parameters(self):
+        # PRR batches skip validation, so the model is checked once up front
+        from mlclab.experiments import measure_prr
+
+        ds = _tiny_dataset()
+        model = train_model(ds, "reg", LossConfig(), FAST).model
+        assert 0.0 <= measure_prr(model, ds) <= 1.0
+        model.head.v1[0, 0] = np.inf
+        with pytest.raises(DomainError, match="non-finite parameters"):
+            measure_prr(model, ds)
 
     def test_prr_logged_for_regularized_loss(self):
         ds = _tiny_dataset()
