@@ -22,6 +22,7 @@ from .errors import (
     OracleError,
     ParseError,
     TrainingDivergence,
+    ZeroNormError,
 )
 from .evaluation import (
     MetricsReport,

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, ParseError
+from .errors import ConfigError, DomainError, ParseError, ZeroNormError
 from .numerics import as_matrix
 
 RNG_ALGORITHM = "numpy-pcg64"
@@ -125,7 +125,7 @@ class ContrastiveBatch:
         norms = np.linalg.norm(self.z, axis=1)
         zero = np.nonzero(norms == 0.0)[0]
         if zero.size:
-            raise DomainError(f"embeddings has zero-norm row at index {int(zero[0])}")
+            raise ZeroNormError(f"embeddings has zero-norm row at index {int(zero[0])}")
         if self.prototypes is not None:
             self.prototypes = as_matrix(self.prototypes, "prototypes")
             if self.prototypes.shape != (self.y.shape[1], self.z.shape[1]):
@@ -136,7 +136,7 @@ class ContrastiveBatch:
             pnorms = np.linalg.norm(self.prototypes, axis=1)
             zero = np.nonzero(pnorms == 0.0)[0]
             if zero.size:
-                raise DomainError(f"prototypes has zero-norm row at index {int(zero[0])}")
+                raise ZeroNormError(f"prototypes has zero-norm row at index {int(zero[0])}")
 
     @classmethod
     def _trusted(cls, z: np.ndarray, y: np.ndarray,

@@ -9,6 +9,11 @@ class DomainError(ValueError):
     """An input is outside the mathematical domain of an operation."""
 
 
+class ZeroNormError(DomainError):
+    """A row that must be scaled to unit norm is exactly zero: finite, but
+    outside the domain of the cosine."""
+
+
 class OracleError(RuntimeError):
     """A verification oracle hit a non-finite or otherwise unusable evaluation."""
 

@@ -75,7 +75,8 @@ def measure_prr(
                               np.random.default_rng(model.train_cfg.seed)):
         z = model.project(x_train[idx])
         batch = ContrastiveBatch._trusted(z, y_train[idx], model.prototypes)
-        bundle = contrastive_loss(model.loss_id, batch, loss_cfg)
+        # the gates come from the forward alone
+        bundle = contrastive_loss(model.loss_id, batch, loss_cfg, compute_gradients=False)
         gates.append(bundle.gate_value)
     return prr(np.concatenate(gates) if gates else np.empty(0))
 
@@ -88,7 +89,13 @@ def evaluate_trained(
     """Frozen-feature linear evaluation plus representation metrics on the
     test split; PRR is attached for contrastive models. The details dict
     records the probe's chosen weight decay, its validation micro-F1, the
-    number of degenerate labels and one record per weight-decay cell."""
+    number of degenerate labels and one record per weight-decay cell. A
+    model trained on a different feature or label count is a config error."""
+    for what, trained, given in (("features", model.n_features, dataset.n_features),
+                                 ("labels", model.n_labels, dataset.n_labels)):
+        if trained != given:
+            raise ConfigError(f"the model was trained on {trained} {what}, "
+                              f"the dataset has {given}")
     x_train, y_train = dataset.subset("train")
     x_val, y_val = dataset.subset("val")
     x_test, y_test = dataset.subset("test")

@@ -20,7 +20,8 @@ Loss selection by string identifier:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -117,17 +118,54 @@ class GradientBundle:
     (-lam_norm + sigma). combined_coeff holds the final per-positive
     coefficient on the similarity (host term plus any regularizer term,
     before the outer weight), which the clamp invariant constrains to
-    min(0, gate) when the regularizer is on.
+    min(0, gate) when the regularizer is on; it is None when the bundle was
+    made without gradients.
+
+    The four gate arrays are built from the structure when first read and
+    then kept, so a training step that reads none of them pays nothing for
+    them; a value-only bundle (compute_gradients=False) still has the gate
+    arrays. batch_prr() gives prr(gate_value) without building them.
     """
 
     loss_value: float
     d_z: np.ndarray | None
     d_prototypes: np.ndarray | None
-    gate_anchor: np.ndarray
-    gate_pool: np.ndarray
-    gate_value: np.ndarray
-    combined_coeff: np.ndarray
     structure: PairStructure
+    # d loss / d s before the outer weight; None without gradients
+    d_s: np.ndarray | None = field(default=None, repr=False)
+
+    @cached_property
+    def _positive_index(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.nonzero(self.structure.positive_mask)
+
+    @property
+    def gate_anchor(self) -> np.ndarray:
+        return self._positive_index[0]
+
+    @property
+    def gate_pool(self) -> np.ndarray:
+        return self._positive_index[1]
+
+    @cached_property
+    def gate_value(self) -> np.ndarray:
+        st = self.structure
+        return (-st.lam_norm + st.sigma)[self._positive_index]
+
+    @cached_property
+    def combined_coeff(self) -> np.ndarray | None:
+        if self.d_s is None:
+            return None
+        return self.d_s[self._positive_index]
+
+    def batch_prr(self) -> float | None:
+        """prr(gate_value) from counts: -a + b > 0 exactly when b > a (IEEE
+        subtraction with gradual underflow is zero only for equal operands),
+        so the count of open gates needs no gate array."""
+        st = self.structure
+        positives = int(np.count_nonzero(st.positive_mask))
+        if positives == 0:
+            return None
+        return np.count_nonzero(st.positive_mask & (st.sigma > st.lam_norm)) / positives
 
 
 @dataclass
@@ -253,9 +291,10 @@ def _run_engine(
     cosine backward is linear in its upstream, so one backward on
     outer * (-coeff + T * sigma - gate) carries both terms.
 
-    compute_gradients=False skips the backward pass and gate extraction
-    (d_z and d_prototypes come back as None, gate arrays empty); the
-    finite-difference oracle uses this to evaluate values cheaply.
+    compute_gradients=False skips the backward pass: d_z, d_prototypes and
+    combined_coeff come back as None, while the gate arrays and batch_prr()
+    read the forward's structure as usual. The finite-difference oracle and
+    the PRR measurement use it.
 
     The engine checks nothing of the batch but zero-norm rows: its arrays
     come from the validating ContrastiveBatch constructor or, on the
@@ -320,48 +359,26 @@ def _run_engine(
     )
 
     if not compute_gradients:
-        empty = np.empty(0)
-        return GradientBundle(
-            loss_value=loss_value,
-            d_z=None,
-            d_prototypes=None,
-            gate_anchor=empty,
-            gate_pool=empty,
-            gate_value=empty,
-            combined_coeff=empty,
-            structure=structure,
-        )
+        return GradientBundle(loss_value=loss_value, d_z=None, d_prototypes=None,
+                              structure=structure)
 
     # d loss / d s per anchor: -coeff on the positive slot, plus T_i * sigma
     # over the denominator, minus the detached gate on the positive slot
     d_s = -coeff + total[:, None] * sigma
-    combined = np.where(positive_mask, d_s, 0.0)
     if gates is not None:
-        d_s = d_s - gates
-        combined = combined - gates
-    d_anchor, d_pool = _cosine_backward(zn, z_norms, pn, pool_norms, cfg.tau,
-                                        outer[:, None] * d_s)
-    d_z = d_anchor
+        d_s -= gates
+    d_z, d_pool = _cosine_backward(zn, z_norms, pn, pool_norms, cfg.tau,
+                                   outer[:, None] * d_s)
     if spec.include_batch:
-        d_z = d_z + d_pool[:n_batch]
+        d_z += d_pool[:n_batch]
     if spec.include_prototypes:
         d_prototypes = d_pool[n_batch:]
     elif batch.prototypes is not None:
         d_prototypes = np.zeros_like(batch.prototypes)
     else:
         d_prototypes = None
-
-    gi, gk = np.nonzero(positive_mask)
-    return GradientBundle(
-        loss_value=loss_value,
-        d_z=d_z,
-        d_prototypes=d_prototypes,
-        gate_anchor=gi,
-        gate_pool=gk,
-        gate_value=(-lam_norm + sigma)[gi, gk],
-        combined_coeff=combined[gi, gk],
-        structure=structure,
-    )
+    return GradientBundle(loss_value=loss_value, d_z=d_z, d_prototypes=d_prototypes,
+                          structure=structure, d_s=d_s)
 
 
 def _label_stats(y: np.ndarray):

@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, OracleError
+from .errors import ConfigError, DomainError, OracleError, ZeroNormError
 
 
 def as_matrix(x, name: str = "matrix") -> np.ndarray:
@@ -48,11 +48,11 @@ def require_finite_floats(cfg) -> None:
 
 def _unit_rows(a: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
     """(a / norms[:, None], norms) with the rows' Euclidean norms; a zero-norm
-    row is a domain error. The result is always a fresh array."""
+    row is a ZeroNormError. The result is always a fresh array."""
     norms = np.linalg.norm(a, axis=1)
     bad = np.nonzero(norms == 0.0)[0]
     if bad.size:
-        raise DomainError(f"{name} has zero-norm row at index {int(bad[0])}")
+        raise ZeroNormError(f"{name} has zero-norm row at index {int(bad[0])}")
     return a / norms[:, None], norms
 
 
@@ -90,14 +90,31 @@ def _cosine_forward(an: np.ndarray, bn: np.ndarray, tau: float) -> np.ndarray:
     return (an @ bn.T) / tau
 
 
+def _radial_project(d: np.ndarray, u: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """d <- (d - sum(d * u, axis=1) u) / norms, in place, through one
+    temporary of d's shape; the same operations in the same order as the
+    expression form, so the bytes are equal."""
+    tmp = d * u
+    r = tmp.sum(axis=1, keepdims=True)
+    np.multiply(r, u, out=tmp)
+    d -= tmp
+    d /= norms[:, None]
+    return d
+
+
 def _cosine_backward(an, a_norms, bn, b_norms, tau: float, g: np.ndarray):
     """Gradients of sum(g * _cosine_forward(an, bn, tau)) with respect to the
-    raw rows a = an * a_norms and b = bn * b_norms, unchecked."""
-    d_an = (g @ bn) / tau
-    d_bn = (g.T @ an) / tau
-    da = (d_an - np.sum(d_an * an, axis=1, keepdims=True) * an) / a_norms[:, None]
-    db = (d_bn - np.sum(d_bn * bn, axis=1, keepdims=True) * bn) / b_norms[:, None]
-    return da, db
+    raw rows a = an * a_norms and b = bn * b_norms, unchecked.
+
+    Each gradient is written into the fresh product g @ bn (g.T @ an) that
+    starts it, so the call allocates the two results plus one temporary per
+    block; it writes into none of its arguments.
+    """
+    d_an = g @ bn
+    d_an /= tau
+    d_bn = g.T @ an
+    d_bn /= tau
+    return _radial_project(d_an, an, a_norms), _radial_project(d_bn, bn, b_norms)
 
 
 def tempered_cosine_matrix(a, b, tau: float) -> np.ndarray:

@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .datamodel import ContrastiveBatch, MultiLabelDataset
-from .errors import ConfigError, DomainError, TrainingDivergence
+from .errors import ConfigError, DomainError, TrainingDivergence, ZeroNormError
 from .losses import (
     LossConfig,
     check_loss_id,
@@ -36,7 +36,6 @@ from .losses import (
     logit_loss,
     needs_prototypes,
     needs_single_label,
-    prr,
 )
 from .numerics import require_finite_floats, sigmoid
 
@@ -194,16 +193,22 @@ def lr_schedule(step: int, total_steps: int, base_lr: float, warmup_frac: float)
 def clip_gradient(grads, threshold: float):
     """Global-norm gradient clip: if the joint Euclidean norm exceeds the
     threshold, every gradient is scaled by threshold / norm. Direction is
-    preserved and the output norm never exceeds the threshold."""
+    preserved and the output norm never exceeds the threshold.
+
+    The dict form scales its arrays in place and returns the same dict, so
+    no two of its arrays may share memory; an array gets the same bytes as
+    `g * scale`. The array form returns a fresh array.
+    """
     if threshold <= 0:
         raise ConfigError(f"clip threshold must be positive, got {threshold}")
     if isinstance(grads, dict):
         sq = sum(float(np.sum(g * g)) for g in grads.values())
         norm = np.sqrt(sq)
-        if norm <= threshold:
-            return {k: g.copy() for k, g in grads.items()}
-        scale = threshold / norm
-        return {k: g * scale for k, g in grads.items()}
+        if norm > threshold:
+            scale = threshold / norm
+            for g in grads.values():
+                g *= scale
+        return grads
     g = np.asarray(grads, dtype=np.float64)
     norm = float(np.linalg.norm(g))
     if norm <= threshold:
@@ -272,7 +277,7 @@ def _batch_step(model: TrainedModel, xb, yb):
         grads.update(head_grads)
         if model.prototypes is not None:
             grads["prototypes"] = bundle.d_prototypes
-        return bundle.loss_value, grads, prr(bundle.gate_value)
+        return bundle.loss_value, grads, bundle.batch_prr()
     logits = f @ model.classifier_w + model.classifier_b
     res = logit_loss(model.loss_id, logits, yb, model.loss_cfg)
     grads = model.encoder.backward(enc_cache, res.d_logits @ model.classifier_w.T)
@@ -314,9 +319,11 @@ def train_model(
         )
     rng = np.random.default_rng(tcfg.seed)
     model = _init_model(loss_id, x_train.shape[1], y_train.shape[1], loss_cfg, tcfg, rng)
-    # the optimizer updates the model's own arrays in place
+    # the optimizer updates the model's own arrays in place, through one
+    # scratch buffer per parameter for the lr * v and lr * wd * p products
     params = model.params()
     velocity = {k: np.zeros_like(v) for k, v in params.items()}
+    scratch = {k: np.empty_like(v) for k, v in params.items()}
 
     steps_per_epoch = len(_epoch_batches(x_train.shape[0], tcfg.batch_size,
                                          np.random.default_rng(0)))
@@ -333,19 +340,21 @@ def train_model(
                 loss_val, grads, batch_prr = _batch_step(model, x_train[idx], y_train[idx])
             except DomainError as exc:
                 # the dataset was validated up front, so a domain error here
-                # means the parameters have gone non-finite
-                raise TrainingDivergence(f"non-finite forward at step {step}: {exc}") from exc
+                # comes from the parameters: an exactly zero (finite) row of
+                # z or of the prototypes, or non-finite logits
+                kind = "degenerate" if isinstance(exc, ZeroNormError) else "non-finite"
+                raise TrainingDivergence(f"{kind} forward at step {step}: {exc}") from exc
             if not np.isfinite(loss_val):
                 raise TrainingDivergence(f"non-finite loss at step {step}")
             grads = clip_gradient(grads, tcfg.clip)
             lr_now = lr_schedule(step, total_steps, tcfg.lr, tcfg.warmup_frac)
             for key, p in params.items():
-                v = velocity[key]
+                v, buf = velocity[key], scratch[key]
                 v *= tcfg.momentum
                 v += grads[key]
-                p -= lr_now * v
+                p -= np.multiply(lr_now, v, out=buf)
                 if tcfg.weight_decay > 0 and key not in _BIAS_KEYS:
-                    p -= lr_now * tcfg.weight_decay * p
+                    p -= np.multiply(lr_now * tcfg.weight_decay, p, out=buf)
             losses.append(loss_val)
             if batch_prr is not None:
                 prrs.append(batch_prr)

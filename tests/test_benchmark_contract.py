@@ -1,7 +1,8 @@
 """The benchmark drives mlclab through its public functions and config keys.
-Running one operation of the workloads that call the probe and the metrics
-makes a changed call signature or a removed config key fail the suite
-rather than the benchmark."""
+Running one operation of each workload (the probe and the metrics, the
+training step and the gradient checks) makes a changed call signature, a
+removed config key or a failed gradient check fail the suite rather than
+the benchmark."""
 
 import importlib
 from pathlib import Path
@@ -11,7 +12,7 @@ import pytest
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-@pytest.mark.parametrize("name", ["experiment", "eval-wide"])
+@pytest.mark.parametrize("name", ["experiment", "pretrain", "eval-wide"])
 def test_workload_op_succeeds(name, tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     workloads = importlib.import_module("workloads")

@@ -257,3 +257,19 @@ def test_eval_details_record_probe_cells(tiny_config, tmp_path):
     assert main(args + ["--out", str(tmp_path / "eval2")]) == 0
     assert (tmp_path / "eval2" / "eval_details.json").read_bytes() == \
         (ev / "eval_details.json").read_bytes()
+
+
+@pytest.mark.parametrize("line, what", [("data.features = 7", "trained on 6 features, the dataset has 7"),
+                                        ("data.labels = 6", "trained on 5 labels, the dataset has 6")])
+def test_eval_shape_mismatch_exits_2(line, what, tiny_config, tmp_path, capsys):
+    run, data, ev = tmp_path / "run", tmp_path / "data", tmp_path / "eval"
+    assert main(["train", "--config", str(tiny_config), "--out", str(run)]) == 0
+    other = tmp_path / "other.txt"
+    other.write_text(TINY + line + "\n")
+    assert main(["gen-data", "--config", str(other), "--out", str(data)]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(run / "checkpoint.json"),
+                 "--dataset", str(data / "dataset.txt"), "--out", str(ev)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and what in err
+    assert not ev.exists()

@@ -528,7 +528,74 @@ class TestLogitLosses:
             np.testing.assert_allclose(v1.d_logits[perm], v2.d_logits, atol=1e-15)
 
 
+def _eager_gates(bundle, regularized):
+    """(gate_anchor, gate_pool, gate_value, combined_coeff) extracted from the
+    structure eagerly, as the engine did before it built them on demand."""
+    st = bundle.structure
+    gi, gk = np.nonzero(st.positive_mask)
+    d_s = -st.coeff + st.coeff.sum(axis=1)[:, None] * st.sigma
+    combined = np.where(st.positive_mask, d_s, 0.0)
+    if regularized:
+        combined = combined - np.where(st.positive_mask,
+                                       np.maximum(0.0, -st.lam_norm + st.sigma), 0.0)
+    return gi, gk, (-st.lam_norm + st.sigma)[gi, gk], combined[gi, gk]
+
+
+def _same_prr(a, b):
+    return (a is None and b is None) or (
+        a is not None and b is not None and np.float64(a).tobytes() == np.float64(b).tobytes())
+
+
+class TestGatesOnDemand:
+    """The gate arrays are built when first read; they must equal eager
+    extraction, and the count-based batch PRR must equal prr(gate_value)."""
+
+    @pytest.mark.parametrize("loss_id", CONTRASTIVE_LOSS_IDS)
+    def test_on_demand_gates_match_eager_extraction(self, loss_id):
+        rng = np.random.default_rng(47)
+        for _ in range(5):
+            batch = random_batch(rng, loss_id)
+            full = contrastive_loss(loss_id, batch, CFG)
+            lean = contrastive_loss(loss_id, batch, CFG, compute_gradients=False)
+            eager = _eager_gates(full, loss_id in REGULARIZED_LOSS_IDS)
+            on_demand = (full.gate_anchor, full.gate_pool, full.gate_value, full.combined_coeff)
+            for got, want in zip(on_demand, eager):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            for got, want in zip((lean.gate_anchor, lean.gate_pool, lean.gate_value), eager):
+                assert got.tobytes() == want.tobytes()
+            assert lean.combined_coeff is None
+            assert _same_prr(full.batch_prr(), prr(full.gate_value))
+            assert _same_prr(lean.batch_prr(), prr(full.gate_value))
+
+    @pytest.mark.parametrize("loss_id", ["base", "mulsupcon", "supcon", "supcon-reg"])
+    def test_batch_without_positives(self, loss_id):
+        # one label per row, no label shared: no anchor has a positive
+        z = np.random.default_rng(48).normal(size=(4, 3))
+        bundle = contrastive_loss(loss_id, ContrastiveBatch(z=z, y=np.eye(4, dtype=np.int8)), CFG)
+        assert bundle.gate_value.size == 0 and bundle.combined_coeff.size == 0
+        assert bundle.batch_prr() is None and prr(bundle.gate_value) is None
+
+    def test_gate_exactly_zero_counts_as_closed(self):
+        # orthonormal rows of one class: sigma is uniform and equals lam_norm,
+        # so every gate is -a + a = 0 and the batch PRR is 0
+        z = np.eye(5)[:4]
+        y = np.zeros((4, 2), dtype=np.int8)
+        y[:, 0] = 1
+        bundle = contrastive_loss("supcon-reg", ContrastiveBatch(z=z, y=y), CFG)
+        st = bundle.structure
+        assert np.array_equal(st.sigma[st.positive_mask], st.lam_norm[st.positive_mask])
+        assert bundle.batch_prr() == prr(bundle.gate_value) == 0.0
+
+
 class TestPrr:
+    def test_open_gate_is_sigma_above_lam_norm(self):
+        # -a + b > 0 exactly when b > a, subnormals and one-ulp gaps included
+        tiny = np.finfo(np.float64).smallest_subnormal
+        a = np.array([0.5, 0.5, 1e-310, 1e-310, tiny, 0.0, tiny, 1.0 / 3.0])
+        b = np.array([np.nextafter(0.5, 1.0), 0.5, np.nextafter(1e-310, 1.0), 1e-310,
+                      2 * tiny, tiny, 0.0, np.nextafter(1.0 / 3.0, 0.0)])
+        np.testing.assert_array_equal(-a + b > 0.0, b > a)
+
     def test_minimum_condition_zero(self):
         assert prr(np.array([-0.1, 0.0, -0.3])) == 0.0
 

@@ -80,9 +80,40 @@ def _same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _expression_backward(an, a_norms, bn, b_norms, tau, g):
+    """The cosine backward in expression form, each step a fresh array: the
+    reference the in-place kernel must match byte for byte."""
+    d_an = (g @ bn) / tau
+    d_bn = (g.T @ an) / tau
+    da = (d_an - np.sum(d_an * an, axis=1, keepdims=True) * an) / a_norms[:, None]
+    db = (d_bn - np.sum(d_bn * bn, axis=1, keepdims=True) * bn) / b_norms[:, None]
+    return da, db
+
+
 class TestCosineKernels:
     """The public pair checks its input and then runs the private kernels,
     which the loss engine calls directly on blocks it normalized once."""
+
+    # (anchors, pool, dim): a reg training step at the default config, a
+    # proto step (pool = prototypes only), a single row and a ragged shape
+    @pytest.mark.parametrize("n,m,d", [(64, 84, 256), (64, 20, 256), (1, 1, 1), (7, 13, 9)])
+    @pytest.mark.parametrize("tau", [0.1, 0.37])
+    def test_in_place_backward_matches_expression_form(self, n, m, d, tau):
+        rng = np.random.default_rng(n * 1000 + m)
+        an, a_norms = _unit_rows(rng.normal(size=(n, d)), "a")
+        bn, b_norms = _unit_rows(rng.normal(size=(m, d)), "b")
+        g = rng.normal(size=(n, m))
+        args = (an, a_norms, bn, b_norms, tau, g)
+        before = [np.copy(x) for x in args]
+        got = _cosine_backward(*args)
+        for kernel, reference in zip(got, _expression_backward(*args)):
+            assert _same_bits(kernel, reference)
+        # it writes into none of its arguments and returns fresh arrays
+        for x, saved in zip(args, before):
+            assert _same_bits(x, saved)
+        for out in got:
+            assert not any(np.shares_memory(out, x) for x in args if isinstance(x, np.ndarray))
+        assert not np.shares_memory(*got)
 
     def test_public_pair_is_the_kernels(self):
         rng = np.random.default_rng(6)

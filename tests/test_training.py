@@ -8,12 +8,16 @@ import numpy as np
 import pytest
 
 from mlclab.config import ExperimentConfig
-from mlclab.datamodel import MultiLabelDataset, generate_longtail
+from mlclab.datamodel import ContrastiveBatch, MultiLabelDataset, generate_longtail
 from mlclab.errors import ConfigError, DomainError, TrainingDivergence
 from mlclab.evaluation import alignment, micro_f1
-from mlclab.losses import LossConfig
+from mlclab.losses import LOSS_IDS, LossConfig, contrastive_loss, needs_single_label, prr
 from mlclab.training import (
+    _BIAS_KEYS,
     TrainConfig,
+    _batch_step,
+    _epoch_batches,
+    _init_model,
     clip_gradient,
     linear_eval,
     load_checkpoint,
@@ -108,6 +112,23 @@ class TestClipGradient:
         with pytest.raises(ConfigError):
             clip_gradient(np.array([1.0]), 0.0)
 
+    def test_dict_scales_in_place(self):
+        rng = np.random.default_rng(3)
+        grads = {"a": rng.normal(size=(4, 3)), "b": rng.normal(size=5)}
+        scale = 0.5 / np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+        expected = {k: g * scale for k, g in grads.items()}
+        arrays = dict(grads)
+        assert clip_gradient(grads, 0.5) is grads
+        for k, g in grads.items():
+            assert g is arrays[k] and g.tobytes() == expected[k].tobytes()
+
+    def test_dict_below_threshold_untouched(self):
+        grads = {"a": np.array([0.3]), "b": np.array([0.4])}
+        arrays = dict(grads)
+        assert clip_gradient(grads, 1.0) is grads
+        assert all(grads[k] is arrays[k] for k in grads)
+        assert grads["a"][0] == 0.3 and grads["b"][0] == 0.4
+
 
 class TestTraining:
     def test_deterministic_in_seed(self):
@@ -166,6 +187,25 @@ class TestTraining:
             with pytest.raises(TrainingDivergence, match="non-finite loss at step 0"):
                 train_model(_tiny_dataset(), "reg", LossConfig(), FAST)
 
+    def test_zero_z_row_of_finite_model_is_degenerate_not_non_finite(self):
+        # every ReLU of the head is off for one input, so its z row is
+        # exactly 0: the parameters are finite and the run still stops
+        cfg = TrainConfig(epochs=1, batch_size=16, hidden=8, proj_dim=8)
+        with pytest.raises(TrainingDivergence) as info:
+            train_model(_tiny_dataset(), "reg", LossConfig(), cfg)
+        assert str(info.value) == ("degenerate forward at step 0: "
+                                   "embeddings has zero-norm row at index 3")
+
+    def test_non_finite_logits_abort_as_non_finite_forward(self, monkeypatch):
+        def poison(model):
+            model.encoder.w1[0, 0] = np.nan
+
+        self._break_init(monkeypatch, poison)
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(TrainingDivergence, match="^non-finite forward at step 0: "
+                                                         "logits contains non-finite"):
+                train_model(_tiny_dataset(), "bce", LossConfig(), FAST)
+
     def test_logit_loss_trains_classifier_head(self):
         ds = _tiny_dataset()
         result = train_model(ds, "bce", LossConfig(), FAST)
@@ -218,6 +258,94 @@ class TestTraining:
         a0 = alignment(fresh.encoder.features(feats), y)
         a1 = alignment(result.model.encoder.features(feats), y)
         assert a1 < a0
+
+
+def _single_label(ds):
+    y = np.zeros_like(ds.labels)
+    y[np.arange(ds.n), np.argmax(ds.labels, axis=1)] = 1
+    return MultiLabelDataset(features=ds.features, labels=y, split=ds.split, meta=ds.meta)
+
+
+def _reference_train(ds, loss_id, cfg):
+    """train_model as written before its step went in place: an out-of-place
+    clip that copies, lr * v and lr * wd * p as fresh products, and the
+    batch PRR as prr(gate_value). Returns (model, log, steps clipped)."""
+    x_train, y_train = ds.subset("train")
+    loss_cfg = LossConfig()
+    rng = np.random.default_rng(cfg.seed)
+    model = _init_model(loss_id, x_train.shape[1], y_train.shape[1], loss_cfg, cfg, rng)
+    params = model.params()
+    velocity = {k: np.zeros_like(v) for k, v in params.items()}
+    total_steps = cfg.epochs * len(_epoch_batches(x_train.shape[0], cfg.batch_size,
+                                                  np.random.default_rng(0)))
+    log, step, clipped = [], 0, 0
+    for epoch in range(cfg.epochs):
+        losses, prrs, lr_now = [], [], 0.0
+        for idx in _epoch_batches(x_train.shape[0], cfg.batch_size, rng):
+            xb, yb = x_train[idx], y_train[idx]
+            if model.head is not None:
+                batch = ContrastiveBatch._trusted(model.project(xb), yb, model.prototypes)
+                prrs.append(prr(contrastive_loss(loss_id, batch, loss_cfg).gate_value))
+            loss_val, grads, _ = _batch_step(model, xb, yb)
+            norm = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+            if norm <= cfg.clip:
+                grads = {k: g.copy() for k, g in grads.items()}
+            else:
+                grads = {k: g * (cfg.clip / norm) for k, g in grads.items()}
+                clipped += 1
+            lr_now = lr_schedule(step, total_steps, cfg.lr, cfg.warmup_frac)
+            for key, p in params.items():
+                v = velocity[key]
+                v *= cfg.momentum
+                v += grads[key]
+                p -= lr_now * v
+                if cfg.weight_decay > 0 and key not in _BIAS_KEYS:
+                    p -= lr_now * cfg.weight_decay * p
+            losses.append(loss_val)
+            step += 1
+        prrs = [v for v in prrs if v is not None]
+        log.append({"epoch": epoch, "loss": float(np.mean(losses)), "lr": float(lr_now),
+                    "prr": float(np.mean(prrs)) if prrs else None})
+    return model, log, clipped
+
+
+class TestInPlaceStep:
+    """The in-place clip, SGD update and count-based batch PRR give the bytes
+    of the out-of-place step they replaced."""
+
+    # proto keeps the batch out of its pool; bce takes the logit path
+    @pytest.mark.parametrize("loss_id", ["reg", "base", "proto", "bce"])
+    @pytest.mark.parametrize("clip, fires", [(1e-3, True), (1e6, False)])
+    def test_train_model_matches_out_of_place_reference(self, loss_id, clip, fires):
+        ds = _tiny_dataset()
+        # a decay this large lets the last bit of lr * wd * p reach p (at
+        # 1e-4 a reordered product is rounded away); 0.3 is not a power of two
+        cfg = TrainConfig(epochs=2, batch_size=16, hidden=16, proj_dim=24, clip=clip,
+                          weight_decay=0.3)
+        model, log, clipped = _reference_train(ds, loss_id, cfg)
+        steps = cfg.epochs * len(_epoch_batches(int((ds.split == "train").sum()),
+                                                cfg.batch_size, np.random.default_rng(0)))
+        assert clipped == (steps if fires else 0)
+        result = train_model(ds, loss_id, LossConfig(), cfg)
+        assert json.dumps(result.log) == json.dumps(log)
+        got, want = result.model.params(), model.params()
+        assert sorted(got) == sorted(want)
+        for k in want:
+            assert got[k].tobytes() == want[k].tobytes(), k
+
+    @pytest.mark.parametrize("loss_id", LOSS_IDS)
+    def test_step_gradients_share_no_memory(self, loss_id):
+        # the dict clip scales every array in place, once
+        ds = _single_label(_tiny_dataset()) if needs_single_label(loss_id) else _tiny_dataset()
+        x, y = ds.subset("train")
+        model = _init_model(loss_id, x.shape[1], y.shape[1], LossConfig(), FAST,
+                            np.random.default_rng(0))
+        _, grads, _ = _batch_step(model, x[:16], y[:16])
+        arrays = list(grads.values())
+        for i, a in enumerate(arrays):
+            for b in arrays[i + 1:]:
+                assert not np.shares_memory(a, b)
+            assert not any(np.shares_memory(a, p) for p in model.params().values())
 
 
 class TestLinearEval:
