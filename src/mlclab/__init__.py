@@ -50,9 +50,7 @@ from .losses import (
     reg_term,
 )
 from .numerics import (
-    MaskedSoftmaxResult,
     finite_difference_gradient,
-    masked_log_softmax,
     tempered_cosine_matrix,
 )
 from .training import (

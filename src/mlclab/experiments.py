@@ -15,7 +15,7 @@ from .config import ExperimentConfig
 from .datamodel import ContrastiveBatch, MultiLabelDataset, generate_longtail, read_dataset
 from .errors import ConfigError, DomainError
 from .evaluation import MetricsReport, compute_report, macro_f1
-from .losses import contrastive_loss, is_contrastive, prr
+from .losses import contrastive_loss, is_contrastive
 from .training import (
     TrainResult,
     TrainedModel,
@@ -70,15 +70,18 @@ def measure_prr(
         raise DomainError("model has non-finite parameters")
     loss_cfg = model.loss_cfg if tau is None else replace(model.loss_cfg, tau=tau)
     x_train, y_train = dataset.subset("train")
-    gates = []
+    n_open = positives = 0
     for idx in _epoch_batches(x_train.shape[0], model.train_cfg.batch_size,
                               np.random.default_rng(model.train_cfg.seed)):
         z = model.project(x_train[idx])
         batch = ContrastiveBatch._trusted(z, y_train[idx], model.prototypes)
         # the gates come from the forward alone
         bundle = contrastive_loss(model.loss_id, batch, loss_cfg, compute_gradients=False)
-        gates.append(bundle.gate_value)
-    return prr(np.concatenate(gates) if gates else np.empty(0))
+        batch_open, batch_positives = bundle.prr_counts()
+        n_open += batch_open
+        positives += batch_positives
+    # the quotient of the counts is prr() of the concatenated gate values
+    return n_open / positives if positives else None
 
 
 def evaluate_trained(

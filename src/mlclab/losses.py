@@ -3,12 +3,13 @@ prototypes, plus the logit-based baselines (binary cross-entropy, asymmetric,
 ZLPR).
 
 Every contrastive loss is an instance of one generalized engine: per anchor,
-a set of positives with nonnegative attraction weights, a denominator set,
-and a tempered-cosine softmax. The engine returns the loss value together
-with exact analytic gradients with respect to the embeddings and (when used)
-the prototypes, differentiated through the cosine normalization rather than
-the dot-product shorthand. Gradients are verified against the central
-finite-difference oracle in the verification module.
+positives with nonnegative weights and a tempered-cosine softmax over the
+pool (batch, prototypes, or both) minus the anchor. A loss states only its
+positive coefficients, outer weights, pool layout and (msc) denominator
+log-multipliers; mulsupcon, supcon, msc and reg build their per-label
+positives with one function, _per_label_lam. The engine returns the value
+with exact gradients for the embeddings and prototypes, taken through the
+cosine normalization and checked against the finite-difference oracle.
 
 Per-anchor terms are accumulated with numpy reductions in fixed order
 (anchor-major, index-ascending), so results are bit-reproducible.
@@ -21,7 +22,7 @@ Loss selection by string identifier:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -124,7 +125,7 @@ class GradientBundle:
     The four gate arrays are built from the structure when first read and
     then kept, so a training step that reads none of them pays nothing for
     them; a value-only bundle (compute_gradients=False) still has the gate
-    arrays. batch_prr() gives prr(gate_value) without building them.
+    arrays. prr_counts() needs none of them.
     """
 
     loss_value: float
@@ -157,15 +158,13 @@ class GradientBundle:
             return None
         return self.d_s[self._positive_index]
 
-    def batch_prr(self) -> float | None:
-        """prr(gate_value) from counts: -a + b > 0 exactly when b > a (IEEE
-        subtraction with gradual underflow is zero only for equal operands),
-        so the count of open gates needs no gate array."""
+    def prr_counts(self) -> tuple[int, int]:
+        """(open gates, positive pairs): prr(gate_value) is their quotient. -a +
+        b > 0 exactly when b > a (IEEE subtraction with gradual underflow is
+        zero only for equal operands), so counting needs no gate array."""
         st = self.structure
-        positives = int(np.count_nonzero(st.positive_mask))
-        if positives == 0:
-            return None
-        return np.count_nonzero(st.positive_mask & (st.sigma > st.lam_norm)) / positives
+        return (int(np.count_nonzero(st.positive_mask & (st.sigma > st.lam_norm))),
+                int(np.count_nonzero(st.positive_mask)))
 
 
 @dataclass
@@ -254,14 +253,13 @@ class LossSpec:
 
     The pool is the batch (include_batch) followed by the prototypes
     (include_prototypes). coeff[i, k] is the forward coefficient of positive
-    pair (i, k) on that pool, denom_mask the softmax support, and outer the
-    per-anchor weights. log_g, when given, adds log-multipliers to the
-    denominator logits (-inf removes an entry). lam is the raw positive
-    weight matrix kept in the PairStructure (coeff when None).
+    pair (i, k) on that pool and outer the per-anchor weights. log_g, when
+    given, adds log-multipliers to the denominator logits (-inf removes an
+    entry). lam is the raw positive weight matrix kept in the PairStructure
+    (coeff when None).
     """
 
     coeff: np.ndarray
-    denom_mask: np.ndarray
     outer: np.ndarray
     include_batch: bool
     include_prototypes: bool
@@ -274,7 +272,6 @@ def _run_engine(
     spec: LossSpec,
     cfg: LossConfig,
     regularized: bool,
-    strict: bool = False,
     compute_gradients: bool = True,
 ) -> GradientBundle:
     """Shared forward/backward for every contrastive loss.
@@ -282,9 +279,9 @@ def _run_engine(
     Rows of coeff may sum to any positive total mass T_i (losses that
     normalize per anchor pass rows summing to 1). The per-anchor term is
     -sum_k coeff[i, k] * log( exp(s_ik) / sum_j g_ij exp(s_ij) ), summed over
-    the denominator set, and the loss is sum_i outer_i * term_i. Anchors with
-    zero positive mass contribute nothing (a removable singularity of the
-    normalized form); strict mode turns them into a domain error.
+    the denominator set (the pool minus the anchor, less any entry log_g
+    removes), and the loss is sum_i outer_i * term_i. Anchors with zero
+    positive mass contribute nothing (a removable singularity).
 
     With regularized on, each positive pair adds -gate_ik * s_ik, where
     gate_ik = max(0, -lam_norm_ik + sigma_ik) is a detached constant. The
@@ -292,7 +289,7 @@ def _run_engine(
     outer * (-coeff + T * sigma - gate) carries both terms.
 
     compute_gradients=False skips the backward pass: d_z, d_prototypes and
-    combined_coeff come back as None, while the gate arrays and batch_prr()
+    combined_coeff come back as None, while the gate arrays and prr_counts()
     read the forward's structure as usual. The finite-difference oracle and
     the PRR measurement use it.
 
@@ -316,13 +313,13 @@ def _run_engine(
         raise DomainError(f"coeff shape {coeff.shape} != ({n}, {m})")
 
     s = _cosine_forward(zn, pn, cfg.tau)
+    eff_mask = _denominator_mask(n, m, spec.include_batch)
     if spec.log_g is None:
         den_logits = s
-        eff_mask = spec.denom_mask
     else:
         with np.errstate(invalid="ignore"):
             den_logits = s + spec.log_g
-        eff_mask = spec.denom_mask & (spec.log_g > -np.inf)
+        eff_mask = eff_mask & (spec.log_g > -np.inf)
 
     lse = masked_logsumexp(den_logits, eff_mask)
     sigma = np.exp(np.where(eff_mask, den_logits - lse[:, None], -np.inf))
@@ -330,9 +327,6 @@ def _run_engine(
 
     positive_mask = coeff > 0.0
     total = coeff.sum(axis=1)
-    if strict and np.any(total <= 0.0):
-        bad = int(np.nonzero(total <= 0.0)[0][0])
-        raise DomainError(f"anchor {bad} has no positive pairs (strict mode)")
     safe_total = np.where(total > 0.0, total, 1.0)
     lam_norm = np.where(positive_mask, coeff / safe_total[:, None], 0.0)
 
@@ -389,34 +383,38 @@ def _label_stats(y: np.ndarray):
     return yf, sizes, inter, union
 
 
-def _off_diagonal_mask(n: int) -> np.ndarray:
-    return ~np.eye(n, dtype=bool)
-
-
+@lru_cache(maxsize=64)
 def _denominator_mask(n: int, m: int, include_batch: bool) -> np.ndarray:
-    """The whole pool, minus the anchor itself when the batch is in it."""
+    """The whole pool, minus the anchor itself when the batch is in it; one
+    read-only array per shape, shared by every step of that shape."""
     mask = np.ones((n, m), dtype=bool)
     if include_batch:
-        mask[:, :n] = _off_diagonal_mask(n)
+        np.fill_diagonal(mask, False)
+    mask.flags.writeable = False
     return mask
 
 
 def _anchor_mean_spec(lam: np.ndarray, include_batch: bool, include_prototypes: bool) -> LossSpec:
     """Raw weights lam normalized to sum to one per anchor (the anchor itself
     excluded), with the per-anchor terms averaged over the batch."""
-    n, m = lam.shape
+    n = lam.shape[0]
     if include_batch:
-        lam[:, :n][np.eye(n, dtype=bool)] = 0.0
+        np.fill_diagonal(lam, 0.0)
     total = lam.sum(axis=1)
     coeff = np.where(total[:, None] > 0.0, lam / np.where(total > 0, total, 1.0)[:, None], 0.0)
-    return LossSpec(
-        coeff=coeff,
-        denom_mask=_denominator_mask(n, m, include_batch),
-        outer=np.full(n, 1.0 / n),
-        include_batch=include_batch,
-        include_prototypes=include_prototypes,
-        lam=lam,
-    )
+    return LossSpec(coeff=coeff, outer=np.full(n, 1.0 / n), include_batch=include_batch,
+                    include_prototypes=include_prototypes, lam=lam)
+
+
+def _per_label_lam(yf: np.ndarray, pool_y: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Per-label positive weights on the pool: for each label j of anchor i,
+    the pool rows carrying j (pool_y is the pool's label matrix) weighted by
+    f[i, k], which is 0 at the anchor, and normalized over that label;
+    lam[i, k] sums the shares over the anchor's labels. A label with no
+    weighted carrier drops out."""
+    norm = yf * (f @ pool_y)
+    inner = np.where(norm > 0, yf / np.where(norm > 0, norm, 1.0), 0.0)
+    return f * (inner @ pool_y.T)
 
 
 def _spec_base(batch: ContrastiveBatch, cfg: LossConfig) -> LossSpec:
@@ -431,18 +429,6 @@ def _spec_base(batch: ContrastiveBatch, cfg: LossConfig) -> LossSpec:
     with np.errstate(invalid="ignore", divide="ignore"):
         jac = np.where(inter > 0, inter / union, 0.0)
     return _anchor_mean_spec(jac, include_batch=True, include_prototypes=False)
-
-
-def _spec_supcon(batch: ContrastiveBatch, cfg: LossConfig) -> LossSpec:
-    """Supervised contrastive loss for single-label batches; positives are
-    the other instances of the anchor's class with uniform weights."""
-    if np.any(batch.y.sum(axis=1) != 1):
-        raise DomainError(
-            "supcon requires exactly one label per instance; "
-            "use the multi-label losses for multi-label batches"
-        )
-    yf = batch.y.astype(np.float64)
-    return _anchor_mean_spec(yf @ yf.T, include_batch=True, include_prototypes=False)
 
 
 def _spec_proto(batch: ContrastiveBatch, cfg: LossConfig) -> LossSpec:
@@ -462,21 +448,13 @@ def _spec_mulsupcon(batch: ContrastiveBatch, cfg: LossConfig) -> LossSpec:
     """Per-label contrastive loss: each (instance, label) pair acts as its
     own anchor with uniform weight over that label's other carriers, and the
     grand total is normalized by the number of (instance, label) pairs in the
-    batch. Empty per-label positive sets drop out."""
+    batch. Empty per-label positive sets drop out. On single-label rows this
+    is SupCon (Khosla et al. 2020), which supcon and supcon-reg use."""
     yf = batch.y.astype(np.float64)
-    n = batch.n
-    cnt = yf.sum(axis=0)
-    invc = np.where(cnt > 1, 1.0 / np.maximum(cnt - 1.0, 1.0), 0.0)
-    lam = (yf * invc[None, :]) @ yf.T
-    lam[np.eye(n, dtype=bool)] = 0.0
-    return LossSpec(
-        coeff=lam,
-        denom_mask=_denominator_mask(n, n, include_batch=True),
-        outer=np.full(n, 1.0 / yf.sum()),
-        include_batch=True,
-        include_prototypes=False,
-        lam=lam,
-    )
+    f = np.ones((batch.n, batch.n))
+    np.fill_diagonal(f, 0.0)
+    return LossSpec(coeff=_per_label_lam(yf, yf, f), outer=np.full(batch.n, 1.0 / yf.sum()),
+                    include_batch=True, include_prototypes=False)
 
 
 def _spec_msc(batch: ContrastiveBatch, cfg: LossConfig) -> LossSpec:
@@ -484,32 +462,21 @@ def _spec_msc(batch: ContrastiveBatch, cfg: LossConfig) -> LossSpec:
 
     For each anchor label, the positives are the other carriers of that label
     plus its prototype; instance pairs are weighted by the inverse size of
-    the label union, prototypes by one, normalized per label. The softmax
-    denominator spans batch plus prototypes (minus the anchor), with instance
-    terms multiplied by beta; beta = 0 removes instance negatives entirely.
+    the label union, prototypes by one, normalized per label. Instance
+    terms of the denominator are multiplied by beta; beta = 0 removes
+    instance negatives entirely.
     """
-    yf, sizes, inter, union = _label_stats(batch.y)
+    yf, sizes, _, union = _label_stats(batch.y)
     n, big_l = batch.n, batch.n_labels
-    off_diag = _off_diagonal_mask(n)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        f_inst = np.where(off_diag & (union > 0), 1.0 / union, 0.0)
-    # per-(anchor, label) normalizer: carriers' f plus 1 for the prototype
-    norm = yf * ((f_inst @ yf) + 1.0)
-    inner = np.where(norm > 0, yf / np.where(norm > 0, norm, 1.0), 0.0)
-    coeff_inst = f_inst * (inner @ yf.T) * (inter > 0) * off_diag
-    coeff = np.hstack([coeff_inst, inner]) / sizes[:, None]
-
+    # every row carries a label, so union > 0
+    f_inst = 1.0 / union
+    np.fill_diagonal(f_inst, 0.0)
+    lam = _per_label_lam(yf, np.vstack([yf, np.eye(big_l)]), np.hstack([f_inst, yf]))
     log_g = np.zeros((n, n + big_l))
     with np.errstate(divide="ignore"):
         log_g[:, :n] = np.log(cfg.beta) if cfg.beta > 0 else -np.inf
-    return LossSpec(
-        coeff=coeff,
-        denom_mask=_denominator_mask(n, n + big_l, include_batch=True),
-        outer=np.full(n, 1.0 / n),
-        include_batch=True,
-        include_prototypes=True,
-        log_g=log_g,
-    )
+    return LossSpec(coeff=lam / sizes[:, None], outer=np.full(n, 1.0 / n),
+                    include_batch=True, include_prototypes=True, log_g=log_g)
 
 
 def _spec_reg(batch: ContrastiveBatch, cfg: LossConfig) -> LossSpec:
@@ -521,34 +488,17 @@ def _spec_reg(batch: ContrastiveBatch, cfg: LossConfig) -> LossSpec:
     carriers plus its prototype, weighted by the shared-label overlap ratio
     (|y_i & y_k| / |y_k|) ** alpha and normalized per label, with outer
     weight one over the anchor's label count. alpha = 0 weights each label's
-    positives uniformly. The softmax denominator is batch plus prototypes
-    minus the anchor.
+    positives uniformly.
     """
     yf = batch.y.astype(np.float64)
-    sizes = yf.sum(axis=1)
-    n, big_l = batch.n, batch.n_labels
-    pool_y = np.vstack([yf, np.eye(big_l)])
-    m = n + big_l
-    self_cols = np.zeros((n, m), dtype=bool)
-    self_cols[:, :n] = np.eye(n, dtype=bool)
-
+    pool_y = np.vstack([yf, np.eye(batch.n_labels)])
     inter_pool = yf @ pool_y.T
-    pool_sizes = pool_y.sum(axis=1)
-    ratio = inter_pool / pool_sizes[None, :]
+    ratio = inter_pool / pool_y.sum(axis=1)[None, :]
     f_pool = np.where(inter_pool > 0, ratio ** cfg.alpha, 0.0)
-    f_pool[self_cols] = 0.0
-    # per-(anchor, label) normalizer over that label's pool carriers
-    norm = yf * (f_pool @ pool_y)
-    inner = np.where(norm > 0, yf / np.where(norm > 0, norm, 1.0), 0.0)
-    lam = f_pool * (inner @ pool_y.T)
-    return LossSpec(
-        coeff=lam / sizes[:, None],
-        denom_mask=_denominator_mask(n, m, include_batch=True),
-        outer=np.full(n, 1.0 / n),
-        include_batch=True,
-        include_prototypes=True,
-        lam=lam,
-    )
+    np.fill_diagonal(f_pool, 0.0)
+    lam = _per_label_lam(yf, pool_y, f_pool)
+    return LossSpec(coeff=lam / yf.sum(axis=1)[:, None], outer=np.full(batch.n, 1.0 / batch.n),
+                    include_batch=True, include_prototypes=True, lam=lam)
 
 
 class _ContrastiveLoss(NamedTuple):
@@ -560,7 +510,8 @@ class _ContrastiveLoss(NamedTuple):
     single_label: bool    # every row must carry exactly one label
 
 
-# the gate regularizer is chosen by id: reg-noreg and supcon host reg and supcon-reg
+# the gate regularizer is chosen by id: reg-noreg and supcon host reg and
+# supcon-reg; supcon is mulsupcon on rows that carry exactly one label
 _CONTRASTIVE_LOSSES = {
     "base": _ContrastiveLoss(_spec_base, None, False, False),
     "proto": _ContrastiveLoss(_spec_proto, None, True, False),
@@ -568,8 +519,8 @@ _CONTRASTIVE_LOSSES = {
     "msc": _ContrastiveLoss(_spec_msc, None, True, False),
     "reg": _ContrastiveLoss(_spec_reg, "reg-noreg", True, False),
     "reg-noreg": _ContrastiveLoss(_spec_reg, None, True, False),
-    "supcon": _ContrastiveLoss(_spec_supcon, None, False, True),
-    "supcon-reg": _ContrastiveLoss(_spec_supcon, "supcon", False, True),
+    "supcon": _ContrastiveLoss(_spec_mulsupcon, None, False, True),
+    "supcon-reg": _ContrastiveLoss(_spec_mulsupcon, "supcon", False, True),
 }
 CONTRASTIVE_LOSS_IDS = tuple(_CONTRASTIVE_LOSSES)
 REGULARIZED_LOSS_IDS = tuple(k for k, row in _CONTRASTIVE_LOSSES.items() if row.host)
@@ -599,7 +550,7 @@ def loss_reg_matrix_value(batch: ContrastiveBatch, cfg: LossConfig, use_reg: boo
     pool_y = np.vstack([batch.y.astype(np.float64), np.eye(batch.n_labels)])
     m = pool.shape[0]
     sim = tempered_cosine_matrix(pool, pool, cfg.tau)
-    mask_d = _off_diagonal_mask(m)
+    mask_d = ~np.eye(m, dtype=bool)
 
     shared = np.einsum("ac,bc->abc", pool_y, pool_y)
     shared *= mask_d[:, :, None]
@@ -739,16 +690,21 @@ def check_loss_id(loss_id: str) -> str:
 
 
 def contrastive_loss(loss_id: str, batch: ContrastiveBatch, cfg: LossConfig,
-                     compute_gradients: bool = True, strict: bool = False) -> GradientBundle:
+                     compute_gradients: bool = True) -> GradientBundle:
     """Evaluate a contrastive loss by string identifier: build the id's spec
-    and run it through the engine once. strict turns an anchor without
-    positive pairs into a DomainError."""
+    and run it through the engine once. A single-label id on a row without
+    exactly one label is a DomainError."""
     check_loss_id(loss_id)
     if loss_id not in _CONTRASTIVE_LOSSES:
         raise ConfigError(f"{loss_id!r} is not a contrastive loss id")
     row = _CONTRASTIVE_LOSSES[loss_id]
+    if row.single_label and np.any(batch.y.sum(axis=1) != 1):
+        raise DomainError(
+            f"{loss_id} requires exactly one label per instance; "
+            "use the multi-label losses for multi-label batches"
+        )
     return _run_engine(batch, row.build(batch, cfg), cfg, row.host is not None,
-                       strict=strict, compute_gradients=compute_gradients)
+                       compute_gradients=compute_gradients)
 
 
 def logit_loss(loss_id: str, logits, y, cfg: LossConfig) -> LogitLossResult:

@@ -1,6 +1,7 @@
-"""Dense float64 kernels: tempered cosine similarity, masked softmax, a
-stable sigmoid, and the finite-difference gradient oracle; plus the finite
-check every config dataclass runs on its float fields.
+"""Dense float64 kernels: tempered cosine similarity, the masked
+log-sum-exp behind the loss engine's softmax, a stable sigmoid, and the
+finite-difference gradient oracle; plus the finite check every config
+dataclass runs on its float fields.
 
 The kernels are pure and operate on 2-D numpy arrays (rows are instances,
 columns are coordinates). Everything runs in 64-bit floating point; gradient
@@ -18,7 +19,7 @@ zero-norm row there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from typing import Callable
 
 import numpy as np
@@ -148,23 +149,12 @@ def tempered_cosine_backward(a, b, tau: float, upstream: np.ndarray) -> tuple[np
     return _cosine_backward(an, a_norms, bn, b_norms, tau, g)
 
 
-@dataclass(frozen=True)
-class MaskedSoftmaxResult:
-    """Row-wise masked softmax output.
-
-    log_p holds log-probabilities (-inf on masked entries); sigma holds the
-    probabilities, exactly 0 on masked entries. sigma is gradient-opaque:
-    downstream gradient code treats it as a constant.
-    """
-
-    log_p: np.ndarray
-    sigma: np.ndarray
-
-
 def masked_logsumexp(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Per-row log(sum(exp(logits))) over unmasked entries, max-stabilized.
 
-    Rows with no unmasked entry are a domain error.
+    logits are consumed as-is (temperature, if any, is the caller's job);
+    the loss engine forms its softmax as exp(logits - lse) on the mask. Rows
+    with no unmasked entry are a domain error.
     """
     mask = np.asarray(mask, dtype=bool)
     counts = mask.sum(axis=1)
@@ -176,26 +166,6 @@ def masked_logsumexp(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
     shifted = np.where(mask, logits - rowmax, -np.inf)
     sums = np.sum(np.where(mask, np.exp(shifted), 0.0), axis=1)
     return rowmax[:, 0] + np.log(sums)
-
-
-def masked_log_softmax(logits, mask) -> MaskedSoftmaxResult:
-    """Row-wise log softmax restricted to unmasked columns.
-
-    logits are consumed as-is (temperature, if any, is the caller's job).
-    Masked entries come back with log_p = -inf and sigma = 0 exactly, so they
-    contribute nothing to downstream sums. Every row needs at least one
-    unmasked entry.
-    """
-    logits = as_matrix(logits, "logits")
-    mask = np.asarray(mask)
-    if mask.shape != logits.shape:
-        raise DomainError(f"mask shape {mask.shape} does not match logits shape {logits.shape}")
-    mask = mask.astype(bool)
-    lse = masked_logsumexp(logits, mask)
-    log_p = np.where(mask, logits - lse[:, None], -np.inf)
-    # exp(-inf) = 0.0 exactly, so masked sigma entries are crisp zeros
-    sigma = np.exp(log_p)
-    return MaskedSoftmaxResult(log_p=log_p, sigma=sigma)
 
 
 def finite_difference_gradient(f: Callable[[np.ndarray], float], x, h: float = 1e-5) -> np.ndarray:

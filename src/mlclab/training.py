@@ -190,30 +190,23 @@ def lr_schedule(step: int, total_steps: int, base_lr: float, warmup_frac: float)
     return base_lr * 0.5 * (1.0 + np.cos(np.pi * progress))
 
 
-def clip_gradient(grads, threshold: float):
-    """Global-norm gradient clip: if the joint Euclidean norm exceeds the
-    threshold, every gradient is scaled by threshold / norm. Direction is
-    preserved and the output norm never exceeds the threshold.
+def clip_gradient(grads: dict, threshold: float) -> dict:
+    """Global-norm gradient clip of a dict of gradient arrays: if their joint
+    Euclidean norm exceeds the threshold, every array is scaled by
+    threshold / norm. Direction is preserved and the output norm never
+    exceeds the threshold.
 
-    The dict form scales its arrays in place and returns the same dict, so
-    no two of its arrays may share memory; an array gets the same bytes as
-    `g * scale`. The array form returns a fresh array.
+    The arrays are scaled in place and the same dict is returned, so no two
+    of them may share memory; an array gets the same bytes as `g * scale`.
     """
     if threshold <= 0:
         raise ConfigError(f"clip threshold must be positive, got {threshold}")
-    if isinstance(grads, dict):
-        sq = sum(float(np.sum(g * g)) for g in grads.values())
-        norm = np.sqrt(sq)
-        if norm > threshold:
-            scale = threshold / norm
-            for g in grads.values():
-                g *= scale
-        return grads
-    g = np.asarray(grads, dtype=np.float64)
-    norm = float(np.linalg.norm(g))
-    if norm <= threshold:
-        return g.copy()
-    return g * (threshold / norm)
+    norm = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+    if norm > threshold:
+        scale = threshold / norm
+        for g in grads.values():
+            g *= scale
+    return grads
 
 
 def _init_model(loss_id: str, n_features: int, n_labels: int,
@@ -265,7 +258,8 @@ def _epoch_batches(n: int, batch_size: int, rng: np.random.Generator):
 
 
 def _batch_step(model: TrainedModel, xb, yb):
-    """Forward + backward for one batch; returns (loss, grads, batch prr)."""
+    """Forward + backward for one batch; returns (loss, grads, (open gates,
+    positive pairs)), the counts (0, 0) for a logit loss."""
     f, enc_cache = model.encoder.forward(xb)
     if model.head is not None:
         z, head_cache = model.head.forward(f)
@@ -277,13 +271,13 @@ def _batch_step(model: TrainedModel, xb, yb):
         grads.update(head_grads)
         if model.prototypes is not None:
             grads["prototypes"] = bundle.d_prototypes
-        return bundle.loss_value, grads, bundle.batch_prr()
+        return bundle.loss_value, grads, bundle.prr_counts()
     logits = f @ model.classifier_w + model.classifier_b
     res = logit_loss(model.loss_id, logits, yb, model.loss_cfg)
     grads = model.encoder.backward(enc_cache, res.d_logits @ model.classifier_w.T)
     grads["cls_w"] = f.T @ res.d_logits
     grads["cls_b"] = res.d_logits.sum(axis=0)
-    return res.loss_value, grads, None
+    return res.loss_value, grads, (0, 0)
 
 
 @dataclass
@@ -337,7 +331,7 @@ def train_model(
         lr_now = 0.0
         for idx in _epoch_batches(x_train.shape[0], tcfg.batch_size, rng):
             try:
-                loss_val, grads, batch_prr = _batch_step(model, x_train[idx], y_train[idx])
+                loss_val, grads, (n_open, n_pos) = _batch_step(model, x_train[idx], y_train[idx])
             except DomainError as exc:
                 # the dataset was validated up front, so a domain error here
                 # comes from the parameters: an exactly zero (finite) row of
@@ -356,8 +350,8 @@ def train_model(
                 if tcfg.weight_decay > 0 and key not in _BIAS_KEYS:
                     p -= np.multiply(lr_now * tcfg.weight_decay, p, out=buf)
             losses.append(loss_val)
-            if batch_prr is not None:
-                prrs.append(batch_prr)
+            if n_pos:
+                prrs.append(n_open / n_pos)
             step += 1
         log.append({
             "epoch": epoch,

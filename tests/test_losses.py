@@ -1,6 +1,7 @@
 """Loss zoo: frozen examples, finite-difference spot checks, reduction
-identities, the gate regularizer's clamp and shared-minimum properties, and
-the matrix-form equivalence of the regularized loss."""
+identities, pair-by-pair references for the per-label positive weights, the
+engine's denominator, the gate regularizer's clamp and shared-minimum
+properties, and the matrix-form equivalence of the regularized loss."""
 
 from dataclasses import fields
 
@@ -69,12 +70,6 @@ class TestGeneralizedContrastive:
         np.testing.assert_allclose(st.sigma[st.denominator_mask], 1 / 3, atol=1e-12)
         np.testing.assert_allclose(st.lam_norm[st.positive_mask], 1 / 3, atol=1e-15)
         _fd_check(lambda b: contrastive_loss("supcon", b, CFG), batch)
-
-    def test_strict_mode_flags_anchor_without_positives(self):
-        z = np.eye(3)
-        y = np.eye(3, dtype=np.int8)
-        with pytest.raises(DomainError, match="strict"):
-            contrastive_loss("base", ContrastiveBatch(z=z, y=y), CFG, strict=True)
 
 
 class TestLossBase:
@@ -331,19 +326,88 @@ class TestTrustedBatch:
             contrastive_loss("reg", ContrastiveBatch._trusted(batch.z, batch.y, protos), CFG)
 
 
-def _reg_lam_reference(y, alpha):
-    """Pair-by-pair reg weights: per anchor label j, the other carriers of j
-    and prototype j, weighted by overlap_ratio and normalized over the label."""
+def _per_label_reference(y, weight, prototypes):
+    """Pair-by-pair per-label weights: per anchor label j, the other carriers
+    of j (and prototype j, pool index n + j, when prototypes), weighted by
+    weight(i, k) and normalized over the label."""
     n, big_l = y.shape
-    pool_y = np.vstack([y, np.eye(big_l, dtype=y.dtype)])
-    lam = np.zeros((n, n + big_l))
+    lam = np.zeros((n, n + big_l if prototypes else n))
     for i, anchor in enumerate(positive_sets(y)):
         for j, carriers in anchor.per_label.items():
-            members = list(carriers) + [n + j]
-            weights = [overlap_ratio(y[i], pool_y[k], alpha) for k in members]
+            members = list(carriers) + ([n + j] if prototypes else [])
+            weights = [weight(i, k) for k in members]
             for k, w in zip(members, weights):
                 lam[i, k] += w / sum(weights)
     return lam
+
+
+def _reg_lam_reference(y, alpha):
+    """reg: the members of each label weighted by overlap_ratio."""
+    pool_y = np.vstack([y, np.eye(y.shape[1], dtype=y.dtype)])
+    return _per_label_reference(y, lambda i, k: overlap_ratio(y[i], pool_y[k], alpha), True)
+
+
+class TestPerLabelReferences:
+    """The coeff of mulsupcon and msc against the pair-by-pair loop."""
+
+    def test_mulsupcon_coeff(self):
+        rng = np.random.default_rng(51)
+        for _ in range(10):
+            batch = random_batch(rng, "mulsupcon")
+            coeff = contrastive_loss("mulsupcon", batch, CFG).structure.coeff
+            expected = _per_label_reference(batch.y, lambda i, k: 1.0, False)
+            np.testing.assert_allclose(coeff, expected, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
+    def test_msc_coeff(self, beta):
+        rng = np.random.default_rng(52)
+        for _ in range(10):
+            batch = random_batch(rng, "msc")
+            y, n = batch.y.astype(bool), batch.n
+
+            def weight(i, k):
+                # 1 / |y_i | y_k| for an instance, 1 for a prototype
+                return 1.0 / np.sum(y[i] | y[k]) if k < n else 1.0
+
+            coeff = contrastive_loss("msc", batch, LossConfig(beta=beta)).structure.coeff
+            expected = _per_label_reference(batch.y, weight, True) / y.sum(axis=1)[:, None]
+            np.testing.assert_allclose(coeff, expected, rtol=0, atol=1e-15)
+
+
+class TestDenominatorMask:
+    """The engine derives the softmax support from the pool layout."""
+
+    @pytest.mark.parametrize("loss_id,cfg", [
+        *(pytest.param(lid, CFG, id=lid) for lid in CONTRASTIVE_LOSS_IDS),
+        pytest.param("proto", LossConfig(proto_denominator="batch+prototypes"),
+                     id="proto-batch+prototypes"),
+        pytest.param("msc", LossConfig(beta=0.0), id="msc-beta0"),
+    ])
+    def test_pool_minus_self(self, loss_id, cfg):
+        include_batch = loss_id != "proto" or cfg.proto_denominator == "batch+prototypes"
+        rng = np.random.default_rng(53)
+        for _ in range(3):
+            batch = random_batch(rng, loss_id)
+            n = batch.n
+            m = (n if include_batch else 0) + (batch.n_labels if needs_prototypes(loss_id) else 0)
+            expected = np.ones((n, m), dtype=bool)
+            if include_batch:
+                expected[:, :n] = ~np.eye(n, dtype=bool)
+            if cfg.beta == 0.0:
+                # on top of pool minus self, beta = 0 removes msc's instance columns
+                expected[:, :n] = False
+            st = contrastive_loss(loss_id, batch, cfg).structure
+            assert st.denominator_mask.dtype == bool
+            np.testing.assert_array_equal(st.denominator_mask, expected)
+
+    def test_cached_mask_rejects_writes(self):
+        batch = random_batch(np.random.default_rng(54), "reg")
+        mask = contrastive_loss("reg", batch, CFG).structure.denominator_mask
+        # one array per shape, shared by every step of that shape
+        assert contrastive_loss("reg-noreg", batch, CFG).structure.denominator_mask is mask
+        with pytest.raises(ValueError, match="read-only"):
+            mask[0, 1] = False
+        assert mask[0, 1] and not mask[0, 0]
 
 
 class TestLossReg:
@@ -397,11 +461,29 @@ class TestLossReg:
 
 
 class TestSupcon:
-    def test_rejects_multilabel(self):
+    @pytest.mark.parametrize("loss_id", ["supcon", "supcon-reg"])
+    def test_rejects_multilabel(self, loss_id):
         y = np.array([[1, 1], [1, 0]], dtype=np.int8)
         batch = ContrastiveBatch(z=np.random.default_rng(27).normal(size=(2, 3)), y=y)
-        with pytest.raises(DomainError, match="multi-label"):
-            contrastive_loss("supcon", batch, CFG)
+        match = f"{loss_id} requires exactly one label.*multi-label"
+        with pytest.raises(DomainError, match=match):
+            contrastive_loss(loss_id, batch, CFG)
+
+    def test_same_bits_as_anchor_mean_of_same_class(self):
+        # supcon runs mulsupcon's spec; on single-label rows its coeff and
+        # outer are SupCon's uniform weights over the other same-class rows
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            batch = random_batch(rng, "supcon")
+            yf = batch.y.astype(np.float64)
+            lam = yf @ yf.T
+            lam[np.eye(batch.n, dtype=bool)] = 0.0
+            total = lam.sum(axis=1)
+            coeff = np.where(total[:, None] > 0.0,
+                             lam / np.where(total > 0, total, 1.0)[:, None], 0.0)
+            st = contrastive_loss("supcon", batch, CFG).structure
+            assert st.coeff.tobytes() == coeff.tobytes()
+            assert st.outer.tobytes() == np.full(batch.n, 1.0 / batch.n).tobytes()
 
     def test_positive_negative_structure(self):
         rng = np.random.default_rng(28)
@@ -546,9 +628,15 @@ def _same_prr(a, b):
         a is not None and b is not None and np.float64(a).tobytes() == np.float64(b).tobytes())
 
 
+def _counted_prr(bundle):
+    """The batch PRR as training forms it from prr_counts()."""
+    n_open, positives = bundle.prr_counts()
+    return n_open / positives if positives else None
+
+
 class TestGatesOnDemand:
     """The gate arrays are built when first read; they must equal eager
-    extraction, and the count-based batch PRR must equal prr(gate_value)."""
+    extraction, and the PRR from prr_counts() must equal prr(gate_value)."""
 
     @pytest.mark.parametrize("loss_id", CONTRASTIVE_LOSS_IDS)
     def test_on_demand_gates_match_eager_extraction(self, loss_id):
@@ -564,8 +652,11 @@ class TestGatesOnDemand:
             for got, want in zip((lean.gate_anchor, lean.gate_pool, lean.gate_value), eager):
                 assert got.tobytes() == want.tobytes()
             assert lean.combined_coeff is None
-            assert _same_prr(full.batch_prr(), prr(full.gate_value))
-            assert _same_prr(lean.batch_prr(), prr(full.gate_value))
+            gates = full.gate_value
+            assert full.prr_counts() == lean.prr_counts() == (
+                int(np.count_nonzero(gates > 0.0)), gates.size)
+            assert _same_prr(_counted_prr(full), prr(gates))
+            assert _same_prr(_counted_prr(lean), prr(gates))
 
     @pytest.mark.parametrize("loss_id", ["base", "mulsupcon", "supcon", "supcon-reg"])
     def test_batch_without_positives(self, loss_id):
@@ -573,7 +664,7 @@ class TestGatesOnDemand:
         z = np.random.default_rng(48).normal(size=(4, 3))
         bundle = contrastive_loss(loss_id, ContrastiveBatch(z=z, y=np.eye(4, dtype=np.int8)), CFG)
         assert bundle.gate_value.size == 0 and bundle.combined_coeff.size == 0
-        assert bundle.batch_prr() is None and prr(bundle.gate_value) is None
+        assert bundle.prr_counts() == (0, 0) and prr(bundle.gate_value) is None
 
     def test_gate_exactly_zero_counts_as_closed(self):
         # orthonormal rows of one class: sigma is uniform and equals lam_norm,
@@ -584,7 +675,8 @@ class TestGatesOnDemand:
         bundle = contrastive_loss("supcon-reg", ContrastiveBatch(z=z, y=y), CFG)
         st = bundle.structure
         assert np.array_equal(st.sigma[st.positive_mask], st.lam_norm[st.positive_mask])
-        assert bundle.batch_prr() == prr(bundle.gate_value) == 0.0
+        assert bundle.prr_counts() == (0, 12)
+        assert _counted_prr(bundle) == prr(bundle.gate_value) == 0.0
 
 
 class TestPrr:

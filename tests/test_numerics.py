@@ -1,4 +1,4 @@
-"""Kernel-level checks: tempered cosine, masked softmax, and the
+"""Kernel-level checks: tempered cosine, the masked log-sum-exp, and the
 finite-difference oracle itself."""
 
 import numpy as np
@@ -10,7 +10,7 @@ from mlclab.numerics import (
     _cosine_forward,
     _unit_rows,
     finite_difference_gradient,
-    masked_log_softmax,
+    masked_logsumexp,
     relative_error,
     tempered_cosine_backward,
     tempered_cosine_matrix,
@@ -167,24 +167,45 @@ class TestCosineKernels:
             tempered_cosine_backward([[1.0, 2.0]], [[3.0, 1.0]], 0.5, np.ones((2, 1)))
 
 
+def _masked_softmax(logits, mask):
+    """(log_p, sigma) as the loss engine forms them from masked_logsumexp:
+    -inf and exactly 0 off the mask."""
+    logits = np.asarray(logits, dtype=np.float64)
+    mask = np.asarray(mask, dtype=bool)
+    lse = masked_logsumexp(logits, mask)
+    log_p = np.where(mask, logits - lse[:, None], -np.inf)
+    return log_p, np.exp(log_p)
+
+
 class TestMaskedLogSoftmax:
+    """masked_logsumexp, the engine's softmax kernel, and the masked softmax
+    exp(logits - lse) built on it."""
+
     def test_uniform_logits(self):
-        res = masked_log_softmax([[0.0, 0.0, 0.0]], np.ones((1, 3)))
-        np.testing.assert_allclose(res.log_p[0], np.log(1 / 3), atol=1e-15)
+        lse = masked_logsumexp(np.zeros((1, 3)), np.ones((1, 3)))
+        assert lse[0] == pytest.approx(np.log(3), abs=1e-15)
+        log_p, _ = _masked_softmax([[0.0, 0.0, 0.0]], np.ones((1, 3)))
+        np.testing.assert_allclose(log_p[0], np.log(1 / 3), atol=1e-15)
 
     def test_symmetry_under_masking(self):
-        res = masked_log_softmax([[2.5, 2.5, 2.5]], [[1, 1, 0]])
-        np.testing.assert_allclose(res.sigma[0], [0.5, 0.5, 0.0], atol=1e-15)
-        assert res.sigma[0, 2] == 0.0
+        _, sigma = _masked_softmax([[2.5, 2.5, 2.5]], [[1, 1, 0]])
+        np.testing.assert_allclose(sigma[0], [0.5, 0.5, 0.0], atol=1e-15)
+        assert sigma[0, 2] == 0.0
+        # a masked entry leaves the sum whatever its logit
+        for masked in (-50.0, 2.5, 50.0):
+            lse = masked_logsumexp(np.array([[2.5, 2.5, masked]]), np.array([[1, 1, 0]]))
+            assert lse[0] == pytest.approx(2.5 + np.log(2), abs=1e-15)
 
     def test_direct_evaluation(self):
-        # exp(k)/sum(exp) for logits (1, 2, 3), evaluated independently
+        # log(sum(exp)) and exp(k)/sum(exp) for logits (1, 2, 3), evaluated independently
         logits = np.array([[1.0, 2.0, 3.0]])
         e = np.exp(logits[0])
-        res = masked_log_softmax(logits, np.ones((1, 3)))
-        np.testing.assert_allclose(res.sigma[0], e / e.sum(), atol=1e-12)
+        lse = masked_logsumexp(logits, np.ones((1, 3)))
+        assert lse[0] == pytest.approx(np.log(e.sum()), abs=1e-15)
+        _, sigma = _masked_softmax(logits, np.ones((1, 3)))
+        np.testing.assert_allclose(sigma[0], e / e.sum(), atol=1e-12)
         np.testing.assert_allclose(
-            res.sigma[0], [0.09003057, 0.24472847, 0.66524096], atol=1e-8)
+            sigma[0], [0.09003057, 0.24472847, 0.66524096], atol=1e-8)
 
     def test_row_stochastic_random(self):
         rng = np.random.default_rng(3)
@@ -193,27 +214,33 @@ class TestMaskedLogSoftmax:
             logits = rng.normal(0, 10, size=(n, m))
             mask = rng.random((n, m)) < 0.6
             mask[np.arange(n), rng.integers(0, m, size=n)] = True
-            res = masked_log_softmax(logits, mask)
-            np.testing.assert_allclose(res.sigma.sum(axis=1), 1.0, atol=1e-9)
-            assert np.all(res.sigma[~mask] == 0.0)
-            assert np.all(np.isneginf(res.log_p[~mask]))
+            log_p, sigma = _masked_softmax(logits, mask)
+            np.testing.assert_allclose(sigma.sum(axis=1), 1.0, atol=1e-9)
+            assert np.all(sigma[~mask] == 0.0)
+            assert np.all(np.isneginf(log_p[~mask]))
 
     def test_sigma_consistent_with_log_p(self):
         rng = np.random.default_rng(4)
         logits = rng.normal(0, 5, size=(4, 7))
         mask = np.ones((4, 7))
-        res = masked_log_softmax(logits, mask)
-        np.testing.assert_allclose(res.sigma, np.exp(res.log_p), atol=1e-15)
+        log_p, sigma = _masked_softmax(logits, mask)
+        np.testing.assert_allclose(sigma, np.exp(log_p), atol=1e-15)
+        lse = masked_logsumexp(logits, mask)
+        np.testing.assert_allclose(lse, np.log(np.exp(logits).sum(axis=1)), atol=1e-12)
 
     def test_extreme_logits_stable(self):
         # magnitudes seen at temperature 0.1 must not overflow
-        res = masked_log_softmax([[10.0, -10.0, 9.5]], np.ones((1, 3)))
-        assert np.all(np.isfinite(res.log_p))
-        assert res.sigma.sum() == pytest.approx(1.0, abs=1e-12)
+        lse = masked_logsumexp(np.array([[10.0, -10.0, 9.5]]), np.ones((1, 3)))
+        assert lse[0] == pytest.approx(10.0 + np.log1p(np.exp(-20.0) + np.exp(-0.5)), abs=1e-14)
+        log_p, sigma = _masked_softmax([[10.0, -10.0, 9.5]], np.ones((1, 3)))
+        assert np.all(np.isfinite(log_p))
+        assert sigma.sum() == pytest.approx(1.0, abs=1e-12)
+        lse = masked_logsumexp(np.array([[1000.0, 999.0]]), np.ones((1, 2)))
+        assert lse[0] == pytest.approx(1000.0 + np.log1p(np.exp(-1.0)), abs=1e-12)
 
     def test_fully_masked_row(self):
-        with pytest.raises(DomainError, match="fully-masked"):
-            masked_log_softmax([[1.0, 2.0]], [[0, 0]])
+        with pytest.raises(DomainError, match="fully-masked row at index 1"):
+            masked_logsumexp(np.array([[1.0, 2.0], [1.0, 2.0]]), np.array([[1, 0], [0, 0]]))
 
 
 class TestFiniteDifferenceGradient:

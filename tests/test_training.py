@@ -80,42 +80,49 @@ class TestLrSchedule:
             lr_schedule(-1, 100, 1.0, 0.05)
 
 
+def _joint_norm(grads):
+    return np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+
+
 class TestClipGradient:
     def test_below_threshold_unchanged(self):
-        g = np.array([0.3, 0.4])
-        np.testing.assert_array_equal(clip_gradient(g, 1.0), g)
+        grads = {"g": np.array([0.3, 0.4])}
+        assert clip_gradient(grads, 1.0) is grads
+        np.testing.assert_array_equal(grads["g"], [0.3, 0.4])
 
     def test_three_four_scales_to_unit(self):
-        np.testing.assert_allclose(clip_gradient(np.array([3.0, 4.0]), 1.0),
+        np.testing.assert_allclose(clip_gradient({"g": np.array([3.0, 4.0])}, 1.0)["g"],
                                    [0.6, 0.8], atol=1e-15)
 
     def test_norm_never_exceeds_threshold(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
-            g = rng.normal(0, 10, size=rng.integers(1, 20))
-            clipped = clip_gradient(g, 1.5)
-            assert np.linalg.norm(clipped) <= 1.5 + 1e-12
+            grads = {k: rng.normal(0, 10, size=rng.integers(1, 20))
+                     for k in range(rng.integers(1, 4))}
+            assert _joint_norm(clip_gradient(grads, 1.5)) <= 1.5 + 1e-12
 
     def test_direction_preserved(self):
-        g = np.array([3.0, 4.0])
-        c = clip_gradient(g, 1.0)
-        np.testing.assert_allclose(c / np.linalg.norm(c), g / np.linalg.norm(g),
-                                   atol=1e-15)
+        rng = np.random.default_rng(1)
+        grads = {"a": np.array([3.0, 4.0]), "b": rng.normal(size=(2, 3))}
+        before = np.concatenate([g.ravel() for g in grads.values()])
+        c = clip_gradient(grads, 1.0)
+        after = np.concatenate([g.ravel() for g in c.values()])
+        np.testing.assert_allclose(after / np.linalg.norm(after),
+                                   before / np.linalg.norm(before), atol=1e-15)
 
     def test_dict_global_norm(self):
         grads = {"a": np.array([3.0]), "b": np.array([4.0])}
-        clipped = clip_gradient(grads, 1.0)
-        total = np.sqrt(sum(float(np.sum(v * v)) for v in clipped.values()))
-        assert total == pytest.approx(1.0)
+        assert _joint_norm(clip_gradient(grads, 1.0)) == pytest.approx(1.0)
 
     def test_bad_threshold(self):
-        with pytest.raises(ConfigError):
-            clip_gradient(np.array([1.0]), 0.0)
+        for threshold in (0.0, -1.0):
+            with pytest.raises(ConfigError):
+                clip_gradient({"a": np.array([1.0])}, threshold)
 
     def test_dict_scales_in_place(self):
         rng = np.random.default_rng(3)
         grads = {"a": rng.normal(size=(4, 3)), "b": rng.normal(size=5)}
-        scale = 0.5 / np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+        scale = 0.5 / _joint_norm(grads)
         expected = {k: g * scale for k, g in grads.items()}
         arrays = dict(grads)
         assert clip_gradient(grads, 0.5) is grads
@@ -224,6 +231,26 @@ class TestTraining:
         with pytest.raises(DomainError, match="non-finite parameters"):
             measure_prr(model, ds)
 
+    @pytest.mark.parametrize("tau", [0.1, 0.5])
+    def test_measure_prr_equals_prr_of_concatenated_gates(self, tau):
+        # measure_prr sums prr_counts() over the batches; the quotient must be
+        # the bits of prr() over every batch's gate values joined
+        from mlclab.experiments import measure_prr
+
+        ds = _tiny_dataset()
+        model = train_model(ds, "reg", LossConfig(), FAST).model
+        x, y = ds.subset("train")
+        cfg = LossConfig(tau=tau)
+        gates = [contrastive_loss("reg", ContrastiveBatch(z=model.project(x[idx]), y=y[idx],
+                                                          prototypes=model.prototypes),
+                                  cfg).gate_value
+                 for idx in _epoch_batches(x.shape[0], FAST.batch_size,
+                                           np.random.default_rng(FAST.seed))]
+        want = prr(np.concatenate(gates))
+        got = measure_prr(model, ds, tau=tau)
+        assert 0.0 < got < 1.0
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
     def test_prr_logged_for_regularized_loss(self):
         ds = _tiny_dataset()
         result = train_model(ds, "reg", LossConfig(), FAST)
@@ -310,8 +337,8 @@ def _reference_train(ds, loss_id, cfg):
 
 
 class TestInPlaceStep:
-    """The in-place clip, SGD update and count-based batch PRR give the bytes
-    of the out-of-place step they replaced."""
+    """The in-place clip, SGD update and the batch PRR from prr_counts() give
+    the bytes of the out-of-place step they replaced."""
 
     # proto keeps the batch out of its pool; bce takes the logit path
     @pytest.mark.parametrize("loss_id", ["reg", "base", "proto", "bce"])
