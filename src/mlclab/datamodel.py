@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, ParseError, ZeroNormError
-from .numerics import as_matrix
+from .errors import ConfigError, DomainError, ParseError
+from .numerics import _inverse_norms, as_matrix
 
 RNG_ALGORITHM = "numpy-pcg64"
 
@@ -106,7 +106,8 @@ class ContrastiveBatch:
     """Embeddings, binary labels, and an optional prototype matrix.
 
     Invariants checked at construction: matching row counts, binary labels
-    with at least one label per instance, no zero-norm embedding rows, and a
+    with at least one label per instance, embedding and prototype rows whose
+    norms the cosine kernels can scale (numerics._inverse_norms), and a
     prototype per label when prototypes are present. `_trusted` skips these
     checks for callers that already hold them.
     """
@@ -122,10 +123,7 @@ class ContrastiveBatch:
             raise DomainError(
                 f"embedding rows ({self.z.shape[0]}) != label rows ({self.y.shape[0]})"
             )
-        norms = np.linalg.norm(self.z, axis=1)
-        zero = np.nonzero(norms == 0.0)[0]
-        if zero.size:
-            raise ZeroNormError(f"embeddings has zero-norm row at index {int(zero[0])}")
+        _inverse_norms(self.z, "embeddings")
         if self.prototypes is not None:
             self.prototypes = as_matrix(self.prototypes, "prototypes")
             if self.prototypes.shape != (self.y.shape[1], self.z.shape[1]):
@@ -133,10 +131,7 @@ class ContrastiveBatch:
                     f"prototypes must be ({self.y.shape[1]}, {self.z.shape[1]}), "
                     f"got {self.prototypes.shape}"
                 )
-            pnorms = np.linalg.norm(self.prototypes, axis=1)
-            zero = np.nonzero(pnorms == 0.0)[0]
-            if zero.size:
-                raise ZeroNormError(f"prototypes has zero-norm row at index {int(zero[0])}")
+            _inverse_norms(self.prototypes, "prototypes")
 
     @classmethod
     def _trusted(cls, z: np.ndarray, y: np.ndarray,

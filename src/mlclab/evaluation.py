@@ -96,13 +96,18 @@ def alignment(features, labels) -> float | None:
 
     Rows are grouped by label set; a group of k rows with mean mu holds
     k * sum_i |f_i - mu|^2 of squared distance over its k(k-1)/2 pairs, so no
-    pairwise array is built."""
+    pairwise array is built. The groups are the distinct rows of the labels
+    packed to bytes, numbered in the rows' lexicographic order."""
     f = row_normalize(as_matrix(features, "features"), "features")
     y = np.asarray(labels)
     if y.shape[0] != f.shape[0]:
         raise DomainError("features and labels must agree on instance count")
-    _, group = np.unique(y, axis=0, return_inverse=True)
-    group = group.ravel()
+    if y.ndim != 2 or not ((y == 0) | (y == 1)).all():
+        raise DomainError("labels must be a binary 2-D matrix")
+    # one opaque key per row: bytes compare in the same order as the bits
+    packed = np.packbits(y != 0, axis=1)
+    _, group = np.unique(packed.view(np.dtype((np.void, packed.shape[1]))).ravel(),
+                         return_inverse=True)
     k = np.bincount(group)
     n_pairs = int(np.sum(k * (k - 1) // 2))
     if n_pairs == 0:
@@ -132,11 +137,18 @@ def uniformity(features) -> float | None:
     sq_norm = np.sum(f * f, axis=1)
     total = 0.0
     for start in range(0, n, _GRAM_BLOCK):
-        rows = slice(start, min(start + _GRAM_BLOCK, n))
-        # pairs (i, j) with j > i: columns from the block's first row on, then
-        # the strict upper triangle relative to each row
-        sq = sq_norm[rows, None] + sq_norm[None, start:] - 2.0 * (f[rows] @ f[start:].T)
-        total += float(np.sum(np.triu(np.exp(-2.0 * np.maximum(sq, 0.0)), k=1)))
+        stop = min(start + _GRAM_BLOCK, n)
+        # pairs (i, j) with j > i: columns from the block's first row on; in
+        # the square block on the diagonal, the strict upper triangle only
+        sq = sq_norm[start:stop, None] + sq_norm[None, start:]
+        gram = f[start:stop] @ f[start:].T
+        gram *= 2.0
+        sq -= gram
+        np.maximum(sq, 0.0, out=sq)
+        sq *= -2.0
+        np.exp(sq, out=sq)
+        sq[:, :stop - start][np.tri(stop - start, dtype=bool)] = 0.0
+        total += float(np.sum(sq))
     return float(np.log(total / (n * (n - 1) // 2)))
 
 

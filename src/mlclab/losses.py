@@ -32,7 +32,7 @@ from .errors import ConfigError, DomainError
 from .numerics import (
     _cosine_backward,
     _cosine_forward,
-    _unit_rows,
+    _inverse_norms,
     as_matrix,
     masked_logsumexp,
     require_finite_floats,
@@ -194,19 +194,30 @@ def prr(gate_values) -> float | None:
     return float(np.mean(g > 0.0))
 
 
-def _pool_blocks(batch: ContrastiveBatch, include_batch: bool, include_prototypes: bool):
-    """The pool's row blocks in order (batch, then prototypes), and how many
-    of its rows are batch rows."""
-    parts = []
-    if include_batch:
-        parts.append(batch.z)
-    if include_prototypes:
-        if batch.prototypes is None:
-            raise ConfigError("this loss requires prototypes, but the batch has none")
-        parts.append(batch.prototypes)
-    if not parts:
+def _raw_pool(batch: ContrastiveBatch, include_batch: bool, include_prototypes: bool):
+    """The anchors' inverse norms, the pool's raw rows (batch, then
+    prototypes) as one fresh array with their inverse norms, and how many
+    pool rows are batch rows. The pool is a copy, so it never aliases the
+    anchors (see _cosine_forward); the batch rows' inverse norms are the
+    anchors' own."""
+    if include_prototypes and batch.prototypes is None:
+        raise ConfigError("this loss requires prototypes, but the batch has none")
+    if not (include_batch or include_prototypes):
         raise ConfigError("pool must include the batch, the prototypes, or both")
-    return parts, (batch.n if include_batch else 0)
+    z_inv = _inverse_norms(batch.z, "embeddings")
+    parts, invs = ([batch.z], [z_inv]) if include_batch else ([], [])
+    if include_prototypes:
+        parts.append(batch.prototypes)
+        invs.append(_inverse_norms(batch.prototypes, "prototypes"))
+    return z_inv, np.vstack(parts), np.concatenate(invs), (batch.n if include_batch else 0)
+
+
+def _open_gates(positive_mask: np.ndarray, lam_norm: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """max(0, -lam_norm + sigma) on the positive pairs, 0 elsewhere."""
+    gates = sigma - lam_norm
+    np.maximum(gates, 0.0, out=gates)
+    gates *= positive_mask
+    return gates
 
 
 def reg_term(batch: ContrastiveBatch, structure: PairStructure, cfg: LossConfig) -> RegTermResult:
@@ -220,17 +231,16 @@ def reg_term(batch: ContrastiveBatch, structure: PairStructure, cfg: LossConfig)
     positive pair can never push with a net repulsive coefficient.
 
     The engine folds this term into its own single backward pass; this
-    standalone form is the reference the engine is tested against.
+    standalone form is the reference the engine is tested against. Its value
+    takes the engine's forward on the same pool, so the two agree bit for
+    bit; its gradient takes the public backward, with the anchor and pool
+    sides apart.
     """
-    parts, n_batch = _pool_blocks(batch, structure.include_batch, structure.include_prototypes)
-    pool = np.vstack(parts)
-    s = tempered_cosine_matrix(batch.z, pool, cfg.tau)
-    gates = np.where(
-        structure.positive_mask,
-        np.maximum(0.0, -structure.lam_norm + structure.sigma),
-        0.0,
-    )
-    value_per_anchor = -np.sum(gates * np.where(structure.positive_mask, s, 0.0), axis=1)
+    z_inv, pool, pool_inv, n_batch = _raw_pool(batch, structure.include_batch,
+                                               structure.include_prototypes)
+    s = _cosine_forward(batch.z, z_inv, pool, pool_inv, cfg.tau)
+    gates = _open_gates(structure.positive_mask, structure.lam_norm, structure.sigma)
+    value_per_anchor = -np.einsum("ij,ij->i", gates, s)
     upstream = -structure.outer[:, None] * gates
     d_anchor, d_pool = tempered_cosine_backward(batch.z, pool, cfg.tau, upstream)
     d_z = d_anchor
@@ -293,26 +303,20 @@ def _run_engine(
     read the forward's structure as usual. The finite-difference oracle and
     the PRR measurement use it.
 
-    The engine checks nothing of the batch but zero-norm rows: its arrays
-    come from the validating ContrastiveBatch constructor or, on the
-    training and PRR paths, from the trusted one, where a non-finite
-    embedding shows up as a non-finite loss.
+    The engine checks nothing of the batch but rows whose norms the cosine
+    kernels cannot scale (numerics._inverse_norms): its arrays come from the
+    validating ContrastiveBatch constructor or, on the training and PRR
+    paths, from the trusted one, where a non-finite embedding shows up as a
+    non-finite loss.
     """
-    _, n_batch = _pool_blocks(batch, spec.include_batch, spec.include_prototypes)
-    # each block is normalized once; the backward reuses the unit rows and norms
-    zn, z_norms = _unit_rows(batch.z, "embeddings")
-    units = [(zn, z_norms)] if spec.include_batch else []
-    if spec.include_prototypes:
-        units.append(_unit_rows(batch.prototypes, "prototypes"))
-    # vstack copies, so pn never aliases zn (see _cosine_forward)
-    pn = np.vstack([u for u, _ in units])
-    pool_norms = np.concatenate([norms for _, norms in units])
-    n, m = batch.n, pn.shape[0]
+    z_inv, pool, pool_inv, n_batch = _raw_pool(batch, spec.include_batch,
+                                               spec.include_prototypes)
+    n, m = batch.n, pool.shape[0]
     coeff, outer = spec.coeff, spec.outer
     if coeff.shape != (n, m):
         raise DomainError(f"coeff shape {coeff.shape} != ({n}, {m})")
 
-    s = _cosine_forward(zn, pn, cfg.tau)
+    s = _cosine_forward(batch.z, z_inv, pool, pool_inv, cfg.tau)
     eff_mask = _denominator_mask(n, m, spec.include_batch)
     if spec.log_g is None:
         den_logits = s
@@ -322,22 +326,21 @@ def _run_engine(
         eff_mask = eff_mask & (spec.log_g > -np.inf)
 
     lse = masked_logsumexp(den_logits, eff_mask)
-    sigma = np.exp(np.where(eff_mask, den_logits - lse[:, None], -np.inf))
-    log_p = s - lse[:, None]
+    sigma = np.where(eff_mask, den_logits, -np.inf)
+    sigma -= lse[:, None]
+    np.exp(sigma, out=sigma)
 
+    # coeff is 0 off the positive pairs, so nothing below re-masks by them
     positive_mask = coeff > 0.0
     total = coeff.sum(axis=1)
-    safe_total = np.where(total > 0.0, total, 1.0)
-    lam_norm = np.where(positive_mask, coeff / safe_total[:, None], 0.0)
-
-    per_anchor = -np.sum(coeff * np.where(positive_mask, log_p, 0.0), axis=1)
+    lam_norm = coeff / np.where(total > 0.0, total, 1.0)[:, None]
+    # -sum_k coeff_ik (s_ik - lse_i)
+    per_anchor = lse * total - np.einsum("ij,ij->i", coeff, s)
     loss_value = float(np.dot(outer, per_anchor))
     gates = None
     if regularized:
-        gates = np.where(positive_mask, np.maximum(0.0, -lam_norm + sigma), 0.0)
-        loss_value += float(
-            np.dot(outer, -np.sum(gates * np.where(positive_mask, s, 0.0), axis=1))
-        )
+        gates = _open_gates(positive_mask, lam_norm, sigma)
+        loss_value += float(np.dot(outer, -np.einsum("ij,ij->i", gates, s)))
 
     structure = PairStructure(
         include_batch=spec.include_batch,
@@ -358,15 +361,15 @@ def _run_engine(
 
     # d loss / d s per anchor: -coeff on the positive slot, plus T_i * sigma
     # over the denominator, minus the detached gate on the positive slot
-    d_s = -coeff + total[:, None] * sigma
+    d_s = sigma * total[:, None]
+    d_s -= coeff
     if gates is not None:
         d_s -= gates
-    d_z, d_pool = _cosine_backward(zn, z_norms, pn, pool_norms, cfg.tau,
-                                   outer[:, None] * d_s)
-    if spec.include_batch:
-        d_z += d_pool[:n_batch]
+    # with the batch in the pool, d_z carries the anchor and the pool side
+    d_z, d_rest = _cosine_backward(batch.z, z_inv, pool, pool_inv, cfg.tau,
+                                   outer[:, None] * d_s, s, shared=spec.include_batch)
     if spec.include_prototypes:
-        d_prototypes = d_pool[n_batch:]
+        d_prototypes = d_rest
     elif batch.prototypes is not None:
         d_prototypes = np.zeros_like(batch.prototypes)
     else:

@@ -7,14 +7,19 @@ The kernels are pure and operate on 2-D numpy arrays (rows are instances,
 columns are coordinates). Everything runs in 64-bit floating point; gradient
 checks at 1e-5 tolerance are not feasible in 32-bit.
 
-The tempered cosine has one arithmetic path: the private kernels
-`_unit_rows`, `_cosine_forward` and `_cosine_backward`. The public
+The tempered cosine has one arithmetic path, and it never forms unit rows:
+cos(a, b) = (a . b) / (|a| |b|), so the private kernels work on the raw rows
+and the per-row inverse norms from `_inverse_norms`. `_cosine_forward` is
+one product scaled by those vectors (temperature folded into the anchors'
+scale), and `_cosine_backward` one product per side plus a row-scaled
+correction: the derivative through the normalization. The public
 `tempered_cosine_matrix` and `tempered_cosine_backward` check everything
-(temperature, 2-D finite input, shapes, zero-norm rows) and then call those
-kernels. The loss engine calls the kernels directly on its own float64
-blocks, so it normalizes each block once per step and hands the unit rows
-and norms from the forward to the backward; `_unit_rows` still rejects a
-zero-norm row there.
+(temperature, 2-D finite input, shapes) and then call those kernels;
+`row_normalize` scales by the same inverse norms. The loss engine calls the
+kernels directly on its own float64 blocks: it takes each block's inverse
+norms once per step and hands the forward's S to the backward.
+`_inverse_norms` rejects, there too, a row whose squared norm is zero,
+subnormal or overflows.
 """
 
 from __future__ import annotations
@@ -47,19 +52,37 @@ def require_finite_floats(cfg) -> None:
             raise ConfigError(f"{f.name} must be finite, got {value}")
 
 
-def _unit_rows(a: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
-    """(a / norms[:, None], norms) with the rows' Euclidean norms; a zero-norm
-    row is a ZeroNormError. The result is always a fresh array."""
-    norms = np.linalg.norm(a, axis=1)
-    bad = np.nonzero(norms == 0.0)[0]
-    if bad.size:
-        raise ZeroNormError(f"{name} has zero-norm row at index {int(bad[0])}")
-    return a / norms[:, None], norms
+_TINY = np.finfo(np.float64).tiny
+_HUGE = np.finfo(np.float64).max
+
+
+def _inverse_norms(a: np.ndarray, name: str) -> np.ndarray:
+    """1 / |a_i| for each row of a, the per-row scale of the cosine kernels.
+
+    A row of finite entries whose squared norm is not a finite normal number
+    is rejected: an exactly zero row is a ZeroNormError, any other a
+    DomainError saying whether its squared norm overflowed or underflowed.
+    A row with a non-finite entry passes, so that a non-finite embedding
+    still shows up as a non-finite loss. The normal path reads only the
+    norm vector.
+    """
+    sq = np.einsum("ij,ij->i", a, a)
+    if sq.size and not (sq.min() >= _TINY and sq.max() <= _HUGE):
+        bad = ~((sq >= _TINY) & (sq <= _HUGE)) & np.isfinite(a).all(axis=1)
+        if bad.any():
+            i = int(np.flatnonzero(bad)[0])
+            if sq[i] > _HUGE:
+                raise DomainError(f"{name} row {i}: squared norm overflowed; rescale the input")
+            if not a[i].any():
+                raise ZeroNormError(f"{name} has zero-norm row at index {i}")
+            raise DomainError(f"{name} row {i}: squared norm underflowed; rescale the input")
+    return 1.0 / np.sqrt(sq)
 
 
 def row_normalize(a: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Scale each row to unit Euclidean norm; zero-norm rows are a domain error."""
-    return _unit_rows(a, name)[0]
+    """Scale each row to unit Euclidean norm, with the row checks of
+    _inverse_norms."""
+    return a * _inverse_norms(a, name)[:, None]
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -78,44 +101,60 @@ def _checked_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
     b = as_matrix(b, "b")
     if a.shape[1] != b.shape[1]:
         raise DomainError(f"dimension mismatch: a has {a.shape[1]} columns, b has {b.shape[1]}")
+    if np.may_share_memory(a, b):
+        b = b.copy()  # the general product, as for distinct arrays (see _cosine_forward)
     return a, b
 
 
-def _cosine_forward(an: np.ndarray, bn: np.ndarray, tau: float) -> np.ndarray:
-    """Tempered cosine of unit rows: (an @ bn.T) / tau, unchecked.
+def _cosine_forward(a, a_inv, b, b_inv, tau: float) -> np.ndarray:
+    """Tempered cosine of raw rows, unchecked: S = (a @ b.T) * (a_inv / tau)
+    b_inv.T, where a_inv and b_inv are the rows' inverse norms.
 
-    an and bn must be distinct arrays even when they hold the same rows:
+    a and b must be distinct arrays even when they hold the same rows:
     numpy sends A @ A.T to the symmetric rank-k kernel, whose last bits
     differ from the general product's.
     """
-    return (an @ bn.T) / tau
+    s = a @ b.T
+    s *= (a_inv / tau)[:, None]
+    s *= b_inv
+    return s
 
 
-def _radial_project(d: np.ndarray, u: np.ndarray, norms: np.ndarray) -> np.ndarray:
-    """d <- (d - sum(d * u, axis=1) u) / norms, in place, through one
-    temporary of d's shape; the same operations in the same order as the
-    expression form, so the bytes are equal."""
-    tmp = d * u
-    r = tmp.sum(axis=1, keepdims=True)
-    np.multiply(r, u, out=tmp)
-    d -= tmp
-    d /= norms[:, None]
-    return d
-
-
-def _cosine_backward(an, a_norms, bn, b_norms, tau: float, g: np.ndarray):
-    """Gradients of sum(g * _cosine_forward(an, bn, tau)) with respect to the
-    raw rows a = an * a_norms and b = bn * b_norms, unchecked.
-
-    Each gradient is written into the fresh product g @ bn (g.T @ an) that
-    starts it, so the call allocates the two results plus one temporary per
-    block; it writes into none of its arguments.
+def _cosine_backward(a, a_inv, b, b_inv, tau: float, g: np.ndarray, s: np.ndarray,
+                     shared: bool = False):
+    """Gradients of sum(g * s) with respect to the raw rows a and b, where s
+    is _cosine_forward(a, a_inv, b, b_inv, tau); unchecked, and writing into
+    none of its arguments. With H = diag(a_inv / tau) G diag(b_inv), the
+    derivative through both row normalizations is one product per side plus
+    a row-scaled correction:
+        dA = H B - diag(a_inv^2 rowsum(G o S)) A
+        dB = H.T A - diag(b_inv^2 colsum(G o S)) B
+    shared says that b's first len(a) rows are a's rows (the batch in its own
+    pool): the first result is then their whole gradient, one product by B
+    of H with H_aa + H_aa.T in its first columns and both corrections on that
+    block's diagonal, and the second covers b's other rows.
     """
-    d_an = g @ bn
-    d_an /= tau
-    d_bn = g.T @ an
-    d_bn /= tau
-    return _radial_project(d_an, an, a_norms), _radial_project(d_bn, bn, b_norms)
+    h = g * (a_inv / tau)[:, None]
+    h *= b_inv
+    gs = g * s
+    r_a = gs.sum(axis=1)
+    r_a *= a_inv * a_inv
+    r_b = gs.sum(axis=0)
+    r_b *= b_inv * b_inv
+    if shared:
+        n = a.shape[0]
+        d_b = h[:, n:].T @ a
+        d_b -= r_b[n:, None] * b[n:]
+        h_aa = h[:, :n]
+        h_aa += h_aa.T
+        diag = np.arange(n)
+        h_aa[diag, diag] -= r_a + r_b[:n]
+        return h @ b, d_b
+    d_a = h @ b
+    d_a -= r_a[:, None] * a
+    d_b = h.T @ a
+    d_b -= r_b[:, None] * b
+    return d_a, d_b
 
 
 def tempered_cosine_matrix(a, b, tau: float) -> np.ndarray:
@@ -127,9 +166,7 @@ def tempered_cosine_matrix(a, b, tau: float) -> np.ndarray:
     """
     _check_tau(tau)
     a, b = _checked_pair(a, b)
-    an, _ = _unit_rows(a, "a")
-    bn, _ = _unit_rows(b, "b")
-    return _cosine_forward(an, bn, tau)
+    return _cosine_forward(a, _inverse_norms(a, "a"), b, _inverse_norms(b, "b"), tau)
 
 
 def tempered_cosine_backward(a, b, tau: float, upstream: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -137,16 +174,17 @@ def tempered_cosine_backward(a, b, tau: float, upstream: np.ndarray) -> tuple[np
 
     Exact derivative through the row normalization (not the dot-product
     shorthand): for a row v with unit vector u = v/|v| and incoming gradient
-    g on u, the gradient on v is (g - (g.u) u) / |v|.
+    g on u, the gradient on v is (g - (g.u) u) / |v|, which _cosine_backward
+    forms from the raw rows as one product and one row-scaled correction.
     """
     _check_tau(tau)
     a, b = _checked_pair(a, b)
     g = np.asarray(upstream, dtype=np.float64)
     if g.shape != (a.shape[0], b.shape[0]):
         raise DomainError(f"upstream shape {g.shape} does not match ({a.shape[0]}, {b.shape[0]})")
-    an, a_norms = _unit_rows(a, "a")
-    bn, b_norms = _unit_rows(b, "b")
-    return _cosine_backward(an, a_norms, bn, b_norms, tau, g)
+    a_inv, b_inv = _inverse_norms(a, "a"), _inverse_norms(b, "b")
+    s = _cosine_forward(a, a_inv, b, b_inv, tau)
+    return _cosine_backward(a, a_inv, b, b_inv, tau, g, s)
 
 
 def masked_logsumexp(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -157,15 +195,15 @@ def masked_logsumexp(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
     with no unmasked entry are a domain error.
     """
     mask = np.asarray(mask, dtype=bool)
-    counts = mask.sum(axis=1)
-    bad = np.nonzero(counts == 0)[0]
-    if bad.size:
-        raise DomainError(f"fully-masked row at index {int(bad[0])}")
-    neg = np.where(mask, logits, -np.inf)
-    rowmax = np.max(neg, axis=1, keepdims=True)
-    shifted = np.where(mask, logits - rowmax, -np.inf)
-    sums = np.sum(np.where(mask, np.exp(shifted), 0.0), axis=1)
-    return rowmax[:, 0] + np.log(sums)
+    live = mask.any(axis=1)
+    if not live.all():
+        raise DomainError(f"fully-masked row at index {int(np.flatnonzero(~live)[0])}")
+    # -inf off the mask stays -inf through the shift and exp()s to exactly 0
+    x = np.where(mask, logits, -np.inf)
+    rowmax = np.max(x, axis=1, keepdims=True)
+    x -= rowmax
+    np.exp(x, out=x)
+    return rowmax[:, 0] + np.log(np.sum(x, axis=1))
 
 
 def finite_difference_gradient(f: Callable[[np.ndarray], float], x, h: float = 1e-5) -> np.ndarray:

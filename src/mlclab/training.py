@@ -335,7 +335,8 @@ def train_model(
             except DomainError as exc:
                 # the dataset was validated up front, so a domain error here
                 # comes from the parameters: an exactly zero (finite) row of
-                # z or of the prototypes, or non-finite logits
+                # z or of the prototypes, a row whose squared norm over- or
+                # underflows, or non-finite logits
                 kind = "degenerate" if isinstance(exc, ZeroNormError) else "non-finite"
                 raise TrainingDivergence(f"{kind} forward at step {step}: {exc}") from exc
             if not np.isfinite(loss_val):

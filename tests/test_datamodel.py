@@ -137,6 +137,16 @@ class TestContrastiveBatch:
             ContrastiveBatch(z=np.array([[1.0, 0.0], [0.0, 0.0]]),
                              y=np.ones((2, 2), dtype=np.int8))
 
+    @pytest.mark.parametrize("block", ["embeddings", "prototypes"])
+    @pytest.mark.parametrize("row,kind", [([1e200, 0.0], "overflowed"),
+                                          ([1e-200, 0.0], "underflowed")])
+    def test_unscalable_row_rejected_by_name(self, block, row, kind):
+        # nonzero rows whose squared norm leaves the float64 normal range
+        z, protos = np.ones((2, 2)), np.ones((2, 2))
+        (z if block == "embeddings" else protos)[1] = row
+        with pytest.raises(DomainError, match=f"^{block} row 1: squared norm {kind}"):
+            ContrastiveBatch(z=z, y=np.ones((2, 2), dtype=np.int8), prototypes=protos)
+
     def test_prototype_shape_enforced(self):
         with pytest.raises(DomainError):
             ContrastiveBatch(z=np.ones((2, 3)), y=np.ones((2, 2), dtype=np.int8),

@@ -1,12 +1,15 @@
 """Loss zoo: frozen examples, finite-difference spot checks, reduction
 identities, pair-by-pair references for the per-label positive weights, the
 engine's denominator, the gate regularizer's clamp and shared-minimum
-properties, and the matrix-form equivalence of the regularized loss."""
+properties, the matrix-form equivalence of the regularized loss, and exact
+gradient identities that need no finite-difference step."""
 
 from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mlclab.datamodel import ContrastiveBatch, overlap_ratio, positive_sets
 from mlclab.errors import ConfigError, DomainError
@@ -256,16 +259,16 @@ class TestFusedRegularizer:
                 assert np.abs(full.d_prototypes - expected_dc).max() <= 1e-12 * scale
 
     def test_one_cosine_pass_per_regularized_step(self, monkeypatch):
-        # the engine calls the numerics kernels directly: one normalization
-        # per block, one forward product, one backward
+        # the engine calls the numerics kernels directly: one inverse-norm
+        # pass per block, one forward product, one backward
         import mlclab.losses as losses
 
-        calls = {"fwd": 0, "bwd": 0, "unit": []}
+        calls = {"fwd": 0, "bwd": 0, "norms": []}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
-                if name == "unit":
-                    calls["unit"].append(args[1])
+                if name == "norms":
+                    calls["norms"].append(args[1])
                 else:
                     calls[name] += 1
                 return fn(*args, **kwargs)
@@ -273,11 +276,11 @@ class TestFusedRegularizer:
 
         monkeypatch.setattr(losses, "_cosine_forward", counted("fwd", losses._cosine_forward))
         monkeypatch.setattr(losses, "_cosine_backward", counted("bwd", losses._cosine_backward))
-        monkeypatch.setattr(losses, "_unit_rows", counted("unit", losses._unit_rows))
+        monkeypatch.setattr(losses, "_inverse_norms", counted("norms", losses._inverse_norms))
         for name in ("tempered_cosine_matrix", "tempered_cosine_backward"):
             monkeypatch.setattr(losses, name, None)  # the public checked pair is off the path
         contrastive_loss("reg", random_batch(np.random.default_rng(43), "reg"), CFG)
-        assert calls == {"fwd": 1, "bwd": 1, "unit": ["embeddings", "prototypes"]}
+        assert calls == {"fwd": 1, "bwd": 1, "norms": ["embeddings", "prototypes"]}
 
 
 class TestTrustedBatch:
@@ -306,9 +309,9 @@ class TestTrustedBatch:
 
         seen = []
 
-        def forward(an, bn, tau):
-            seen.append(np.shares_memory(an, bn))
-            return _cosine_forward(an, bn, tau)
+        def forward(a, a_inv, b, b_inv, tau):
+            seen.append(np.shares_memory(a, b))
+            return _cosine_forward(a, a_inv, b, b_inv, tau)
 
         monkeypatch.setattr(losses, "_cosine_forward", forward)
         contrastive_loss(loss_id, random_batch(np.random.default_rng(46), loss_id), CFG)
@@ -819,3 +822,48 @@ class TestLossTable:
         batch = random_batch(np.random.default_rng(44), loss_id)
         np.testing.assert_array_equal(contrastive_loss(loss_id, batch, CFG).structure.coeff,
                                       contrastive_loss(host, batch, CFG).structure.coeff)
+
+
+def _worst_cosine(rows, grads):
+    """Largest |cos(row_i, grad_i)| over the rows with a nonzero gradient."""
+    dots = np.abs(np.einsum("ij,ij->i", rows, grads))
+    norms = np.linalg.norm(rows, axis=1) * np.linalg.norm(grads, axis=1)
+    live = norms > 0
+    return float(np.max(dots[live] / norms[live], initial=0.0))
+
+
+_IDENTITY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+class TestGradientIdentities:
+    """Identities that hold exactly in real arithmetic, so they need no step
+    size: every contrastive loss sees z and the prototypes only through
+    cosines, which are invariant to each row's scale, and the losses are sums
+    over anchors with no order."""
+
+    @pytest.mark.parametrize("loss_id", CONTRASTIVE_LOSS_IDS)
+    @_IDENTITY_SETTINGS
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_each_row_is_orthogonal_to_its_gradient(self, loss_id, seed):
+        # d/dt L(z with z_i scaled by 1 + t) = z_i . dL/dz_i = 0
+        batch = random_batch(np.random.default_rng(seed), loss_id)
+        bundle = contrastive_loss(loss_id, batch, CFG)
+        assert _worst_cosine(batch.z, bundle.d_z) <= 1e-12
+        if batch.prototypes is not None:
+            assert _worst_cosine(batch.prototypes, bundle.d_prototypes) <= 1e-12
+
+    @pytest.mark.parametrize("loss_id", CONTRASTIVE_LOSS_IDS)
+    @_IDENTITY_SETTINGS
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_permuting_the_batch_permutes_the_gradient(self, loss_id, seed):
+        rng = np.random.default_rng(seed)
+        batch = random_batch(rng, loss_id)
+        perm = rng.permutation(batch.n)
+        moved = ContrastiveBatch(z=batch.z[perm], y=batch.y[perm], prototypes=batch.prototypes)
+        a = contrastive_loss(loss_id, batch, CFG)
+        b = contrastive_loss(loss_id, moved, CFG)
+        assert abs(b.loss_value - a.loss_value) <= 1e-12 * abs(a.loss_value)
+        assert np.abs(b.d_z - a.d_z[perm]).max() <= 1e-12 * np.abs(a.d_z).max()
+        if batch.prototypes is not None:
+            assert (np.abs(b.d_prototypes - a.d_prototypes).max()
+                    <= 1e-12 * np.abs(a.d_prototypes).max())

@@ -4,11 +4,11 @@ finite-difference oracle itself."""
 import numpy as np
 import pytest
 
-from mlclab.errors import ConfigError, DomainError, OracleError
+from mlclab.errors import ConfigError, DomainError, OracleError, ZeroNormError
 from mlclab.numerics import (
     _cosine_backward,
     _cosine_forward,
-    _unit_rows,
+    _inverse_norms,
     finite_difference_gradient,
     masked_logsumexp,
     relative_error,
@@ -80,19 +80,39 @@ def _same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def _expression_backward(an, a_norms, bn, b_norms, tau, g):
-    """The cosine backward in expression form, each step a fresh array: the
-    reference the in-place kernel must match byte for byte."""
+def _unit_row_reference(a, b, tau, g):
+    """The tempered cosine and its backward in unit-row form, each step a
+    fresh array: normalize, multiply, divide by tau; then project each side's
+    gradient off its unit row and divide by the norm. The raw-row kernels
+    must agree with it."""
+    a_norms, b_norms = np.linalg.norm(a, axis=1), np.linalg.norm(b, axis=1)
+    an, bn = a / a_norms[:, None], b / b_norms[:, None]
     d_an = (g @ bn) / tau
     d_bn = (g.T @ an) / tau
     da = (d_an - np.sum(d_an * an, axis=1, keepdims=True) * an) / a_norms[:, None]
     db = (d_bn - np.sum(d_bn * bn, axis=1, keepdims=True) * bn) / b_norms[:, None]
-    return da, db
+    return (an @ bn.T) / tau, da, db
+
+
+def _close(got, want, rtol, scale=0.0):
+    """Max abs difference within rtol of the reference's largest entry, or
+    of scale when that is larger."""
+    return np.abs(got - want).max() <= rtol * max(np.abs(want).max(), scale)
+
+
+def _term_scales(a, b, tau, g):
+    """The largest entry of each side's product before its correction, taken
+    on absolute values: the size of the terms the backward sums. It stands in
+    for the reference's scale where the gradient cancels to 0 (one column:
+    every cosine is +-1 whatever the rows)."""
+    a_inv, b_inv = 1.0 / np.linalg.norm(a, axis=1), 1.0 / np.linalg.norm(b, axis=1)
+    h = np.abs(g) * a_inv[:, None] * b_inv[None, :] / tau
+    return (h @ np.abs(b)).max(), (h.T @ np.abs(a)).max()
 
 
 class TestCosineKernels:
-    """The public pair checks its input and then runs the private kernels,
-    which the loss engine calls directly on blocks it normalized once."""
+    """The public pair checks its input and then runs the private raw-row
+    kernels, which the loss engine calls directly on its own blocks."""
 
     # (anchors, pool, dim): a reg training step at the default config, a
     # proto step (pool = prototypes only), a single row and a ragged shape
@@ -100,14 +120,19 @@ class TestCosineKernels:
     @pytest.mark.parametrize("tau", [0.1, 0.37])
     def test_in_place_backward_matches_expression_form(self, n, m, d, tau):
         rng = np.random.default_rng(n * 1000 + m)
-        an, a_norms = _unit_rows(rng.normal(size=(n, d)), "a")
-        bn, b_norms = _unit_rows(rng.normal(size=(m, d)), "b")
+        # rows of mixed scale: the kernels never form unit rows
+        a = rng.normal(size=(n, d)) * rng.uniform(0.01, 100.0, size=(n, 1))
+        b = rng.normal(size=(m, d)) * rng.uniform(0.01, 100.0, size=(m, 1))
         g = rng.normal(size=(n, m))
-        args = (an, a_norms, bn, b_norms, tau, g)
+        a_inv, b_inv = _inverse_norms(a, "a"), _inverse_norms(b, "b")
+        s = _cosine_forward(a, a_inv, b, b_inv, tau)
+        args = (a, a_inv, b, b_inv, tau, g, s)
         before = [np.copy(x) for x in args]
         got = _cosine_backward(*args)
-        for kernel, reference in zip(got, _expression_backward(*args)):
-            assert _same_bits(kernel, reference)
+        want_s, *want = _unit_row_reference(a, b, tau, g)
+        assert _close(s, want_s, 1e-13)
+        for kernel, reference, scale in zip(got, want, _term_scales(a, b, tau, g)):
+            assert _close(kernel, reference, 1e-13, scale)
         # it writes into none of its arguments and returns fresh arrays
         for x, saved in zip(args, before):
             assert _same_bits(x, saved)
@@ -118,33 +143,66 @@ class TestCosineKernels:
     def test_public_pair_is_the_kernels(self):
         rng = np.random.default_rng(6)
         a, b, g = rng.normal(size=(5, 3)), rng.normal(size=(4, 3)), rng.normal(size=(5, 4))
-        an, a_norms = _unit_rows(a, "a")
-        bn, b_norms = _unit_rows(b, "b")
-        assert _same_bits(tempered_cosine_matrix(a, b, 0.3), _cosine_forward(an, bn, 0.3))
+        a_inv, b_inv = _inverse_norms(a, "a"), _inverse_norms(b, "b")
+        s = _cosine_forward(a, a_inv, b, b_inv, 0.3)
+        assert _same_bits(tempered_cosine_matrix(a, b, 0.3), s)
         for public, kernel in zip(tempered_cosine_backward(a, b, 0.3, g),
-                                  _cosine_backward(an, a_norms, bn, b_norms, 0.3, g)):
+                                  _cosine_backward(a, a_inv, b, b_inv, 0.3, g, s)):
             assert _same_bits(public, kernel)
+        # one array passed as both sides gets the bits of two distinct copies
+        b = rng.normal(size=(84, 256))  # the default reg pool
+        assert _same_bits(tempered_cosine_matrix(b, b, 0.3), tempered_cosine_matrix(b, b.copy(), 0.3))
 
     @pytest.mark.parametrize("with_prototypes", [False, True])
     def test_blockwise_normalization_matches_pooled(self, with_prototypes):
-        # the engine's pool: unit blocks stacked, never an alias of the anchors
+        # the engine's pool: raw blocks stacked, never an alias of the
+        # anchors, with each block's inverse norms taken on its own
         rng = np.random.default_rng(7)
         z, p = rng.normal(size=(9, 6)), rng.normal(size=(4, 6))
-        zn, z_norms = _unit_rows(z, "z")
-        blocks = [(zn, z_norms)] + ([_unit_rows(p, "p")] if with_prototypes else [])
-        pn = np.vstack([u for u, _ in blocks])
-        pool_norms = np.concatenate([n for _, n in blocks])
-        pool = np.vstack([z, p]) if with_prototypes else z
-        assert _same_bits(pn, _unit_rows(pool, "pool")[0])
-        assert _same_bits(_cosine_forward(zn, pn, 0.1), tempered_cosine_matrix(z, pool, 0.1))
-        g = rng.normal(size=(9, pn.shape[0]))
-        for kernel, public in zip(_cosine_backward(zn, z_norms, pn, pool_norms, 0.1, g),
-                                  tempered_cosine_backward(z, pool, 0.1, g)):
-            assert _same_bits(kernel, public)
+        blocks = [z, p] if with_prototypes else [z]
+        pool = np.vstack(blocks)
+        pool_inv = np.concatenate([_inverse_norms(x, "block") for x in blocks])
+        assert _same_bits(pool_inv, _inverse_norms(pool, "pool"))
+        s = _cosine_forward(z, pool_inv[:9], pool, pool_inv, 0.1)
+        assert _same_bits(s, tempered_cosine_matrix(z, pool, 0.1))
+        g = rng.normal(size=(9, pool.shape[0]))
+        g[np.arange(9), np.arange(9)] = 0.0  # the engine's self column
+        d_z, d_rest = _cosine_backward(z, pool_inv[:9], pool, pool_inv, 0.1, g, s, shared=True)
+        d_anchor, d_pool = tempered_cosine_backward(z, pool, 0.1, g)
+        # the shared form folds the pool side of the batch rows into d_z
+        assert _same_bits(d_rest, d_pool[9:])
+        expected = d_anchor + d_pool[:9]
+        assert _close(d_z, expected, 1e-13)
 
-    def test_unit_rows_rejects_zero_norm_row(self):
-        with pytest.raises(DomainError, match="embeddings has zero-norm row at index 2"):
-            _unit_rows(np.array([[1.0, 0.0], [0.0, 2.0], [0.0, 0.0]]), "embeddings")
+    def test_inverse_norms_rejects_zero_norm_row(self):
+        with pytest.raises(ZeroNormError, match="embeddings has zero-norm row at index 2"):
+            _inverse_norms(np.array([[1.0, 0.0], [0.0, 2.0], [0.0, 0.0]]), "embeddings")
+
+    @pytest.mark.parametrize("row,kind", [([1e200, 0.0], "overflowed"),
+                                          ([1e-200, 0.0], "underflowed"),
+                                          ([1e-160, 1e-160], "underflowed")])
+    def test_squared_norm_out_of_range_is_a_domain_error(self, row, kind):
+        # the right cosine of these rows with (1, 0) is about 1, but their
+        # squared norms are not finite normal numbers: an error, not 0 or a
+        # zero-norm report
+        for public in (lambda a: tempered_cosine_matrix(a, [[1.0, 0.0]], 1.0),
+                       lambda a: tempered_cosine_backward(a, [[1.0, 0.0]], 1.0, [[1.0], [1.0]]),
+                       lambda a: tempered_cosine_matrix([[1.0, 0.0]], a, 1.0)):
+            with pytest.raises(DomainError, match=f"row 1: squared norm {kind}") as info:
+                public([[1.0, 1.0], row])
+            assert not isinstance(info.value, ZeroNormError)
+
+    def test_squared_norm_at_the_normal_range_edges(self):
+        # 2.2e-308 and 1.8e308 are the smallest normal and the largest finite
+        # float64: rows whose squared norms sit just inside pass
+        for scale in (1.5e-154, 1.3e154):
+            s = tempered_cosine_matrix([[scale, 0.0]], [[1.0, 0.0]], 1.0)
+            assert s[0, 0] == pytest.approx(1.0, abs=1e-15)
+
+    def test_non_finite_row_passes_through_the_norm_check(self):
+        # the engine leaves a non-finite embedding to show up as a non-finite loss
+        inv = _inverse_norms(np.array([[np.nan, 1.0], [np.inf, 0.0], [3.0, 4.0]]), "z")
+        assert np.isnan(inv[0]) and inv[1] == 0.0 and inv[2] == pytest.approx(0.2)
 
     @pytest.mark.parametrize("bad,error", [
         ({"a": [[np.nan, 1.0]]}, DomainError),
