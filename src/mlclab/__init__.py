@@ -19,6 +19,7 @@ from .datamodel import (
 from .errors import (
     ConfigError,
     DomainError,
+    NormRangeError,
     OracleError,
     ParseError,
     TrainingDivergence,

@@ -9,7 +9,13 @@ class DomainError(ValueError):
     """An input is outside the mathematical domain of an operation."""
 
 
-class ZeroNormError(DomainError):
+class NormRangeError(DomainError):
+    """A row of finite entries that must be scaled to unit norm has a squared
+    norm that is not a finite normal float64 number: it is zero, overflows
+    or underflows."""
+
+
+class ZeroNormError(NormRangeError):
     """A row that must be scaled to unit norm is exactly zero: finite, but
     outside the domain of the cosine."""
 

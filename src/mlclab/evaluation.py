@@ -18,46 +18,46 @@ from .errors import DomainError
 from .numerics import as_matrix, row_normalize
 
 
-def _check_binary_pair(pred, truth):
+def _prediction_metrics(pred, truth) -> tuple[float, float, float]:
+    """Micro-F1, macro-F1 and the Hamming fraction from one set of per-label
+    true-positive, false-positive and false-negative counts, after one check
+    that pred and truth are binary 2-D matrices of the same shape."""
     p = np.asarray(pred)
     t = np.asarray(truth)
     if p.shape != t.shape or p.ndim != 2:
         raise DomainError(f"pred shape {p.shape} and truth shape {t.shape} must match and be 2-D")
-    if not np.isin(p, (0, 1)).all() or not np.isin(t, (0, 1)).all():
+    p_one, t_one = p == 1, t == 1
+    if not ((p_one | (p == 0)).all() and (t_one | (t == 0)).all()):
         raise DomainError("pred and truth must be binary")
-    return p.astype(np.int64), t.astype(np.int64)
-
-
-def _label_counts(pred, truth):
-    """Per-label true-positive, false-positive and false-negative counts."""
-    p, t = _check_binary_pair(pred, truth)
-    tp = np.sum(p & t, axis=0)
-    return tp, np.sum(p, axis=0) - tp, np.sum(t, axis=0) - tp
+    tp = np.count_nonzero(p_one & t_one, axis=0)
+    fp = np.count_nonzero(p_one, axis=0) - tp
+    fn = np.count_nonzero(t_one, axis=0) - tp
+    tp_all, fp_all, fn_all = int(tp.sum()), int(fp.sum()), int(fn.sum())
+    denom = 2 * tp_all + fp_all + fn_all
+    label_denom = 2 * tp + fp + fn
+    label_f1 = np.where(label_denom > 0, 2.0 * tp / np.maximum(label_denom, 1), 0.0)
+    return (2.0 * tp_all / denom if denom else 0.0,
+            float(label_f1.mean()),
+            float(np.true_divide(fp_all + fn_all, p.size)))
 
 
 def micro_f1(pred, truth) -> float:
     """F1 pooled over every (instance, label) cell: 2TP / (2TP + FP + FN),
     0 when the denominator is 0."""
-    tp, fp, fn = (int(c.sum()) for c in _label_counts(pred, truth))
-    denom = 2 * tp + fp + fn
-    return 2.0 * tp / denom if denom else 0.0
+    return _prediction_metrics(pred, truth)[0]
 
 
 def macro_f1(pred, truth) -> float:
     """Per-label F1 averaged uniformly over all labels; empty labels (no
     positives in truth or prediction) contribute 0 under the strict
     convention documented in the module docstring."""
-    tp, fp, fn = _label_counts(pred, truth)
-    denom = 2 * tp + fp + fn
-    scores = np.where(denom > 0, 2.0 * tp / np.maximum(denom, 1), 0.0)
-    return float(scores.mean())
+    return _prediction_metrics(pred, truth)[1]
 
 
 def hamming(pred, truth) -> float:
     """Fraction of mismatched cells. Multiply by 1000 for table-style
     reporting (see MetricsReport.hamming_x1000)."""
-    p, t = _check_binary_pair(pred, truth)
-    return float(np.mean(p != t))
+    return _prediction_metrics(pred, truth)[2]
 
 
 def mean_average_precision(scores, truth) -> float | None:
@@ -97,25 +97,32 @@ def alignment(features, labels) -> float | None:
     Rows are grouped by label set; a group of k rows with mean mu holds
     k * sum_i |f_i - mu|^2 of squared distance over its k(k-1)/2 pairs, so no
     pairwise array is built. The groups are the distinct rows of the labels
-    packed to bytes, numbered in the rows' lexicographic order."""
+    packed to bytes, in the rows' lexicographic order: one stable sort puts
+    each group's rows together, in their original order, and the group sums
+    are segment sums over the sorted rows."""
     f = row_normalize(as_matrix(features, "features"), "features")
     y = np.asarray(labels)
     if y.shape[0] != f.shape[0]:
         raise DomainError("features and labels must agree on instance count")
     if y.ndim != 2 or not ((y == 0) | (y == 1)).all():
         raise DomainError("labels must be a binary 2-D matrix")
-    # one opaque key per row: bytes compare in the same order as the bits
-    packed = np.packbits(y != 0, axis=1)
-    _, group = np.unique(packed.view(np.dtype((np.void, packed.shape[1]))).ravel(),
-                         return_inverse=True)
-    k = np.bincount(group)
+    n = f.shape[0]
+    if n < 2:
+        return None
+    # one opaque key per row: bytes compare in the same order as the bits;
+    # with no label columns every row has the same, empty, label set
+    packed = np.packbits(y != 0, axis=1) if y.shape[1] else np.zeros((n, 1), np.uint8)
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    k = np.diff(starts, append=n)
     n_pairs = int(np.sum(k * (k - 1) // 2))
     if n_pairs == 0:
         return None
-    sums = np.zeros((k.size, f.shape[1]))
-    np.add.at(sums, group, f)
-    centered = f - (sums / k[:, None])[group]
-    spread = np.bincount(group, weights=np.sum(centered * centered, axis=1))
+    f = f[order]
+    f -= np.repeat(np.add.reduceat(f, starts, axis=0) / k[:, None], k, axis=0)
+    spread = np.add.reduceat(np.sum(f * f, axis=1), starts)
     return float(np.dot(k, spread) / n_pairs)
 
 
@@ -127,29 +134,36 @@ def uniformity(features) -> float | None:
     pairs of unit-normalized features; None for fewer than two instances.
     Bounded in [-8, 0] on the unit sphere. The summand is symmetric, so
     ordered and unordered pair conventions give the same value; distinct
-    unordered pairs are used. Squared distances come from the Gram matrix,
-    |a - b|^2 = |a|^2 + |b|^2 - 2 a.b, one block of rows at a time."""
+    unordered pairs are used.
+
+    With u_a = exp(-2 |a|^2), each term is the product
+    exp(-2 |a - b|^2) = u_a u_b exp(4 a.b), so the sum over pairs is the
+    quadratic form u^T E u of E = exp(4 F F^T) restricted to j > i. One block
+    of rows at a time: one product of the doubled rows 2F (the factor 4 is
+    exact), one exponential in place, the diagonal block's lower triangle
+    and diagonal zeroed, and two matrix-vector products. No squared distance
+    is formed, so none can round below 0 and need a clamp; the product of
+    three exponentials can still land an ulp outside the bound, so the log
+    is clamped to [-8, 0]."""
     f = as_matrix(features, "features")
     n = f.shape[0]
     if n < 2:
         return None
     f = row_normalize(f, "features")
-    sq_norm = np.sum(f * f, axis=1)
+    f *= 2.0
+    u = np.exp(-0.5 * np.einsum("ij,ij->i", f, f))
+    # the diagonal and the strict lower triangle of a square diagonal block
+    lower = np.tri(min(n, _GRAM_BLOCK), dtype=bool)
     total = 0.0
     for start in range(0, n, _GRAM_BLOCK):
         stop = min(start + _GRAM_BLOCK, n)
-        # pairs (i, j) with j > i: columns from the block's first row on; in
-        # the square block on the diagonal, the strict upper triangle only
-        sq = sq_norm[start:stop, None] + sq_norm[None, start:]
-        gram = f[start:stop] @ f[start:].T
-        gram *= 2.0
-        sq -= gram
-        np.maximum(sq, 0.0, out=sq)
-        sq *= -2.0
-        np.exp(sq, out=sq)
-        sq[:, :stop - start][np.tri(stop - start, dtype=bool)] = 0.0
-        total += float(np.sum(sq))
-    return float(np.log(total / (n * (n - 1) // 2)))
+        # pairs (i, j) with j > i: columns from the block's first row on
+        e = f[start:stop] @ f[start:].T
+        np.exp(e, out=e)
+        m = stop - start
+        e[:, :m][lower[:m, :m]] = 0.0
+        total += float(u[start:stop] @ (e @ u[start:]))
+    return min(max(float(np.log(total / (n * (n - 1) // 2))), -8.0), 0.0)
 
 
 @dataclass
@@ -202,12 +216,10 @@ def compute_report(
     prr_value: float | None = None,
 ) -> MetricsReport:
     """Assemble a MetricsReport from predictions plus optional ranking scores
-    and representation features."""
-    report = MetricsReport(
-        micro_f1=micro_f1(pred, truth),
-        macro_f1=macro_f1(pred, truth),
-        hamming=hamming(pred, truth),
-    )
+    and representation features. pred and truth are checked once, and the
+    F1 scores and the Hamming fraction come from one set of counts."""
+    micro, macro, ham = _prediction_metrics(pred, truth)
+    report = MetricsReport(micro_f1=micro, macro_f1=macro, hamming=ham)
     if scores is not None:
         report.map = mean_average_precision(scores, truth)
     if features is not None and labels is not None:

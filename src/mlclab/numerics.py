@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, OracleError, ZeroNormError
+from .errors import ConfigError, DomainError, NormRangeError, OracleError, ZeroNormError
 
 
 def as_matrix(x, name: str = "matrix") -> np.ndarray:
@@ -61,7 +61,7 @@ def _inverse_norms(a: np.ndarray, name: str) -> np.ndarray:
 
     A row of finite entries whose squared norm is not a finite normal number
     is rejected: an exactly zero row is a ZeroNormError, any other a
-    DomainError saying whether its squared norm overflowed or underflowed.
+    NormRangeError saying whether its squared norm overflowed or underflowed.
     A row with a non-finite entry passes, so that a non-finite embedding
     still shows up as a non-finite loss. The normal path reads only the
     norm vector.
@@ -72,10 +72,10 @@ def _inverse_norms(a: np.ndarray, name: str) -> np.ndarray:
         if bad.any():
             i = int(np.flatnonzero(bad)[0])
             if sq[i] > _HUGE:
-                raise DomainError(f"{name} row {i}: squared norm overflowed; rescale the input")
+                raise NormRangeError(f"{name} row {i}: squared norm overflowed; rescale the input")
             if not a[i].any():
                 raise ZeroNormError(f"{name} has zero-norm row at index {i}")
-            raise DomainError(f"{name} row {i}: squared norm underflowed; rescale the input")
+            raise NormRangeError(f"{name} row {i}: squared norm underflowed; rescale the input")
     return 1.0 / np.sqrt(sq)
 
 

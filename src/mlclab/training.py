@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .datamodel import ContrastiveBatch, MultiLabelDataset
-from .errors import ConfigError, DomainError, TrainingDivergence, ZeroNormError
+from .errors import ConfigError, DomainError, NormRangeError, TrainingDivergence
 from .losses import (
     LossConfig,
     check_loss_id,
@@ -334,10 +334,10 @@ def train_model(
                 loss_val, grads, (n_open, n_pos) = _batch_step(model, x_train[idx], y_train[idx])
             except DomainError as exc:
                 # the dataset was validated up front, so a domain error here
-                # comes from the parameters: an exactly zero (finite) row of
-                # z or of the prototypes, a row whose squared norm over- or
-                # underflows, or non-finite logits
-                kind = "degenerate" if isinstance(exc, ZeroNormError) else "non-finite"
+                # comes from the parameters: a finite row of z or of the
+                # prototypes whose squared norm is zero, overflows or
+                # underflows (degenerate), or non-finite logits
+                kind = "degenerate" if isinstance(exc, NormRangeError) else "non-finite"
                 raise TrainingDivergence(f"{kind} forward at step {step}: {exc}") from exc
             if not np.isfinite(loss_val):
                 raise TrainingDivergence(f"non-finite loss at step {step}")
@@ -590,12 +590,34 @@ def linear_eval(
 # ---------------------------------------------------------------------------
 
 
-def _array_to_jsonable(a: np.ndarray):
-    return {"shape": list(a.shape), "data": [float(v) for v in a.ravel()]}
-
-
 def _array_from_jsonable(d) -> np.ndarray:
     return np.asarray(d["data"], dtype=np.float64).reshape(d["shape"])
+
+
+_JSON_CHUNK = 1024
+
+
+def _write_json(fh, obj) -> None:
+    """Write obj as json.dump(obj, fh, sort_keys=True) would, byte for byte.
+
+    json.dump streams through the pure-Python encoder, and json.dumps of the
+    whole document holds every float's text at once. Here each leaf goes
+    through the C encoder, and an array as a flat list of floats, 1024 at a
+    time."""
+    if isinstance(obj, dict):
+        fh.write("{")
+        for i, key in enumerate(sorted(obj)):
+            fh.write((", " if i else "") + json.dumps(key) + ": ")
+            _write_json(fh, obj[key])
+        fh.write("}")
+    elif isinstance(obj, np.ndarray):
+        flat = obj.ravel()
+        fh.write("[")
+        for i in range(0, flat.size, _JSON_CHUNK):
+            fh.write((", " if i else "") + json.dumps(flat[i:i + _JSON_CHUNK].tolist())[1:-1])
+        fh.write("]")
+    else:
+        fh.write(json.dumps(obj, sort_keys=True))
 
 
 def save_checkpoint(model: TrainedModel, path, dataset_meta: dict | None = None) -> None:
@@ -611,10 +633,10 @@ def save_checkpoint(model: TrainedModel, path, dataset_meta: dict | None = None)
         "n_features": model.n_features,
         "n_labels": model.n_labels,
         "dataset_meta": dataset_meta or {},
-        "params": {k: _array_to_jsonable(v) for k, v in sorted(model.params().items())},
+        "params": {k: {"shape": list(v.shape), "data": v} for k, v in model.params().items()},
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True)
+        _write_json(fh, doc)
         fh.write("\n")
 
 

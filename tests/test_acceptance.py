@@ -45,6 +45,7 @@ def _report(criterion: str, passed: bool, detail: str = ""):
 
 
 class TestCriterion1GradientFidelity:
+    @pytest.mark.slow
     def test_all_losses_pass_fd_within_budget(self):
         t0 = time.time()
         failures = []
@@ -225,6 +226,7 @@ class TestCriterion6PrrBehavior:
 
 
 class TestCriterion7Directional:
+    @pytest.mark.slow
     def test_reg_vs_base_macro_f1(self, acceptance_dir):
         t0 = time.time()
         cfg = default_config()

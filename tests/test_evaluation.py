@@ -179,6 +179,37 @@ class TestUniformity:
     def test_single_instance_absent(self):
         assert uniformity(np.array([[1.0, 0.0]])) is None
 
+    @pytest.mark.parametrize("n", [2, 255, 256, 257, 513])
+    @pytest.mark.parametrize("row", [[0.6, 0.8], [1.0, 0.0], [0.0, 3.0, 4.0]])
+    def test_identical_rows_give_zero(self, n, row):
+        assert uniformity(np.tile(row, (n, 1))) == pytest.approx(0.0, abs=1e-15)
+
+    @pytest.mark.parametrize("row", [[0.6, 0.8], [1.0, 0.0], [0.0, 3.0, 4.0]])
+    def test_antipodal_rows_give_minus_eight(self, row):
+        a = np.array(row)
+        assert uniformity(np.stack([a, -a])) == pytest.approx(-8.0, abs=1e-15)
+
+    def test_identical_and_antipodal_rows_in_random_directions(self):
+        # the exponent 4 a.b carries a few ulps of rounding, as the squared
+        # distance of the Gram form did: the worst measured over random
+        # directions is 2.1e-15 (identical) and 5.3e-15 (antipodal) on both
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            a = rng.normal(size=int(rng.integers(2, 70))) * 10.0 ** int(rng.integers(-3, 4))
+            n = int(rng.choice([2, 3, 255, 256, 257]))
+            assert uniformity(np.tile(a, (n, 1))) == pytest.approx(0.0, abs=1e-14)
+            assert uniformity(np.stack([a, -a])) == pytest.approx(-8.0, abs=1e-14)
+
+    def test_never_above_zero(self):
+        # near-identical rows put the exact value an ulp or so below 0, where
+        # the product of three exponentials can round above it
+        rng = np.random.default_rng(13)
+        for _ in range(300):
+            n, d = int(rng.integers(2, 40)), int(rng.integers(2, 20))
+            f = rng.normal(size=d) + 1e-9 * rng.normal(size=(n, d))
+            assert -8.0 <= uniformity(f) <= 0.0
+            assert -8.0 <= uniformity(rng.normal(size=(n, d))) <= 0.0
+
 
 class TestReportAndInvariances:
     def test_simultaneous_permutation(self):
@@ -209,6 +240,49 @@ class TestReportAndInvariances:
                              "map", "align", "uniform", "prr"}
         assert doc2["hamming_x1000"] == pytest.approx(10.0)
 
+    @pytest.mark.parametrize("dtype", [np.int8, np.int64, np.float64, bool])
+    def test_report_matches_public_functions(self, dtype):
+        rng = np.random.default_rng(9)
+        truth = (rng.random((300, 5)) < 0.3).astype(dtype)
+        pred = (rng.random((300, 5)) < 0.3).astype(dtype)
+        scores = rng.normal(size=(300, 5))
+        feats = rng.normal(size=(300, 8))
+        labels = truth[:, :2]
+        report = compute_report(pred, truth, scores=scores, features=feats, labels=labels)
+        for got, want in ((report.micro_f1, micro_f1(pred, truth)),
+                          (report.macro_f1, macro_f1(pred, truth)),
+                          (report.hamming, hamming(pred, truth)),
+                          (report.map, mean_average_precision(scores, truth))):
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        assert report.align == pytest.approx(alignment(feats, labels), rel=1e-14)
+        assert report.uniform == pytest.approx(uniformity(feats), rel=1e-14)
+
+    @pytest.mark.parametrize("case", ["non-binary pred", "non-binary truth", "nan pred",
+                                      "shape mismatch", "1-D", "non-finite scores",
+                                      "non-finite features"])
+    def test_report_rejects_bad_inputs(self, case):
+        rng = np.random.default_rng(10)
+        truth = (rng.random((6, 3)) < 0.5).astype(int)
+        pred, scores, feats = truth.copy(), rng.normal(size=(6, 3)), rng.normal(size=(6, 4))
+        if case == "non-binary pred":
+            pred[2, 1] = 2
+        elif case == "non-binary truth":
+            truth = truth.astype(float)
+            truth[0, 0] = 0.5
+        elif case == "nan pred":
+            pred = pred.astype(float)
+            pred[1, 1] = np.nan
+        elif case == "shape mismatch":
+            pred = pred[:, :2]
+        elif case == "1-D":
+            pred, truth = pred[0], truth[0]
+        elif case == "non-finite scores":
+            scores[3, 2] = np.inf
+        else:
+            feats[4, 0] = np.nan
+        with pytest.raises(DomainError):
+            compute_report(pred, truth, scores=scores, features=feats, labels=truth)
+
     def test_shape_mismatch(self):
         with pytest.raises(DomainError):
             micro_f1(np.zeros((2, 2), dtype=int), np.zeros((2, 3), dtype=int))
@@ -236,6 +310,16 @@ class TestAgainstPairwiseReferences:
     """The metrics avoid pairwise arrays; these brute-force forms are the
     definitions they must reproduce."""
 
+    @pytest.mark.parametrize("n", [255, 256, 257, 513])
+    def test_alignment_and_uniformity_at_block_edges(self, n):
+        # one row short of, exactly at, and one past a 256-row block, and a
+        # last block of one row
+        rng = np.random.default_rng(n)
+        f = rng.normal(size=(n, 16))
+        y = (rng.random((n, 3)) < 0.4).astype(np.int8)
+        assert alignment(f, y) == pytest.approx(_pairwise_alignment(f, y), rel=1e-12)
+        assert uniformity(f) == pytest.approx(_pairwise_uniformity(f), rel=1e-12)
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_alignment_and_uniformity_at_n_250(self, seed):
         rng = np.random.default_rng(seed)
@@ -245,6 +329,12 @@ class TestAgainstPairwiseReferences:
         y = (rng.random((n, 3)) < 0.4).astype(np.int8)
         assert alignment(f, y) == pytest.approx(_pairwise_alignment(f, y), rel=1e-12)
         assert uniformity(f) == pytest.approx(_pairwise_uniformity(f), rel=1e-12)
+
+    def test_alignment_without_label_columns(self):
+        # every row has the empty label set, so every pair counts
+        f = np.random.default_rng(14).normal(size=(20, 4))
+        y = np.zeros((20, 0), dtype=np.int8)
+        assert alignment(f, y) == pytest.approx(_pairwise_alignment(f, y), rel=1e-12)
 
     def test_clustered_features(self):
         # tight clusters per label set: small distances next to unit norms

@@ -2,7 +2,7 @@
 abort, two-stage separation, linear evaluation, and checkpoint round trips."""
 
 import json
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -14,6 +14,8 @@ from mlclab.evaluation import alignment, micro_f1
 from mlclab.losses import LOSS_IDS, LossConfig, contrastive_loss, needs_single_label, prr
 from mlclab.training import (
     _BIAS_KEYS,
+    CHECKPOINT_FORMAT,
+    CHECKPOINT_VERSION,
     TrainConfig,
     _batch_step,
     _epoch_batches,
@@ -202,6 +204,18 @@ class TestTraining:
             train_model(_tiny_dataset(), "reg", LossConfig(), cfg)
         assert str(info.value) == ("degenerate forward at step 0: "
                                    "embeddings has zero-norm row at index 3")
+
+    @pytest.mark.parametrize("scale,kind", [(1e160, "overflowed"), (1e-170, "underflowed")])
+    def test_finite_z_row_out_of_norm_range_is_degenerate(self, monkeypatch, scale, kind):
+        # every parameter and every z entry stays finite, but the rows'
+        # squared norms leave the normal float64 range
+        def rescale(model):
+            model.head.v2 *= scale
+
+        self._break_init(monkeypatch, rescale)
+        with pytest.raises(TrainingDivergence, match=f"^degenerate forward at step 0: "
+                                                     f"embeddings row 0: squared norm {kind}"):
+            train_model(_tiny_dataset(), "reg", LossConfig(), FAST)
 
     def test_non_finite_logits_abort_as_non_finite_forward(self, monkeypatch):
         def poison(model):
@@ -518,6 +532,38 @@ class TestCheckpoint:
         save_checkpoint(result.model, p1)
         save_checkpoint(result.model, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @staticmethod
+    def _json_dump_reference(model, path, dataset_meta):
+        # json.dump streams through the pure-Python encoder: the bytes that
+        # save_checkpoint's own writer must reproduce
+        doc = {
+            "format": CHECKPOINT_FORMAT,
+            "version": CHECKPOINT_VERSION,
+            "loss_id": model.loss_id,
+            "loss_config": asdict(model.loss_cfg),
+            "train_config": asdict(model.train_cfg),
+            "n_features": model.n_features,
+            "n_labels": model.n_labels,
+            "dataset_meta": dataset_meta or {},
+            "params": {k: {"shape": list(v.shape), "data": [float(x) for x in v.ravel()]}
+                       for k, v in sorted(model.params().items())},
+        }
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, sort_keys=True)
+            fh.write("\n")
+
+    @pytest.mark.parametrize("loss_id", ["reg", "bce"])
+    def test_bytes_equal_streaming_json_dump(self, tmp_path, loss_id):
+        # 48 x 64 head and encoder arrays span several 1024-float chunks
+        ds = _tiny_dataset()
+        cfg = TrainConfig(epochs=1, batch_size=16, hidden=48, proj_dim=64)
+        model = train_model(ds, loss_id, LossConfig(), cfg).model
+        assert max(v.size for v in model.params().values()) > 2 * 1024
+        path, ref = tmp_path / "ckpt.json", tmp_path / "ref.json"
+        save_checkpoint(model, path, dataset_meta=ds.meta)
+        self._json_dump_reference(model, ref, ds.meta)
+        assert path.read_bytes() == ref.read_bytes()
 
     def test_rejects_foreign_file(self, tmp_path):
         p = tmp_path / "x.json"
