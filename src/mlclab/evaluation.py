@@ -67,16 +67,19 @@ def mean_average_precision(scores, truth) -> float | None:
     For each label, instances are ranked by descending score (ties broken by
     ascending instance index) and AP is the mean of precision-at-hit over the
     label's positives. Any strictly monotone transform of the scores leaves
-    the result unchanged.
+    the result unchanged. truth must be binary, as in compute_report.
     """
     s = as_matrix(scores, "scores")
     t = np.asarray(truth)
     if t.shape != s.shape:
         raise DomainError(f"truth shape {t.shape} != scores shape {s.shape}")
+    positive = t == 1
+    if not (positive | (t == 0)).all():
+        raise DomainError("truth must be binary")
     n, big_l = s.shape
     aps = []
     for j in range(big_l):
-        pos = t[:, j] == 1
+        pos = positive[:, j]
         n_pos = int(pos.sum())
         if n_pos == 0:
             continue

@@ -33,6 +33,8 @@ from .numerics import (
     _cosine_backward,
     _cosine_forward,
     _inverse_norms,
+    _require_live_rows,
+    _softmax_rows,
     as_matrix,
     masked_logsumexp,
     require_finite_floats,
@@ -209,7 +211,7 @@ def _raw_pool(batch: ContrastiveBatch, include_batch: bool, include_prototypes: 
     if include_prototypes:
         parts.append(batch.prototypes)
         invs.append(_inverse_norms(batch.prototypes, "prototypes"))
-    return z_inv, np.vstack(parts), np.concatenate(invs), (batch.n if include_batch else 0)
+    return z_inv, np.concatenate(parts), np.concatenate(invs), (batch.n if include_batch else 0)
 
 
 def _open_gates(positive_mask: np.ndarray, lam_norm: np.ndarray, sigma: np.ndarray) -> np.ndarray:
@@ -267,6 +269,12 @@ class LossSpec:
     given, adds log-multipliers to the denominator logits (-inf removes an
     entry). lam is the raw positive weight matrix kept in the PairStructure
     (coeff when None).
+
+    A spec depends only on the labels and the config, so it holds the
+    engine's inputs that follow from them, each computed once when first
+    read: the positive mask, the per-anchor mass, lam_norm and the
+    denominator. A caller that varies only the embeddings or the prototypes
+    (the finite-difference oracle) runs one spec through the engine again.
     """
 
     coeff: np.ndarray
@@ -275,6 +283,34 @@ class LossSpec:
     include_prototypes: bool
     log_g: np.ndarray | None = None
     lam: np.ndarray | None = None
+
+    @cached_property
+    def positive_mask(self) -> np.ndarray:
+        # coeff is 0 off the positive pairs, so nothing re-masks by them
+        return self.coeff > 0.0
+
+    @cached_property
+    def total(self) -> np.ndarray:
+        """Each anchor's positive mass T_i."""
+        return self.coeff.sum(axis=1)
+
+    @cached_property
+    def lam_norm(self) -> np.ndarray:
+        return self.coeff / np.where(self.total > 0.0, self.total, 1.0)[:, None]
+
+    @cached_property
+    def denominator(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """(mask, shift): the denominator set, and what the engine adds to the
+        logits before its softmax, -inf off the set and log_g on it (None
+        when it would add nothing). A row with no entry left is a
+        DomainError."""
+        n, m = self.coeff.shape
+        mask, shift = _denominator(n, m, self.include_batch)
+        if self.log_g is not None:
+            mask = mask & (self.log_g > -np.inf)
+            shift = self.log_g if shift is None else self.log_g + shift
+            _require_live_rows(mask)
+        return mask, shift
 
 
 def _run_engine(
@@ -317,23 +353,12 @@ def _run_engine(
         raise DomainError(f"coeff shape {coeff.shape} != ({n}, {m})")
 
     s = _cosine_forward(batch.z, z_inv, pool, pool_inv, cfg.tau)
-    eff_mask = _denominator_mask(n, m, spec.include_batch)
-    if spec.log_g is None:
-        den_logits = s
-    else:
-        with np.errstate(invalid="ignore"):
-            den_logits = s + spec.log_g
-        eff_mask = eff_mask & (spec.log_g > -np.inf)
+    mask, shift = spec.denominator
+    # the masked logits, which the kernel turns into the softmax in place
+    sigma = s.copy() if shift is None else s + shift
+    lse = _softmax_rows(sigma)
 
-    lse = masked_logsumexp(den_logits, eff_mask)
-    sigma = np.where(eff_mask, den_logits, -np.inf)
-    sigma -= lse[:, None]
-    np.exp(sigma, out=sigma)
-
-    # coeff is 0 off the positive pairs, so nothing below re-masks by them
-    positive_mask = coeff > 0.0
-    total = coeff.sum(axis=1)
-    lam_norm = coeff / np.where(total > 0.0, total, 1.0)[:, None]
+    positive_mask, total, lam_norm = spec.positive_mask, spec.total, spec.lam_norm
     # -sum_k coeff_ik (s_ik - lse_i)
     per_anchor = lse * total - np.einsum("ij,ij->i", coeff, s)
     loss_value = float(np.dot(outer, per_anchor))
@@ -347,7 +372,7 @@ def _run_engine(
         include_prototypes=spec.include_prototypes,
         n_batch_in_pool=n_batch,
         positive_mask=positive_mask,
-        denominator_mask=eff_mask,
+        denominator_mask=mask,
         lam=coeff if spec.lam is None else spec.lam,
         coeff=coeff,
         lam_norm=lam_norm,
@@ -387,14 +412,21 @@ def _label_stats(y: np.ndarray):
 
 
 @lru_cache(maxsize=64)
-def _denominator_mask(n: int, m: int, include_batch: bool) -> np.ndarray:
-    """The whole pool, minus the anchor itself when the batch is in it; one
-    read-only array per shape, shared by every step of that shape."""
+def _denominator(n: int, m: int, include_batch: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """The whole pool, minus the anchor itself when the batch is in it, as a
+    mask and as the shift the engine adds to the logits (-inf on the
+    diagonal; None without the batch). One read-only pair per shape, shared
+    by every step of that shape."""
     mask = np.ones((n, m), dtype=bool)
+    shift = None
     if include_batch:
         np.fill_diagonal(mask, False)
+        shift = np.zeros((n, m))
+        np.fill_diagonal(shift, -np.inf)
+        shift.flags.writeable = False
+    _require_live_rows(mask)
     mask.flags.writeable = False
-    return mask
+    return mask, shift
 
 
 def _anchor_mean_spec(lam: np.ndarray, include_batch: bool, include_prototypes: bool) -> LossSpec:
@@ -692,11 +724,9 @@ def check_loss_id(loss_id: str) -> str:
     return loss_id
 
 
-def contrastive_loss(loss_id: str, batch: ContrastiveBatch, cfg: LossConfig,
-                     compute_gradients: bool = True) -> GradientBundle:
-    """Evaluate a contrastive loss by string identifier: build the id's spec
-    and run it through the engine once. A single-label id on a row without
-    exactly one label is a DomainError."""
+def contrastive_spec(loss_id: str, batch: ContrastiveBatch, cfg: LossConfig) -> LossSpec:
+    """The spec of a contrastive loss id on the batch's labels. A
+    single-label id on a row without exactly one label is a DomainError."""
     check_loss_id(loss_id)
     if loss_id not in _CONTRASTIVE_LOSSES:
         raise ConfigError(f"{loss_id!r} is not a contrastive loss id")
@@ -706,8 +736,15 @@ def contrastive_loss(loss_id: str, batch: ContrastiveBatch, cfg: LossConfig,
             f"{loss_id} requires exactly one label per instance; "
             "use the multi-label losses for multi-label batches"
         )
-    return _run_engine(batch, row.build(batch, cfg), cfg, row.host is not None,
-                       compute_gradients=compute_gradients)
+    return row.build(batch, cfg)
+
+
+def contrastive_loss(loss_id: str, batch: ContrastiveBatch, cfg: LossConfig,
+                     compute_gradients: bool = True) -> GradientBundle:
+    """Evaluate a contrastive loss by string identifier: build the id's spec
+    (contrastive_spec) and run it through the engine once."""
+    return _run_engine(batch, contrastive_spec(loss_id, batch, cfg), cfg,
+                       loss_id in REGULARIZED_LOSS_IDS, compute_gradients=compute_gradients)
 
 
 def logit_loss(loss_id: str, logits, y, cfg: LossConfig) -> LogitLossResult:

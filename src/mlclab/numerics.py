@@ -1,5 +1,5 @@
-"""Dense float64 kernels: tempered cosine similarity, the masked
-log-sum-exp behind the loss engine's softmax, a stable sigmoid, and the
+"""Dense float64 kernels: tempered cosine similarity, the masked row
+softmax and log-sum-exp of the loss engine, a stable sigmoid, and the
 finite-difference gradient oracle; plus the finite check every config
 dataclass runs on its float fields.
 
@@ -20,6 +20,10 @@ kernels directly on its own float64 blocks: it takes each block's inverse
 norms once per step and hands the forward's S to the backward.
 `_inverse_norms` rejects, there too, a row whose squared norm is zero,
 subnormal or overflows.
+
+The engine's softmax is `_softmax_rows`: one exponential per entry gives
+each row's log-sum-exp and its softmax. `masked_logsumexp` is its checked
+public form.
 """
 
 from __future__ import annotations
@@ -187,23 +191,43 @@ def tempered_cosine_backward(a, b, tau: float, upstream: np.ndarray) -> tuple[np
     return _cosine_backward(a, a_inv, b, b_inv, tau, g, s)
 
 
-def masked_logsumexp(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Per-row log(sum(exp(logits))) over unmasked entries, max-stabilized.
-
-    logits are consumed as-is (temperature, if any, is the caller's job);
-    the loss engine forms its softmax as exp(logits - lse) on the mask. Rows
-    with no unmasked entry are a domain error.
-    """
-    mask = np.asarray(mask, dtype=bool)
+def _require_live_rows(mask: np.ndarray) -> None:
+    """A row of the boolean mask with no entry is a DomainError."""
     live = mask.any(axis=1)
     if not live.all():
         raise DomainError(f"fully-masked row at index {int(np.flatnonzero(~live)[0])}")
-    # -inf off the mask stays -inf through the shift and exp()s to exactly 0
-    x = np.where(mask, logits, -np.inf)
-    rowmax = np.max(x, axis=1, keepdims=True)
+
+
+def _softmax_rows(x: np.ndarray) -> np.ndarray:
+    """Each row's log-sum-exp, from one exponential, turning x into the row
+    softmax in place; unchecked.
+
+    x holds the logits with -inf on the masked entries (the loss engine adds
+    its cached -inf diagonal shift or its log-multipliers, masked_logsumexp
+    its mask), and every row must keep a finite entry: callers check their
+    masks, not the sums. Shifted by the row max, the exponentials cannot
+    overflow; lse = max + log(sum) and the softmax is e / sum, exactly 0 on
+    the masked entries.
+    """
+    rowmax = np.maximum.reduce(x, axis=1, keepdims=True)
     x -= rowmax
     np.exp(x, out=x)
-    return rowmax[:, 0] + np.log(np.sum(x, axis=1))
+    total = np.add.reduce(x, axis=1, keepdims=True)
+    x /= total
+    return rowmax[:, 0] + np.log(total[:, 0])
+
+
+def masked_logsumexp(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Per-row log(sum(exp(logits))) over unmasked entries, max-stabilized.
+
+    logits are consumed as-is (temperature, if any, is the caller's job).
+    It is the log-sum-exp that _softmax_rows, the loss engine's softmax
+    kernel, returns. Rows with no unmasked entry are a domain error.
+    """
+    mask = np.asarray(mask, dtype=bool)
+    _require_live_rows(mask)
+    # -inf off the mask stays -inf through the shift and exp()s to exactly 0
+    return _softmax_rows(np.where(mask, logits, -np.inf))
 
 
 def finite_difference_gradient(f: Callable[[np.ndarray], float], x, h: float = 1e-5) -> np.ndarray:

@@ -99,16 +99,18 @@ class Encoder:
         f, _ = self.forward(np.asarray(x, dtype=np.float64))
         return f
 
-    def backward(self, cache, d_f):
+    def backward(self, cache, d_f, out=None):
+        """Gradients as a dict in the order w2, b2, w1, b1; with out (a dict
+        of arrays of those shapes, such as train_model's views) they are
+        written into out's arrays and out is returned."""
         x, h1, a1 = cache
-        g = {
-            "w2": a1.T @ d_f,
-            "b2": d_f.sum(axis=0),
-        }
-        d_a1 = d_f @ self.w2.T
-        d_h1 = d_a1 * (h1 > 0.0)
-        g["w1"] = x.T @ d_h1
-        g["b1"] = d_h1.sum(axis=0)
+        g = {} if out is None else out
+        g["w2"] = np.matmul(a1.T, d_f, out=g.get("w2"))
+        g["b2"] = np.sum(d_f, axis=0, out=g.get("b2"))
+        d_h1 = d_f @ self.w2.T
+        d_h1 *= h1 > 0.0
+        g["w1"] = np.matmul(x.T, d_h1, out=g.get("w1"))
+        g["b1"] = np.sum(d_h1, axis=0, out=g.get("b1"))
         return g
 
 
@@ -125,12 +127,14 @@ class ProjectionHead:
         z = r1 @ self.v2
         return z, (f, p1, r1)
 
-    def backward(self, cache, d_z):
+    def backward(self, cache, d_z, out=None):
+        """(gradients of v2 and v1, d_f); with out, as Encoder.backward."""
         f, p1, r1 = cache
-        g = {"v2": r1.T @ d_z}
-        d_r1 = d_z @ self.v2.T
-        d_p1 = d_r1 * (p1 > 0.0)
-        g["v1"] = f.T @ d_p1
+        g = {} if out is None else out
+        g["v2"] = np.matmul(r1.T, d_z, out=g.get("v2"))
+        d_p1 = d_z @ self.v2.T
+        d_p1 *= p1 > 0.0
+        g["v1"] = np.matmul(f.T, d_p1, out=g.get("v1"))
         d_f = d_p1 @ self.v1.T
         return g, d_f
 
@@ -167,6 +171,17 @@ class TrainedModel:
             p["prototypes"] = self.prototypes
         return p
 
+    def set_params(self, arrays: dict[str, np.ndarray]) -> None:
+        """Point the model at the given arrays, keyed as params() keys them."""
+        enc = self.encoder
+        enc.w1, enc.b1, enc.w2, enc.b2 = (arrays[k] for k in ("w1", "b1", "w2", "b2"))
+        if self.head is not None:
+            self.head.v1, self.head.v2 = arrays["v1"], arrays["v2"]
+        if self.classifier_w is not None:
+            self.classifier_w, self.classifier_b = arrays["cls_w"], arrays["cls_b"]
+        if self.prototypes is not None:
+            self.prototypes = arrays["prototypes"]
+
     def project(self, x) -> np.ndarray:
         if self.head is None:
             raise ConfigError("model has no projection head")
@@ -190,23 +205,80 @@ def lr_schedule(step: int, total_steps: int, base_lr: float, warmup_frac: float)
     return base_lr * 0.5 * (1.0 + np.cos(np.pi * progress))
 
 
-def clip_gradient(grads: dict, threshold: float) -> dict:
+def clip_gradient(grads: dict, threshold: float, scratch: dict | None = None) -> dict:
     """Global-norm gradient clip of a dict of gradient arrays: if their joint
     Euclidean norm exceeds the threshold, every array is scaled by
     threshold / norm. Direction is preserved and the output norm never
-    exceeds the threshold.
+    exceeds the threshold. The norm sums each array's pairwise sum of
+    squares in dict order.
 
     The arrays are scaled in place and the same dict is returned, so no two
     of them may share memory; an array gets the same bytes as `g * scale`.
+    The squares go to fresh arrays, or into scratch when given: one array
+    per key, of the gradient's shape, whose contents are overwritten.
     """
     if threshold <= 0:
         raise ConfigError(f"clip threshold must be positive, got {threshold}")
-    norm = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+    norm = np.sqrt(sum(float(np.sum(np.multiply(g, g, out=None if scratch is None else scratch[k])))
+                       for k, g in grads.items()))
     if norm > threshold:
         scale = threshold / norm
         for g in grads.values():
             g *= scale
     return grads
+
+
+# the order of _batch_step's gradient dict, and of the optimizer's vectors
+_LAYOUT = ("w2", "b2", "w1", "b1", "v2", "v1", "cls_w", "cls_b", "prototypes")
+
+
+class _FlatSGD:
+    """SGD with momentum and decoupled weight decay over one contiguous
+    float64 vector per role: the parameters, the velocity, the scratch for
+    the lr * v and lr * wd * p products, and the gradients. Each vector is
+    laid out in the gradient dict's order (_LAYOUT). The model's parameters
+    become views of the first vector, `grads` holds views of the last for
+    the backward to write into, and `squares` views of the scratch for the
+    clip.
+
+    A step is a few whole-vector operations, with the decay applied to the
+    runs of the layout that hold no bias. Every element goes through the
+    operations of the per-array update, in the same order, so it gets the
+    same bits."""
+
+    def __init__(self, model: TrainedModel):
+        arrays = model.params()
+        keys = [k for k in _LAYOUT if k in arrays]
+        size = sum(arrays[k].size for k in keys)
+        self.params = np.empty(size)
+        self.velocity = np.zeros(size)
+        self.scratch = np.empty(size)
+        self.gradient = np.empty(size)
+        views = {}
+        self.grads = {}
+        self.squares = {}
+        self.decayed = []
+        start = 0
+        for k in keys:
+            shape, stop = arrays[k].shape, start + arrays[k].size
+            views[k] = self.params[start:stop].reshape(shape)
+            views[k][...] = arrays[k]
+            self.grads[k] = self.gradient[start:stop].reshape(shape)
+            self.squares[k] = self.scratch[start:stop].reshape(shape)
+            if k not in _BIAS_KEYS:
+                joined = self.decayed and self.decayed[-1].stop == start
+                self.decayed.append(slice(self.decayed.pop().start if joined else start, stop))
+            start = stop
+        model.set_params(views)
+
+    def step(self, lr: float, momentum: float, weight_decay: float) -> None:
+        p, v, buf = self.params, self.velocity, self.scratch
+        v *= momentum
+        v += self.gradient
+        p -= np.multiply(lr, v, out=buf)
+        if weight_decay > 0:
+            for run in self.decayed:
+                p[run] -= np.multiply(lr * weight_decay, p[run], out=buf[run])
 
 
 def _init_model(loss_id: str, n_features: int, n_labels: int,
@@ -257,26 +329,32 @@ def _epoch_batches(n: int, batch_size: int, rng: np.random.Generator):
     return out
 
 
-def _batch_step(model: TrainedModel, xb, yb):
+def _batch_step(model: TrainedModel, xb, yb, out=None):
     """Forward + backward for one batch; returns (loss, grads, (open gates,
-    positive pairs)), the counts (0, 0) for a logit loss."""
+    positive pairs)), the counts (0, 0) for a logit loss. The gradients share
+    no memory with each other or with the parameters; with out (a dict of
+    arrays keyed and shaped as the gradients) they are written into out's
+    arrays and grads is out."""
     f, enc_cache = model.encoder.forward(xb)
     if model.head is not None:
         z, head_cache = model.head.forward(f)
         # yb is rows of the validated dataset; the engine rejects zero-norm z
         batch = ContrastiveBatch._trusted(z, yb, model.prototypes)
         bundle = contrastive_loss(model.loss_id, batch, model.loss_cfg)
-        head_grads, d_f = model.head.backward(head_cache, bundle.d_z)
-        grads = model.encoder.backward(enc_cache, d_f)
+        head_grads, d_f = model.head.backward(head_cache, bundle.d_z, out=out)
+        grads = model.encoder.backward(enc_cache, d_f, out=out)
         grads.update(head_grads)
         if model.prototypes is not None:
-            grads["prototypes"] = bundle.d_prototypes
+            if out is None:
+                grads["prototypes"] = bundle.d_prototypes
+            else:
+                out["prototypes"][...] = bundle.d_prototypes
         return bundle.loss_value, grads, bundle.prr_counts()
     logits = f @ model.classifier_w + model.classifier_b
     res = logit_loss(model.loss_id, logits, yb, model.loss_cfg)
-    grads = model.encoder.backward(enc_cache, res.d_logits @ model.classifier_w.T)
-    grads["cls_w"] = f.T @ res.d_logits
-    grads["cls_b"] = res.d_logits.sum(axis=0)
+    grads = model.encoder.backward(enc_cache, res.d_logits @ model.classifier_w.T, out=out)
+    grads["cls_w"] = np.matmul(f.T, res.d_logits, out=grads.get("cls_w"))
+    grads["cls_b"] = np.sum(res.d_logits, axis=0, out=grads.get("cls_b"))
     return res.loss_value, grads, (0, 0)
 
 
@@ -313,11 +391,8 @@ def train_model(
         )
     rng = np.random.default_rng(tcfg.seed)
     model = _init_model(loss_id, x_train.shape[1], y_train.shape[1], loss_cfg, tcfg, rng)
-    # the optimizer updates the model's own arrays in place, through one
-    # scratch buffer per parameter for the lr * v and lr * wd * p products
-    params = model.params()
-    velocity = {k: np.zeros_like(v) for k, v in params.items()}
-    scratch = {k: np.empty_like(v) for k, v in params.items()}
+    # the model's parameters become views of the optimizer's flat vector
+    sgd = _FlatSGD(model)
 
     steps_per_epoch = len(_epoch_batches(x_train.shape[0], tcfg.batch_size,
                                          np.random.default_rng(0)))
@@ -331,7 +406,8 @@ def train_model(
         lr_now = 0.0
         for idx in _epoch_batches(x_train.shape[0], tcfg.batch_size, rng):
             try:
-                loss_val, grads, (n_open, n_pos) = _batch_step(model, x_train[idx], y_train[idx])
+                loss_val, grads, (n_open, n_pos) = _batch_step(model, x_train[idx], y_train[idx],
+                                                               out=sgd.grads)
             except DomainError as exc:
                 # the dataset was validated up front, so a domain error here
                 # comes from the parameters: a finite row of z or of the
@@ -341,15 +417,10 @@ def train_model(
                 raise TrainingDivergence(f"{kind} forward at step {step}: {exc}") from exc
             if not np.isfinite(loss_val):
                 raise TrainingDivergence(f"non-finite loss at step {step}")
-            grads = clip_gradient(grads, tcfg.clip)
+            # scales sgd.grads, the views of sgd.gradient, in place
+            clip_gradient(grads, tcfg.clip, scratch=sgd.squares)
             lr_now = lr_schedule(step, total_steps, tcfg.lr, tcfg.warmup_frac)
-            for key, p in params.items():
-                v, buf = velocity[key], scratch[key]
-                v *= tcfg.momentum
-                v += grads[key]
-                p -= np.multiply(lr_now, v, out=buf)
-                if tcfg.weight_decay > 0 and key not in _BIAS_KEYS:
-                    p -= np.multiply(lr_now * tcfg.weight_decay, p, out=buf)
+            sgd.step(lr_now, tcfg.momentum, tcfg.weight_decay)
             losses.append(loss_val)
             if n_pos:
                 prrs.append(n_open / n_pos)

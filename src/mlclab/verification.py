@@ -4,7 +4,10 @@ check_gradients compares every loss's analytic gradient against central
 finite differences on seeded random batches. The detached gate regularizer
 is excluded from finite differencing (detaching makes the forward
 non-variational) and is instead compared against an independently coded
-closed form assembled from per-pair cosine derivatives.
+closed form assembled from per-pair cosine derivatives. A contrastive trial
+builds its loss spec once, from the batch's labels, and runs it through the
+engine for the analytic gradient and for every finite-difference
+evaluation.
 """
 
 from __future__ import annotations
@@ -22,9 +25,12 @@ from .losses import (
     REGULARIZED_LOSS_IDS,
     GradientBundle,
     LossConfig,
+    LossSpec,
     PairStructure,
+    _run_engine,
     check_loss_id,
     contrastive_loss,
+    contrastive_spec,
     host_loss_id,
     logit_loss,
     needs_prototypes,
@@ -143,44 +149,49 @@ def _max_err(analytic, reference):
     return float(rel.max()), float(np.abs(analytic - reference).max()), worst
 
 
+def _fd_estimates(batch: ContrastiveBatch, spec: LossSpec, cfg: LossConfig):
+    """Central differences, at FD_STEP, of the unregularized engine value of
+    spec with respect to the embeddings and (when the batch has them) the
+    prototypes: (fd_z, fd_c), fd_c None without prototypes. The labels never
+    change, so every evaluation runs the one spec."""
+
+    def value_of(attr):
+        start = getattr(batch, attr)
+
+        def value(x):
+            setattr(batch, attr, x)
+            try:
+                return _run_engine(batch, spec, cfg, False, compute_gradients=False).loss_value
+            finally:
+                setattr(batch, attr, start)
+
+        return value
+
+    fd_z = finite_difference_gradient(value_of("z"), batch.z, FD_STEP)
+    fd_c = None
+    if batch.prototypes is not None:
+        fd_c = finite_difference_gradient(value_of("prototypes"), batch.prototypes, FD_STEP)
+    return fd_z, fd_c
+
+
 def _check_contrastive_trial(loss_id, trial, rng, tol, cfg) -> GradCheckReport:
     batch = random_batch(rng, loss_id)
-    regularized = loss_id in REGULARIZED_LOSS_IDS
-    # the detached gate term is not variational: finite-difference the host loss
-    fd_id = host_loss_id(loss_id)
+    # the detached gate term is not variational: finite-difference the host
+    # loss, whose spec is the regularized id's own
+    spec = contrastive_spec(host_loss_id(loss_id), batch, cfg)
+    bundle = _run_engine(batch, spec, cfg, False)
 
-    bundle = contrastive_loss(fd_id, batch, cfg)
-    z0 = batch.z
-
-    def value_of_z(z):
-        batch.z = z
-        try:
-            return contrastive_loss(fd_id, batch, cfg, compute_gradients=False).loss_value
-        finally:
-            batch.z = z0
-
-    fd_z = finite_difference_gradient(value_of_z, batch.z, FD_STEP)
+    fd_z, fd_c = _fd_estimates(batch, spec, cfg)
     rel, abs_err, worst = _max_err(bundle.d_z, fd_z)
     worst = ("z",) + worst
-
-    if batch.prototypes is not None:
-        c0 = batch.prototypes
-
-        def value_of_c(c):
-            batch.prototypes = c
-            try:
-                return contrastive_loss(fd_id, batch, cfg, compute_gradients=False).loss_value
-            finally:
-                batch.prototypes = c0
-
-        fd_c = finite_difference_gradient(value_of_c, batch.prototypes, FD_STEP)
+    if fd_c is not None:
         rel_c, abs_c, worst_c = _max_err(bundle.d_prototypes, fd_c)
         if rel_c > rel:
             rel, abs_err, worst = rel_c, abs_c, ("c",) + worst_c
 
     reg_err = None
-    if regularized:
-        full = contrastive_loss(loss_id, batch, cfg)
+    if loss_id in REGULARIZED_LOSS_IDS:
+        full = _run_engine(batch, spec, cfg, True)
         reg_dz = full.d_z - bundle.d_z
         ref_dz, ref_dc = reg_gradient_reference(batch, full, cfg)
         reg_err = float(relative_error(reg_dz, ref_dz).max())

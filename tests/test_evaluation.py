@@ -120,6 +120,17 @@ class TestMeanAveragePrecision:
         # tie: instance 0 ranks first, the positive second -> AP = 1/2
         assert mean_average_precision(scores, truth) == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("truth", [[[2], [1]], [[0.5], [1.0]], [[-1], [0]], [[np.nan], [1]]])
+    def test_non_binary_truth_rejected(self, truth):
+        # a 2 used to count as a negative: [[2], [1]] read 0.5
+        with pytest.raises(DomainError, match="truth must be binary"):
+            mean_average_precision([[0.9], [0.1]], truth)
+
+    def test_bool_and_float_truth_accepted(self):
+        scores = np.array([[0.9], [0.5], [0.1]])
+        for truth in (np.array([[True], [False], [True]]), np.array([[1.0], [0.0], [1.0]])):
+            assert mean_average_precision(scores, truth) == pytest.approx(5 / 6)
+
 
 class TestAlignment:
     def test_identical_features_zero(self):

@@ -20,7 +20,11 @@ from mlclab.losses import (
     PROTOTYPE_LOSS_IDS,
     REGULARIZED_LOSS_IDS,
     LossConfig,
+    _denominator,
+    _raw_pool,
+    _run_engine,
     contrastive_loss,
+    contrastive_spec,
     host_loss_id,
     logit_loss,
     loss_asymmetric,
@@ -411,6 +415,107 @@ class TestDenominatorMask:
         with pytest.raises(ValueError, match="read-only"):
             mask[0, 1] = False
         assert mask[0, 1] and not mask[0, 0]
+
+
+def _two_exponential_host(batch, spec, cfg):
+    """(value, lse, masked logits) of the unregularized engine as it formed
+    them before its one-exponential softmax: the masked logits
+    where(mask, s + log_g, -inf) and masked_logsumexp's two-pass form."""
+    z_inv, pool, pool_inv, _ = _raw_pool(batch, spec.include_batch, spec.include_prototypes)
+    s = _cosine_forward(batch.z, z_inv, pool, pool_inv, cfg.tau)
+    mask = np.ones(s.shape, dtype=bool)
+    if spec.include_batch:
+        np.fill_diagonal(mask, False)
+    den = s
+    if spec.log_g is not None:
+        with np.errstate(invalid="ignore"):
+            den = s + spec.log_g
+        mask &= spec.log_g > -np.inf
+    x = np.where(mask, den, -np.inf)
+    rowmax = np.max(x, axis=1, keepdims=True)
+    lse = rowmax[:, 0] + np.log(np.sum(np.exp(x - rowmax), axis=1))
+    per_anchor = lse * spec.coeff.sum(axis=1) - np.einsum("ij,ij->i", spec.coeff, s)
+    return float(np.dot(spec.outer, per_anchor)), lse, x
+
+
+def _training_shaped_batch(rng, loss_id):
+    n, dim, big_l = 64, 32, 20
+    y = np.zeros((n, big_l), dtype=np.int8)
+    y[np.arange(n), rng.integers(0, big_l, size=n)] = 1
+    if not needs_single_label(loss_id):
+        y |= (rng.random((n, big_l)) < 0.08).astype(np.int8)
+    protos = rng.normal(size=(big_l, dim)) if needs_prototypes(loss_id) else None
+    return ContrastiveBatch(z=rng.normal(size=(n, dim)), y=y, prototypes=protos)
+
+
+_HOSTS = [
+    *(pytest.param(lid, CFG, id=lid) for lid in CONTRASTIVE_LOSS_IDS
+      if lid not in REGULARIZED_LOSS_IDS),
+    pytest.param("msc", LossConfig(beta=0.0), id="msc-beta0"),
+    pytest.param("proto", LossConfig(proto_denominator="batch+prototypes"),
+                 id="proto-batch+prototypes"),
+]
+
+
+class TestOneExponentialEngine:
+    """The engine's softmax takes one exponential per entry. Host values keep
+    the bits of the two-exponential form; sigma moves in its last bits."""
+
+    @pytest.mark.parametrize("loss_id,cfg", _HOSTS)
+    def test_host_values_bit_identical_to_two_exponential_form(self, loss_id, cfg):
+        rng = np.random.default_rng(61)
+        batches = [random_batch(rng, loss_id) for _ in range(60)]
+        batches += [_training_shaped_batch(rng, loss_id) for _ in range(3)]
+        for batch in batches:
+            spec = contrastive_spec(loss_id, batch, cfg)
+            want, lse, x = _two_exponential_host(batch, spec, cfg)
+            for compute_gradients in (True, False):
+                got = contrastive_loss(loss_id, batch, cfg, compute_gradients)
+                assert np.float64(got.loss_value).tobytes() == np.float64(want).tobytes()
+            sigma_ref = np.exp(x - lse[:, None])
+            big = sigma_ref > 1e-290
+            np.testing.assert_allclose(got.structure.sigma[big], sigma_ref[big], rtol=1e-12, atol=0)
+            assert np.all(got.structure.sigma[~big] < 1e-289)
+
+    def test_spec_inputs_computed_once(self):
+        batch = random_batch(np.random.default_rng(62), "msc")
+        spec = contrastive_spec("msc", batch, CFG)
+        a = _run_engine(batch, spec, CFG, False).structure
+        b = _run_engine(batch, spec, CFG, False, compute_gradients=False).structure
+        for name in ("positive_mask", "lam_norm", "denominator_mask"):
+            assert getattr(a, name) is getattr(b, name), name
+        assert spec.denominator is spec.denominator
+        total = spec.coeff.sum(axis=1)
+        np.testing.assert_array_equal(a.lam_norm, spec.coeff / np.where(total > 0, total, 1.0)[:, None])
+        np.testing.assert_array_equal(a.positive_mask, spec.coeff > 0)
+
+    def test_diagonal_shift_is_cached_and_read_only(self):
+        mask, shift = _denominator(4, 7, True)
+        assert _denominator(4, 7, True)[1] is shift
+        assert np.all(np.isneginf(np.diagonal(shift))) and np.all(shift[mask] == 0.0)
+        with pytest.raises(ValueError, match="read-only"):
+            shift[0, 1] = 1.0
+        assert _denominator(4, 4, False)[1] is None
+
+    @pytest.mark.parametrize("loss_id", CONTRASTIVE_LOSS_IDS)
+    def test_nan_embedding_gives_nan_loss(self, loss_id):
+        batch = random_batch(np.random.default_rng(63), loss_id)
+        z = batch.z.copy()
+        z[1, 0] = np.nan
+        with np.errstate(invalid="ignore"):
+            bundle = contrastive_loss(loss_id, ContrastiveBatch._trusted(z, batch.y, batch.prototypes),
+                                      CFG)
+        assert np.isnan(bundle.loss_value)
+
+    def test_fully_masked_row_is_a_domain_error(self):
+        # the mask decides, not the softmax sums
+        batch = random_batch(np.random.default_rng(64), "msc")
+        spec = contrastive_spec("msc", batch, LossConfig(beta=0.0))
+        spec.log_g[2, :] = -np.inf
+        with pytest.raises(DomainError, match="fully-masked row at index 2"):
+            _run_engine(batch, spec, CFG, False)
+        with pytest.raises(DomainError, match="fully-masked row at index 0"):
+            _denominator(1, 1, True)
 
 
 class TestLossReg:

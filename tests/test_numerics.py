@@ -1,5 +1,5 @@
-"""Kernel-level checks: tempered cosine, the masked log-sum-exp, and the
-finite-difference oracle itself."""
+"""Kernel-level checks: tempered cosine, the masked log-sum-exp and the
+one-exponential softmax kernel, and the finite-difference oracle itself."""
 
 import numpy as np
 import pytest
@@ -9,6 +9,7 @@ from mlclab.numerics import (
     _cosine_backward,
     _cosine_forward,
     _inverse_norms,
+    _softmax_rows,
     finite_difference_gradient,
     masked_logsumexp,
     relative_error,
@@ -299,6 +300,83 @@ class TestMaskedLogSoftmax:
     def test_fully_masked_row(self):
         with pytest.raises(DomainError, match="fully-masked row at index 1"):
             masked_logsumexp(np.array([[1.0, 2.0], [1.0, 2.0]]), np.array([[1, 0], [0, 0]]))
+
+
+def _two_exponential_softmax(x):
+    """(lse, sigma) as the engine formed them before its one-exponential
+    kernel: lse from one pass of exponentials over the masked logits x
+    (-inf off the mask), sigma from a second, exp(x - lse)."""
+    rowmax = np.max(x, axis=1, keepdims=True)
+    e = np.exp(x - rowmax)
+    lse = rowmax[:, 0] + np.log(np.sum(e, axis=1))
+    return lse, np.exp(x - lse[:, None])
+
+
+def _masked_rows(rng, n, m, scale):
+    x = rng.normal(0.0, scale, size=(n, m))
+    x[rng.random((n, m)) < 0.3] = -np.inf
+    x[np.arange(n), rng.integers(0, m, size=n)] = rng.normal(0.0, scale, size=n)
+    return x
+
+
+class TestSoftmaxKernel:
+    """_softmax_rows gives the two-exponential form's log-sum-exp bit for bit
+    and its softmax to 1e-12 relative on every entry above 1e-290 (below,
+    both forms are subnormal or zero)."""
+
+    @staticmethod
+    def _check(x):
+        want_lse, want_sigma = _two_exponential_softmax(x)
+        sigma = x.copy()
+        lse = _softmax_rows(sigma)
+        assert lse.tobytes() == want_lse.tobytes()
+        assert np.all(sigma[np.isneginf(x)] == 0.0)
+        big = want_sigma > 1e-290
+        np.testing.assert_allclose(sigma[big], want_sigma[big], rtol=1e-12, atol=0)
+        assert np.all(sigma[~big] < 1e-289)
+        np.testing.assert_allclose(sigma.sum(axis=1), 1.0, rtol=1e-13)
+        return lse, sigma
+
+    def test_random_rows(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            self._check(rng.normal(0.0, 10.0, size=(rng.integers(1, 9), rng.integers(1, 40))))
+
+    def test_rows_with_minus_inf_log_multipliers(self):
+        # the engine's masked logits: s + log_g, -inf where log_g removes an entry
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            self._check(_masked_rows(rng, int(rng.integers(1, 9)), int(rng.integers(2, 40)), 10.0))
+
+    def test_logits_at_plus_minus_one_over_tau(self):
+        tau = 1e-3
+        rng = np.random.default_rng(13)
+        for _ in range(50):
+            n, m = int(rng.integers(2, 9)), int(rng.integers(2, 40))
+            x = rng.choice([-1.0 / tau, 1.0 / tau], size=(n, m)) * rng.uniform(0.99, 1.0, (n, m))
+            x[rng.random((n, m)) < 0.2] = -np.inf
+            x[:, 0] = 1.0 / tau
+            lse, sigma = self._check(x)
+            assert np.all(np.isfinite(lse))
+
+    def test_single_live_entry(self):
+        rng = np.random.default_rng(14)
+        x = np.full((5, 7), -np.inf)
+        cols = rng.integers(0, 7, size=5)
+        x[np.arange(5), cols] = [-1000.0, -3.5, 0.0, 2.0, 1000.0]
+        lse, sigma = self._check(x)
+        np.testing.assert_array_equal(lse, x[np.arange(5), cols])
+        expected = np.zeros((5, 7))
+        expected[np.arange(5), cols] = 1.0
+        np.testing.assert_array_equal(sigma, expected)
+
+    def test_masked_logsumexp_is_the_kernel_output(self):
+        rng = np.random.default_rng(15)
+        logits = rng.normal(0.0, 5.0, size=(6, 9))
+        mask = rng.random((6, 9)) < 0.7
+        mask[:, 3] = True
+        x = np.where(mask, logits, -np.inf)
+        assert masked_logsumexp(logits, mask).tobytes() == _softmax_rows(x).tobytes()
 
 
 class TestFiniteDifferenceGradient:

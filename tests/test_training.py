@@ -14,10 +14,14 @@ from mlclab.evaluation import alignment, micro_f1
 from mlclab.losses import LOSS_IDS, LossConfig, contrastive_loss, needs_single_label, prr
 from mlclab.training import (
     _BIAS_KEYS,
+    _LAYOUT,
     CHECKPOINT_FORMAT,
     CHECKPOINT_VERSION,
+    Encoder,
+    ProjectionHead,
     TrainConfig,
     _batch_step,
+    _FlatSGD,
     _epoch_batches,
     _init_model,
     clip_gradient,
@@ -137,6 +141,23 @@ class TestClipGradient:
         assert clip_gradient(grads, 1.0) is grads
         assert all(grads[k] is arrays[k] for k in grads)
         assert grads["a"][0] == 0.3 and grads["b"][0] == 0.4
+
+    @pytest.mark.parametrize("threshold", [1e-3, 1e6])
+    def test_squaring_into_scratch_views_keeps_the_bytes(self, threshold):
+        # train_model squares into views of its flat scratch vector
+        rng = np.random.default_rng(4)
+        shapes = {"w": (64, 256), "b": (64,), "p": (20, 256), "c": (3, 5)}
+        for _ in range(5):
+            grads = {k: rng.normal(size=shape) for k, shape in shapes.items()}
+            flat = np.empty(sum(int(np.prod(sh)) for sh in shapes.values()) + 1)
+            scratch, start = {}, 1  # views off the vector's own alignment
+            for k, g in grads.items():
+                scratch[k] = flat[start:start + g.size].reshape(g.shape)
+                start += g.size
+            want = clip_gradient({k: g.copy() for k, g in grads.items()}, threshold)
+            got = clip_gradient(grads, threshold, scratch=scratch)
+            for k in grads:
+                assert got[k].tobytes() == want[k].tobytes(), k
 
 
 class TestTraining:
@@ -387,6 +408,151 @@ class TestInPlaceStep:
             for b in arrays[i + 1:]:
                 assert not np.shares_memory(a, b)
             assert not any(np.shares_memory(a, p) for p in model.params().values())
+
+
+def _offsets(arrays, buf):
+    """Each array's offset into buf, in elements."""
+    base = buf.__array_interface__["data"][0]
+    return [(a.__array_interface__["data"][0] - base) // buf.itemsize for a in arrays]
+
+
+def _assert_packed(arrays: dict, buf):
+    """The arrays are C-contiguous views of buf, back to back in _LAYOUT
+    order, and cover it exactly."""
+    keys = [k for k in _LAYOUT if k in arrays]
+    assert list(arrays) == keys
+    views = [arrays[k] for k in keys]
+    assert all(v.flags.c_contiguous and np.shares_memory(v, buf) for v in views)
+    sizes = [v.size for v in views]
+    assert _offsets(views, buf) == list(np.cumsum([0] + sizes[:-1]))
+    assert sum(sizes) == buf.size
+
+
+class TestFlatOptimizer:
+    """train_model's parameters, velocity, scratch and gradients are one
+    contiguous float64 vector each, laid out in the gradient dict's order."""
+
+    @pytest.mark.parametrize("loss_id", ["reg", "base", "bce"])
+    def test_each_role_is_one_buffer_of_views(self, loss_id):
+        ds = _tiny_dataset()
+        x, y = ds.subset("train")
+        model = _init_model(loss_id, x.shape[1], y.shape[1], LossConfig(), FAST,
+                            np.random.default_rng(0))
+        before = {k: v.copy() for k, v in model.params().items()}
+        sgd = _FlatSGD(model)
+        params = model.params()
+        for k, v in before.items():
+            assert params[k].tobytes() == v.tobytes(), k
+        _assert_packed({k: params[k] for k in _LAYOUT if k in params}, sgd.params)
+        _assert_packed(sgd.grads, sgd.gradient)
+        buffers = (sgd.params, sgd.velocity, sgd.scratch, sgd.gradient)
+        for i, a in enumerate(buffers):
+            assert a.dtype == np.float64 and a.ndim == 1 and a.size == buffers[0].size
+            assert not any(np.shares_memory(a, b) for b in buffers[i + 1:])
+        assert not sgd.velocity.any()
+        _, grads, _ = _batch_step(model, x[:16], y[:16], out=sgd.grads)
+        assert grads is sgd.grads
+        # the decayed runs hold every weight and no bias
+        decayed = np.zeros(sgd.params.size, dtype=bool)
+        for run in sgd.decayed:
+            decayed[run] = True
+        for k, v in sgd.grads.items():
+            (start,) = _offsets([v], sgd.gradient)
+            assert decayed[start:start + v.size].all() == (k not in _BIAS_KEYS)
+            assert decayed[start:start + v.size].any() == (k not in _BIAS_KEYS)
+
+    @pytest.mark.parametrize("loss_id", ["reg", "proto", "bce"])
+    def test_gradients_written_into_views_match_fresh_ones(self, loss_id):
+        ds = _tiny_dataset()
+        x, y = ds.subset("train")
+        model = _init_model(loss_id, x.shape[1], y.shape[1], LossConfig(), FAST,
+                            np.random.default_rng(0))
+        sgd = _FlatSGD(model)
+        sgd.gradient.fill(np.nan)
+        loss_a, fresh, counts_a = _batch_step(model, x[:16], y[:16])
+        loss_b, views, counts_b = _batch_step(model, x[:16], y[:16], out=sgd.grads)
+        assert (loss_a, counts_a) == (loss_b, counts_b)
+        assert list(fresh) == list(views) == [k for k in _LAYOUT if k in views]
+        for k in fresh:
+            assert fresh[k].tobytes() == views[k].tobytes(), k
+
+    def test_step_matches_per_array_update(self):
+        rng = np.random.default_rng(5)
+        ds = _tiny_dataset()
+        x, y = ds.subset("train")
+        model = _init_model("reg", x.shape[1], y.shape[1], LossConfig(), FAST, rng)
+        want = {k: v.copy() for k, v in model.params().items()}
+        velocity = {k: rng.normal(size=v.shape) for k, v in want.items()}
+        grads = {k: rng.normal(size=v.shape) for k, v in want.items()}
+        sgd = _FlatSGD(model)
+        for k in want:
+            sgd.grads[k][...] = grads[k]
+            (start,) = _offsets([sgd.grads[k]], sgd.gradient)
+            sgd.velocity[start:start + grads[k].size] = velocity[k].ravel()
+        lr, momentum, wd = 0.0371, 0.9, 0.3
+        sgd.step(lr, momentum, wd)
+        for k, p in want.items():
+            v = velocity[k] * momentum + grads[k]
+            p = p - lr * v
+            if k not in _BIAS_KEYS:
+                p = p - (lr * wd) * p
+            assert model.params()[k].tobytes() == p.tobytes(), k
+
+    def test_trained_model_is_views_and_checkpoint_round_trips(self, tmp_path):
+        result = train_model(_tiny_dataset(), "reg", LossConfig(), FAST)
+        params = result.model.params()
+        buf = params["w2"].base
+        assert buf is not None and buf.ndim == 1
+        _assert_packed({k: params[k] for k in _LAYOUT if k in params}, buf)
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(result.model, path)
+        loaded, _ = load_checkpoint(path)
+        for k, v in params.items():
+            assert loaded.params()[k].tobytes() == v.tobytes(), k
+        again = tmp_path / "again.json"
+        save_checkpoint(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("loss_id", ["reg", "bce"])
+    def test_one_clip_and_one_call_per_layer_method_per_step(self, loss_id, monkeypatch):
+        # perfbench's tracer counts steps by clip_gradient and times the
+        # encoder and head by these methods
+        import mlclab.training as training
+
+        calls = {}
+
+        def counted(owner, name):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                key = f"{getattr(owner, '__name__', 'training')}.{name}"
+                calls[key] = calls.get(key, 0) + 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        clip_args = []
+        clip = training.clip_gradient
+
+        def recording_clip(grads, threshold, **kwargs):
+            clip_args.append((type(grads), list(grads)))
+            return clip(grads, threshold, **kwargs)
+
+        monkeypatch.setattr(training, "clip_gradient", recording_clip)
+        for cls in (Encoder, ProjectionHead):
+            for method in ("forward", "backward"):
+                counted(cls, method)
+        ds = _tiny_dataset()
+        train_model(ds, loss_id, LossConfig(), FAST)
+        steps = FAST.epochs * len(_epoch_batches(int((ds.split == "train").sum()),
+                                                 FAST.batch_size, np.random.default_rng(0)))
+        keys = ["w2", "b2", "w1", "b1"] + (["v2", "v1", "prototypes"] if loss_id == "reg"
+                                           else ["cls_w", "cls_b"])
+        assert clip_args == [(dict, keys)] * steps
+        head = steps if loss_id == "reg" else 0
+        assert calls == {"Encoder.forward": steps, "Encoder.backward": steps,
+                         **({"ProjectionHead.forward": head, "ProjectionHead.backward": head}
+                            if head else {})}
 
 
 class TestLinearEval:

@@ -8,9 +8,18 @@ import pytest
 
 from mlclab.datamodel import ContrastiveBatch
 from mlclab.errors import ConfigError, OracleError
-from mlclab.losses import LossConfig, contrastive_loss
+from mlclab.losses import (
+    CONTRASTIVE_LOSS_IDS,
+    LossConfig,
+    contrastive_loss,
+    contrastive_spec,
+    host_loss_id,
+)
+from mlclab.numerics import finite_difference_gradient
 from mlclab.verification import (
+    FD_STEP,
     GradCheckReport,
+    _fd_estimates,
     check_gradients,
     gate_report,
     minimum_residual,
@@ -20,6 +29,36 @@ from mlclab.verification import (
 )
 
 CFG = LossConfig()
+
+
+def _fd_per_evaluation_spec(batch, loss_id, cfg, attr):
+    """Central differences with a fresh spec at every evaluation, through
+    contrastive_loss, as each trial ran before it kept one spec."""
+    start = getattr(batch, attr)
+
+    def value(x):
+        setattr(batch, attr, x)
+        try:
+            return contrastive_loss(loss_id, batch, cfg, compute_gradients=False).loss_value
+        finally:
+            setattr(batch, attr, start)
+
+    return finite_difference_gradient(value, start, FD_STEP)
+
+
+class TestOneSpecPerTrial:
+    @pytest.mark.parametrize("loss_id", CONTRASTIVE_LOSS_IDS)
+    def test_fd_estimates_bit_identical_to_per_evaluation_specs(self, loss_id):
+        host = host_loss_id(loss_id)
+        for ss in np.random.SeedSequence(71).spawn(5):
+            batch = random_batch(np.random.default_rng(ss), loss_id)
+            fd_z, fd_c = _fd_estimates(batch, contrastive_spec(host, batch, CFG), CFG)
+            assert fd_z.tobytes() == _fd_per_evaluation_spec(batch, host, CFG, "z").tobytes()
+            if batch.prototypes is None:
+                assert fd_c is None
+            else:
+                want = _fd_per_evaluation_spec(batch, host, CFG, "prototypes")
+                assert fd_c.tobytes() == want.tobytes()
 
 
 class TestCheckGradients:
