@@ -39,12 +39,11 @@ print(f"independent clamp check, max deviation: {report.clamp_max_dev:.2e}")
 
 # distance from the stationarity condition (scores equal to weights on
 # positives, zero on negatives); softmax keeps the negative part positive
-print(f"minimum-condition residual: {minimum_residual(bundle.structure):.4f}")
+print(f"minimum-condition residual: {minimum_residual(bundle.spec, bundle.sigma):.4f}")
 
-# at the shared minimum the regularizer contributes nothing: inject
+# at the shared minimum the regularizer contributes nothing: pass
 # score = weight and watch the term vanish
-st = bundle.structure
-st.sigma = np.where(st.positive_mask, st.lam_norm, 0.0)
-res = reg_term(batch, st, cfg)
+spec = bundle.spec
+res = reg_term(batch, spec, np.where(spec.positive_mask, spec.lam_norm, 0.0), cfg)
 print(f"regularizer value at the shared minimum: {abs(res.value_per_anchor).max():.1f}")
 print(f"regularizer gradient at the shared minimum: {np.abs(res.d_z).max():.1f}")

@@ -40,12 +40,10 @@ from .losses import (
     LOSS_IDS,
     GradientBundle,
     LossConfig,
-    PairStructure,
     contrastive_loss,
     logit_loss,
     loss_asymmetric,
     loss_bce,
-    loss_reg_matrix_value,
     loss_zlpr,
     prr,
     reg_term,
@@ -70,6 +68,7 @@ from .verification import (
     GradCheckReport,
     check_gradients,
     gate_report,
+    loss_reg_matrix_value,
     minimum_residual,
 )
 

@@ -287,7 +287,16 @@ def _format_float(x: float) -> str:
 
 def write_dataset(dataset: MultiLabelDataset, path) -> None:
     """Write the line-oriented text format: a `# meta:` comment, a header
-    `n L p`, then one instance per line as `label,indices<TAB>features`."""
+    `n L p`, then one instance per line as `label,indices<TAB>features`.
+    The file keeps only the split counts and read_dataset rebuilds the tags
+    as train, val, test blocks, so a row out of that order is a DomainError."""
+    rank = np.select([dataset.split == name for name in SPLIT_NAMES], range(len(SPLIT_NAMES)))
+    behind = np.nonzero(np.diff(rank) < 0)[0]
+    if behind.size:
+        i = int(behind[0]) + 1
+        raise DomainError(f"row {i} is tagged {dataset.split[i]!r} after a "
+                          f"{dataset.split[i - 1]!r} row; splits must come as "
+                          f"{', '.join(SPLIT_NAMES)} blocks")
     lines = []
     meta = dict(dataset.meta)
     meta.setdefault("rng", RNG_ALGORITHM)

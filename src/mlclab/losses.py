@@ -36,11 +36,9 @@ from .numerics import (
     _require_live_rows,
     _softmax_rows,
     as_matrix,
-    masked_logsumexp,
     require_finite_floats,
     sigmoid,
     tempered_cosine_backward,
-    tempered_cosine_matrix,
 )
 
 LOGIT_LOSS_IDS = ("bce", "asy", "zlpr")
@@ -86,35 +84,10 @@ class LossConfig:
 
 
 @dataclass
-class PairStructure:
-    """Intermediate of the contrastive engine.
-
-    The pool is the concatenation of the batch embeddings (when
-    include_batch) and the prototypes (when include_prototypes); anchors are
-    always the batch instances. coeff holds the final forward coefficient of
-    each positive pair; lam_norm is coeff normalized to sum to one per anchor
-    (the quantity the regularizer gate compares against sigma); sigma holds
-    the denominator softmax scores and is gradient-opaque.
-    """
-
-    include_batch: bool
-    include_prototypes: bool
-    n_batch_in_pool: int
-    positive_mask: np.ndarray      # (n, m) bool
-    denominator_mask: np.ndarray   # (n, m) bool, after any g-multiplier masking
-    lam: np.ndarray                # (n, m) raw positive weights
-    coeff: np.ndarray              # (n, m) final forward coefficients
-    lam_norm: np.ndarray           # (n, m) coeff / (per-anchor total mass)
-    sigma: np.ndarray              # (n, m) softmax scores, 0 off the denominator
-    outer: np.ndarray              # (n,) per-anchor outer weights
-
-    def negatives_mask(self) -> np.ndarray:
-        return self.denominator_mask & ~self.positive_mask
-
-
-@dataclass
 class GradientBundle:
-    """Loss value plus exact gradients and per-positive gate bookkeeping.
+    """One engine run: the loss value, its exact gradients, the LossSpec it
+    ran (spec, what the labels decide) and the forward's softmax (sigma, 0
+    off the denominator and gradient-opaque).
 
     gate_anchor / gate_pool / gate_value list, for every positive pair in
     anchor-major index-ascending order, the gate coefficient
@@ -124,7 +97,7 @@ class GradientBundle:
     min(0, gate) when the regularizer is on; it is None when the bundle was
     made without gradients.
 
-    The four gate arrays are built from the structure when first read and
+    The four gate arrays are built from spec and sigma when first read and
     then kept, so a training step that reads none of them pays nothing for
     them; a value-only bundle (compute_gradients=False) still has the gate
     arrays. prr_counts() needs none of them.
@@ -133,13 +106,14 @@ class GradientBundle:
     loss_value: float
     d_z: np.ndarray | None
     d_prototypes: np.ndarray | None
-    structure: PairStructure
+    spec: LossSpec
+    sigma: np.ndarray = field(repr=False)
     # d loss / d s before the outer weight; None without gradients
     d_s: np.ndarray | None = field(default=None, repr=False)
 
     @cached_property
     def _positive_index(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.nonzero(self.structure.positive_mask)
+        return np.nonzero(self.spec.positive_mask)
 
     @property
     def gate_anchor(self) -> np.ndarray:
@@ -151,8 +125,7 @@ class GradientBundle:
 
     @cached_property
     def gate_value(self) -> np.ndarray:
-        st = self.structure
-        return (-st.lam_norm + st.sigma)[self._positive_index]
+        return (-self.spec.lam_norm + self.sigma)[self._positive_index]
 
     @cached_property
     def combined_coeff(self) -> np.ndarray | None:
@@ -164,9 +137,9 @@ class GradientBundle:
         """(open gates, positive pairs): prr(gate_value) is their quotient. -a +
         b > 0 exactly when b > a (IEEE subtraction with gradual underflow is
         zero only for equal operands), so counting needs no gate array."""
-        st = self.structure
-        return (int(np.count_nonzero(st.positive_mask & (st.sigma > st.lam_norm))),
-                int(np.count_nonzero(st.positive_mask)))
+        positive_mask = self.spec.positive_mask
+        return (int(np.count_nonzero(positive_mask & (self.sigma > self.spec.lam_norm))),
+                int(np.count_nonzero(positive_mask)))
 
 
 @dataclass
@@ -176,7 +149,6 @@ class RegTermResult:
     value_per_anchor: np.ndarray   # (n,) not yet scaled by the outer weights
     d_z: np.ndarray
     d_prototypes: np.ndarray | None
-    gates: np.ndarray              # (n, m), zero off positive pairs
 
 
 @dataclass
@@ -222,8 +194,9 @@ def _open_gates(positive_mask: np.ndarray, lam_norm: np.ndarray, sigma: np.ndarr
     return gates
 
 
-def reg_term(batch: ContrastiveBatch, structure: PairStructure, cfg: LossConfig) -> RegTermResult:
-    """Gate regularizer for positive pairs.
+def reg_term(batch: ContrastiveBatch, spec: LossSpec, sigma: np.ndarray,
+             cfg: LossConfig) -> RegTermResult:
+    """Gate regularizer for the positive pairs of spec at softmax scores sigma.
 
     For each positive pair (i, k) with normalized weight L = lam_norm[i, k]
     and softmax score sigma[i, k], the gate is max(0, -L + sigma). The
@@ -238,24 +211,22 @@ def reg_term(batch: ContrastiveBatch, structure: PairStructure, cfg: LossConfig)
     bit; its gradient takes the public backward, with the anchor and pool
     sides apart.
     """
-    z_inv, pool, pool_inv, n_batch = _raw_pool(batch, structure.include_batch,
-                                               structure.include_prototypes)
+    z_inv, pool, pool_inv, n_batch = _raw_pool(batch, spec.include_batch, spec.include_prototypes)
     s = _cosine_forward(batch.z, z_inv, pool, pool_inv, cfg.tau)
-    gates = _open_gates(structure.positive_mask, structure.lam_norm, structure.sigma)
+    gates = _open_gates(spec.positive_mask, spec.lam_norm, sigma)
     value_per_anchor = -np.einsum("ij,ij->i", gates, s)
-    upstream = -structure.outer[:, None] * gates
+    upstream = -spec.outer[:, None] * gates
     d_anchor, d_pool = tempered_cosine_backward(batch.z, pool, cfg.tau, upstream)
     d_z = d_anchor
-    if structure.include_batch:
+    if spec.include_batch:
         d_z = d_z + d_pool[:n_batch]
     d_prototypes = None
-    if structure.include_prototypes:
+    if spec.include_prototypes:
         d_prototypes = d_pool[n_batch:]
     return RegTermResult(
         value_per_anchor=value_per_anchor,
         d_z=d_z,
         d_prototypes=d_prototypes,
-        gates=gates,
     )
 
 
@@ -267,8 +238,7 @@ class LossSpec:
     (include_prototypes). coeff[i, k] is the forward coefficient of positive
     pair (i, k) on that pool and outer the per-anchor weights. log_g, when
     given, adds log-multipliers to the denominator logits (-inf removes an
-    entry). lam is the raw positive weight matrix kept in the PairStructure
-    (coeff when None).
+    entry). lam is the raw positive weight matrix (coeff when not given).
 
     A spec depends only on the labels and the config, so it holds the
     engine's inputs that follow from them, each computed once when first
@@ -283,6 +253,10 @@ class LossSpec:
     include_prototypes: bool
     log_g: np.ndarray | None = None
     lam: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.lam is None:
+            self.lam = self.coeff
 
     @cached_property
     def positive_mask(self) -> np.ndarray:
@@ -336,7 +310,7 @@ def _run_engine(
 
     compute_gradients=False skips the backward pass: d_z, d_prototypes and
     combined_coeff come back as None, while the gate arrays and prr_counts()
-    read the forward's structure as usual. The finite-difference oracle and
+    read the spec and sigma as usual. The finite-difference oracle and
     the PRR measurement use it.
 
     The engine checks nothing of the batch but rows whose norms the cosine
@@ -345,44 +319,30 @@ def _run_engine(
     paths, from the trusted one, where a non-finite embedding shows up as a
     non-finite loss.
     """
-    z_inv, pool, pool_inv, n_batch = _raw_pool(batch, spec.include_batch,
-                                               spec.include_prototypes)
+    z_inv, pool, pool_inv, _ = _raw_pool(batch, spec.include_batch, spec.include_prototypes)
     n, m = batch.n, pool.shape[0]
     coeff, outer = spec.coeff, spec.outer
     if coeff.shape != (n, m):
         raise DomainError(f"coeff shape {coeff.shape} != ({n}, {m})")
 
     s = _cosine_forward(batch.z, z_inv, pool, pool_inv, cfg.tau)
-    mask, shift = spec.denominator
+    shift = spec.denominator[1]
     # the masked logits, which the kernel turns into the softmax in place
     sigma = s.copy() if shift is None else s + shift
     lse = _softmax_rows(sigma)
 
-    positive_mask, total, lam_norm = spec.positive_mask, spec.total, spec.lam_norm
+    total = spec.total
     # -sum_k coeff_ik (s_ik - lse_i)
     per_anchor = lse * total - np.einsum("ij,ij->i", coeff, s)
     loss_value = float(np.dot(outer, per_anchor))
     gates = None
     if regularized:
-        gates = _open_gates(positive_mask, lam_norm, sigma)
+        gates = _open_gates(spec.positive_mask, spec.lam_norm, sigma)
         loss_value += float(np.dot(outer, -np.einsum("ij,ij->i", gates, s)))
-
-    structure = PairStructure(
-        include_batch=spec.include_batch,
-        include_prototypes=spec.include_prototypes,
-        n_batch_in_pool=n_batch,
-        positive_mask=positive_mask,
-        denominator_mask=mask,
-        lam=coeff if spec.lam is None else spec.lam,
-        coeff=coeff,
-        lam_norm=lam_norm,
-        sigma=sigma,
-        outer=outer,
-    )
 
     if not compute_gradients:
         return GradientBundle(loss_value=loss_value, d_z=None, d_prototypes=None,
-                              structure=structure)
+                              spec=spec, sigma=sigma)
 
     # d loss / d s per anchor: -coeff on the positive slot, plus T_i * sigma
     # over the denominator, minus the detached gate on the positive slot
@@ -400,7 +360,7 @@ def _run_engine(
     else:
         d_prototypes = None
     return GradientBundle(loss_value=loss_value, d_z=d_z, d_prototypes=d_prototypes,
-                          structure=structure, d_s=d_s)
+                          spec=spec, sigma=sigma, d_s=d_s)
 
 
 def _label_stats(y: np.ndarray):
@@ -561,48 +521,6 @@ CONTRASTIVE_LOSS_IDS = tuple(_CONTRASTIVE_LOSSES)
 REGULARIZED_LOSS_IDS = tuple(k for k, row in _CONTRASTIVE_LOSSES.items() if row.host)
 PROTOTYPE_LOSS_IDS = tuple(k for k, row in _CONTRASTIVE_LOSSES.items() if row.prototypes)
 LOSS_IDS = LOGIT_LOSS_IDS + CONTRASTIVE_LOSS_IDS
-
-
-# guards 0/0 in the matrix form's weight normalization
-_MATRIX_EPSILON = 1e-12
-
-
-def loss_reg_matrix_value(batch: ContrastiveBatch, cfg: LossConfig, use_reg: bool = True) -> float:
-    """Matrix-form value of the regularized loss at alpha = 0.
-
-    Computes the same number as the reg loss (reg-noreg with use_reg off)
-    via dense masked-softmax algebra on the joined pool: an (m, m, L)
-    shared-label tensor yields the pair weights, a diagonal mask removes
-    self-similarity, and the gate term is assembled from the detached
-    scores. Used to cross-check the per-anchor summation; the epsilon guard
-    in the weight normalization perturbs values by at most ~1e-12 relative.
-    """
-    if batch.prototypes is None:
-        raise ConfigError("reg loss requires prototypes")
-    if cfg.alpha > 0:
-        raise ConfigError("matrix form covers alpha = 0 only")
-    pool = np.vstack([batch.z, batch.prototypes])
-    pool_y = np.vstack([batch.y.astype(np.float64), np.eye(batch.n_labels)])
-    m = pool.shape[0]
-    sim = tempered_cosine_matrix(pool, pool, cfg.tau)
-    mask_d = ~np.eye(m, dtype=bool)
-
-    shared = np.einsum("ac,bc->abc", pool_y, pool_y)
-    shared *= mask_d[:, :, None]
-    norm = shared.sum(axis=1)
-    lam = (shared / (norm[:, None, :] + _MATRIX_EPSILON)).sum(axis=2)
-    lam_norm = lam / pool_y.sum(axis=1)[:, None]
-
-    lse = masked_logsumexp(sim, mask_d)
-    log_p = np.where(mask_d, sim - lse[:, None], 0.0)
-    sigma = np.where(mask_d, np.exp(sim - lse[:, None]), 0.0)
-
-    per_anchor = -(lam_norm * log_p).sum(axis=1)
-    if use_reg:
-        gates = np.maximum(-lam_norm + sigma, 0.0) * (lam_norm > 0)
-        per_anchor = per_anchor - (gates * sim).sum(axis=1)
-    n = batch.n
-    return float(per_anchor[:n].sum() / n)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ check_gradients compares every loss's analytic gradient against central
 finite differences on seeded random batches. The detached gate regularizer
 is excluded from finite differencing (detaching makes the forward
 non-variational) and is instead compared against an independently coded
-closed form assembled from per-pair cosine derivatives. A contrastive trial
+closed form assembled from per-pair cosine derivatives, and the reg loss's
+value against a dense matrix form (loss_reg_matrix_value). A contrastive trial
 builds its loss spec once, from the batch's labels, and runs it through the
 engine for the analytic gradient and for every finite-difference
 evaluation.
@@ -26,7 +27,6 @@ from .losses import (
     GradientBundle,
     LossConfig,
     LossSpec,
-    PairStructure,
     _run_engine,
     check_loss_id,
     contrastive_loss,
@@ -117,27 +117,71 @@ def reg_gradient_reference(batch: ContrastiveBatch, bundle: GradientBundle, cfg:
     positive pairs and sums -outer * gate times the per-pair cosine
     derivatives.
     """
-    st = bundle.structure
+    spec = bundle.spec
     parts = []
-    if st.include_batch:
+    if spec.include_batch:
         parts.append(batch.z)
-    if st.include_prototypes:
+    if spec.include_prototypes:
         parts.append(batch.prototypes)
     pool = np.vstack(parts)
+    # pool rows below the offset are batch rows
+    offset = batch.n if spec.include_batch else 0
     d_z = np.zeros_like(batch.z)
     d_c = np.zeros_like(batch.prototypes) if batch.prototypes is not None else None
     for i, k, gate in zip(bundle.gate_anchor, bundle.gate_pool, bundle.gate_value):
         g = max(0.0, float(gate))
         if g == 0.0:
             continue
-        w = -st.outer[i] * g
+        w = -spec.outer[i] * g
         d_zi, d_pl = _pair_cosine_grads(batch.z[i], pool[k], cfg.tau)
         d_z[i] += w * d_zi
-        if st.include_batch and k < st.n_batch_in_pool:
+        if k < offset:
             d_z[k] += w * d_pl
         elif d_c is not None:
-            d_c[k - st.n_batch_in_pool] += w * d_pl
+            d_c[k - offset] += w * d_pl
     return d_z, d_c
+
+
+# guards 0/0 in the matrix form's weight normalization
+_MATRIX_EPSILON = 1e-12
+
+
+def loss_reg_matrix_value(batch: ContrastiveBatch, cfg: LossConfig, use_reg: bool = True) -> float:
+    """Matrix-form value of the regularized loss at alpha = 0.
+
+    Computes the same number as the reg loss (reg-noreg with use_reg off)
+    via dense masked-softmax algebra on the joined pool: an (m, m, L)
+    shared-label tensor yields the pair weights, a diagonal mask removes
+    self-similarity, and the gate term is assembled from the detached
+    scores. Used to cross-check the per-anchor summation; the epsilon guard
+    in the weight normalization perturbs values by at most ~1e-12 relative.
+    """
+    if batch.prototypes is None:
+        raise ConfigError("reg loss requires prototypes")
+    if cfg.alpha > 0:
+        raise ConfigError("matrix form covers alpha = 0 only")
+    pool = np.vstack([batch.z, batch.prototypes])
+    pool_y = np.vstack([batch.y.astype(np.float64), np.eye(batch.n_labels)])
+    m = pool.shape[0]
+    sim = tempered_cosine_matrix(pool, pool, cfg.tau)
+    mask_d = ~np.eye(m, dtype=bool)
+
+    shared = np.einsum("ac,bc->abc", pool_y, pool_y)
+    shared *= mask_d[:, :, None]
+    norm = shared.sum(axis=1)
+    lam = (shared / (norm[:, None, :] + _MATRIX_EPSILON)).sum(axis=2)
+    lam_norm = lam / pool_y.sum(axis=1)[:, None]
+
+    lse = masked_logsumexp(sim, mask_d)
+    log_p = np.where(mask_d, sim - lse[:, None], 0.0)
+    sigma = np.where(mask_d, np.exp(sim - lse[:, None]), 0.0)
+
+    per_anchor = -(lam_norm * log_p).sum(axis=1)
+    if use_reg:
+        gates = np.maximum(-lam_norm + sigma, 0.0) * (lam_norm > 0)
+        per_anchor = per_anchor - (gates * sim).sum(axis=1)
+    n = batch.n
+    return float(per_anchor[:n].sum() / n)
 
 
 def _max_err(analytic, reference):
@@ -252,8 +296,13 @@ def check_gradients(loss_id: str, trials: int, tol: float, seed: int,
     Deterministic in the master seed: trial seeds are spawned from it, so
     trials are independent and could run concurrently. Returns one report per
     trial. cfg overrides the loss configuration (default: stock LossConfig).
+    trials below 1 and negative seeds are a ConfigError.
     """
     check_loss_id(loss_id)
+    if trials < 1:
+        raise ConfigError(f"trials must be at least 1, got {trials}")
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed}")
     if cfg is None:
         cfg = LossConfig()
     streams = np.random.SeedSequence(seed).spawn(trials)
@@ -276,17 +325,18 @@ def write_reports(reports, path) -> None:
             fh.write(r.to_json() + "\n")
 
 
-def minimum_residual(structure: PairStructure) -> float:
-    """Distance from the stationarity condition of the contrastive engine:
-    sum over positives of (sigma - lam_norm)^2 plus sum over negatives of
-    sigma^2. Zero only if scores match normalized weights exactly and the
-    negatives carry no mass; under a softmax the negative part is strictly
-    positive whenever negatives exist, so this is a diagnostic, not an
-    achievable zero."""
-    pos = structure.positive_mask
-    neg = structure.negatives_mask()
-    pos_part = float(np.sum((structure.sigma[pos] - structure.lam_norm[pos]) ** 2))
-    neg_part = float(np.sum(structure.sigma[neg] ** 2))
+def minimum_residual(spec: LossSpec, sigma: np.ndarray) -> float:
+    """Distance from the stationarity condition of the contrastive engine at
+    softmax scores sigma: sum over the positives of spec of
+    (sigma - lam_norm)^2 plus sum over its negatives (the denominator less
+    the positives) of sigma^2. Zero only if scores match normalized weights
+    exactly and the negatives carry no mass; under a softmax the negative
+    part is strictly positive whenever negatives exist, so this is a
+    diagnostic, not an achievable zero."""
+    pos = spec.positive_mask
+    neg = spec.denominator[0] & ~pos
+    pos_part = float(np.sum((sigma[pos] - spec.lam_norm[pos]) ** 2))
+    neg_part = float(np.sum(sigma[neg] ** 2))
     return pos_part + neg_part
 
 

@@ -31,10 +31,9 @@ from mlclab.losses import (
     contrastive_loss,
     loss_asymmetric,
     loss_bce,
-    loss_reg_matrix_value,
     reg_term,
 )
-from mlclab.verification import check_gradients, random_batch
+from mlclab.verification import check_gradients, loss_reg_matrix_value, random_batch
 
 SEED = 20260810
 
@@ -112,10 +111,8 @@ class TestCriterion3SharedMinimum:
         for _ in range(100):
             batch = random_batch(rng, "reg")
             cfg = LossConfig()
-            structure = contrastive_loss("reg-noreg", batch, cfg).structure
-            structure.sigma = np.where(structure.positive_mask,
-                                       structure.lam_norm, 0.0)
-            res = reg_term(batch, structure, cfg)
+            spec = contrastive_loss("reg-noreg", batch, cfg).spec
+            res = reg_term(batch, spec, np.where(spec.positive_mask, spec.lam_norm, 0.0), cfg)
             worst_value = max(worst_value, float(np.abs(res.value_per_anchor).max()))
             grad_sq = float(np.sum(res.d_z ** 2))
             if res.d_prototypes is not None:
@@ -163,7 +160,7 @@ class TestCriterion4Reductions:
         for _ in range(25):
             # alpha = 0: each other carrier of label j, and prototype j, weighs 1/(carriers + 1)
             b = random_batch(rng, "reg")
-            lam = contrastive_loss("reg", b, LossConfig(alpha=0.0)).structure.lam
+            lam = contrastive_loss("reg", b, LossConfig(alpha=0.0)).spec.lam
             uniform = np.zeros_like(lam)
             for i, anchor in enumerate(positive_sets(b.y)):
                 for j, carriers in anchor.per_label.items():

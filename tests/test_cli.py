@@ -70,6 +70,18 @@ def test_gradcheck_unknown_loss(capsys):
     assert "unknown loss id" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,value,message", [
+    ("--trials", "0", "trials must be at least 1"),
+    ("--trials", "-1", "trials must be at least 1"),
+    ("--seed", "-1", "seed must be nonnegative"),
+])
+def test_gradcheck_rejects_bad_count_or_seed(capsys, flag, value, message):
+    args = {"--trials": "1", "--seed": "0", flag: value}
+    assert main(["gradcheck", "--loss", "reg", *(x for kv in args.items() for x in kv)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
 def test_gradcheck_writes_jsonl(tmp_path, capsys):
     out = tmp_path / "reports"
     assert main(["gradcheck", "--loss", "zlpr", "--trials", "3", "--seed", "1",

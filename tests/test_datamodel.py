@@ -255,6 +255,20 @@ class TestDatasetIO:
         back = read_dataset(p)
         np.testing.assert_array_equal(ds.split, back.split)
 
+    @pytest.mark.parametrize("split,row", [
+        (["test", "train", "val", "train"], 1),
+        (["train", "val", "train", "test"], 2),
+        (["train", "test", "test", "val"], 3),
+    ])
+    def test_splits_out_of_block_order_rejected(self, tmp_path, split, row):
+        # the file keeps only split counts, so these would read back reordered
+        ds = MultiLabelDataset(features=np.ones((4, 2)), labels=np.ones((4, 2), dtype=np.int8),
+                               split=np.array(split, dtype=object))
+        p = tmp_path / "d.txt"
+        with pytest.raises(DomainError, match=f"row {row} is tagged"):
+            write_dataset(ds, p)
+        assert not p.exists()
+
     def test_dataset_without_meta_defaults_to_train(self, tmp_path):
         p = tmp_path / "plain.txt"
         p.write_text("2 2 1\n0\t0.5\n1\t-1.5\n")

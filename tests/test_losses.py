@@ -29,7 +29,6 @@ from mlclab.losses import (
     logit_loss,
     loss_asymmetric,
     loss_bce,
-    loss_reg_matrix_value,
     loss_zlpr,
     needs_prototypes,
     needs_single_label,
@@ -42,7 +41,7 @@ from mlclab.numerics import (
     relative_error,
     tempered_cosine_matrix,
 )
-from mlclab.verification import random_batch
+from mlclab.verification import loss_reg_matrix_value, random_batch
 
 CFG = LossConfig()
 
@@ -72,10 +71,10 @@ class TestGeneralizedContrastive:
         y = np.tile(np.array([[1, 0]], dtype=np.int8), (4, 1))
         batch = ContrastiveBatch(z=z, y=y)
         bundle = contrastive_loss("supcon", batch, CFG)
-        st = bundle.structure
+        spec = bundle.spec
         # sigma uniform over the three others, lam_norm = 1/3 each
-        np.testing.assert_allclose(st.sigma[st.denominator_mask], 1 / 3, atol=1e-12)
-        np.testing.assert_allclose(st.lam_norm[st.positive_mask], 1 / 3, atol=1e-15)
+        np.testing.assert_allclose(bundle.sigma[spec.denominator[0]], 1 / 3, atol=1e-12)
+        np.testing.assert_allclose(spec.lam_norm[spec.positive_mask], 1 / 3, atol=1e-15)
         _fd_check(lambda b: contrastive_loss("supcon", b, CFG), batch)
 
 
@@ -168,9 +167,8 @@ class TestLossMulsupcon:
         y = np.array([[1, 1], [1, 0], [1, 0]], dtype=np.int8)
         batch = ContrastiveBatch(z=z, y=y)
         bundle = contrastive_loss("mulsupcon", batch, CFG)
-        st = bundle.structure
         # anchor 0's label 1 has no other carrier; its lam only reflects label 0
-        assert st.lam[0, 1] == pytest.approx(0.5)  # 1/|P(0,0)| = 1/2
+        assert bundle.spec.lam[0, 1] == pytest.approx(0.5)  # 1/|P(0,0)| = 1/2
         assert np.isfinite(bundle.loss_value)
 
 
@@ -189,9 +187,8 @@ class TestLossMsc:
     def test_beta_zero_masks_instance_negatives(self):
         batch = random_batch(np.random.default_rng(16), "msc")
         bundle = contrastive_loss("msc", batch, LossConfig(beta=0.0))
-        st = bundle.structure
-        np.testing.assert_allclose(st.sigma.sum(axis=1), 1.0, atol=1e-9)
-        assert np.all(st.sigma[:, :batch.n] == 0.0)
+        np.testing.assert_allclose(bundle.sigma.sum(axis=1), 1.0, atol=1e-9)
+        assert np.all(bundle.sigma[:, :batch.n] == 0.0)
 
     def test_fd_with_beta(self):
         batch = random_batch(np.random.default_rng(17), "msc")
@@ -209,9 +206,7 @@ class TestRegTerm:
         # sigma below lam_norm on every positive: gate shut, no contribution
         batch = random_batch(np.random.default_rng(19), "reg")
         bundle = contrastive_loss("reg-noreg", batch, CFG)
-        st = bundle.structure
-        st.sigma = np.zeros_like(st.sigma)
-        res = reg_term(batch, st, CFG)
+        res = reg_term(batch, bundle.spec, np.zeros_like(bundle.sigma), CFG)
         assert np.all(res.value_per_anchor == 0.0)
         np.testing.assert_array_equal(res.d_z, np.zeros_like(batch.z))
 
@@ -219,9 +214,7 @@ class TestRegTerm:
         # sigma equal to lam_norm exactly: value and gradient are exact zeros
         batch = random_batch(np.random.default_rng(20), "reg")
         bundle = contrastive_loss("reg-noreg", batch, CFG)
-        st = bundle.structure
-        st.sigma = st.lam_norm.copy()
-        res = reg_term(batch, st, CFG)
+        res = reg_term(batch, bundle.spec, bundle.spec.lam_norm.copy(), CFG)
         assert np.all(res.value_per_anchor == 0.0)
         assert np.all(res.d_z == 0.0)
         assert np.all(res.d_prototypes == 0.0)
@@ -251,9 +244,9 @@ class TestFusedRegularizer:
             batch = random_batch(rng, loss_id)
             full = contrastive_loss(loss_id, batch, CFG)
             host = contrastive_loss(host_id, batch, CFG)
-            ref = reg_term(batch, full.structure, CFG)
+            ref = reg_term(batch, full.spec, full.sigma, CFG)
             assert full.loss_value == host.loss_value + float(
-                np.dot(full.structure.outer, ref.value_per_anchor))
+                np.dot(full.spec.outer, ref.value_per_anchor))
             expected_dz = host.d_z + ref.d_z
             scale = np.abs(expected_dz).max()
             assert np.abs(full.d_z - expected_dz).max() <= 1e-12 * scale
@@ -281,8 +274,9 @@ class TestFusedRegularizer:
         monkeypatch.setattr(losses, "_cosine_forward", counted("fwd", losses._cosine_forward))
         monkeypatch.setattr(losses, "_cosine_backward", counted("bwd", losses._cosine_backward))
         monkeypatch.setattr(losses, "_inverse_norms", counted("norms", losses._inverse_norms))
-        for name in ("tempered_cosine_matrix", "tempered_cosine_backward"):
-            monkeypatch.setattr(losses, name, None)  # the public checked pair is off the path
+        # the public checked pair is off the path; losses imports no forward of it
+        assert not hasattr(losses, "tempered_cosine_matrix")
+        monkeypatch.setattr(losses, "tempered_cosine_backward", None)
         contrastive_loss("reg", random_batch(np.random.default_rng(43), "reg"), CFG)
         assert calls == {"fwd": 1, "bwd": 1, "norms": ["embeddings", "prototypes"]}
 
@@ -361,7 +355,7 @@ class TestPerLabelReferences:
         rng = np.random.default_rng(51)
         for _ in range(10):
             batch = random_batch(rng, "mulsupcon")
-            coeff = contrastive_loss("mulsupcon", batch, CFG).structure.coeff
+            coeff = contrastive_loss("mulsupcon", batch, CFG).spec.coeff
             expected = _per_label_reference(batch.y, lambda i, k: 1.0, False)
             np.testing.assert_allclose(coeff, expected, rtol=0, atol=1e-15)
 
@@ -376,7 +370,7 @@ class TestPerLabelReferences:
                 # 1 / |y_i | y_k| for an instance, 1 for a prototype
                 return 1.0 / np.sum(y[i] | y[k]) if k < n else 1.0
 
-            coeff = contrastive_loss("msc", batch, LossConfig(beta=beta)).structure.coeff
+            coeff = contrastive_loss("msc", batch, LossConfig(beta=beta)).spec.coeff
             expected = _per_label_reference(batch.y, weight, True) / y.sum(axis=1)[:, None]
             np.testing.assert_allclose(coeff, expected, rtol=0, atol=1e-15)
 
@@ -403,15 +397,15 @@ class TestDenominatorMask:
             if cfg.beta == 0.0:
                 # on top of pool minus self, beta = 0 removes msc's instance columns
                 expected[:, :n] = False
-            st = contrastive_loss(loss_id, batch, cfg).structure
-            assert st.denominator_mask.dtype == bool
-            np.testing.assert_array_equal(st.denominator_mask, expected)
+            mask = contrastive_loss(loss_id, batch, cfg).spec.denominator[0]
+            assert mask.dtype == bool
+            np.testing.assert_array_equal(mask, expected)
 
     def test_cached_mask_rejects_writes(self):
         batch = random_batch(np.random.default_rng(54), "reg")
-        mask = contrastive_loss("reg", batch, CFG).structure.denominator_mask
+        mask = contrastive_loss("reg", batch, CFG).spec.denominator[0]
         # one array per shape, shared by every step of that shape
-        assert contrastive_loss("reg-noreg", batch, CFG).structure.denominator_mask is mask
+        assert contrastive_loss("reg-noreg", batch, CFG).spec.denominator[0] is mask
         with pytest.raises(ValueError, match="read-only"):
             mask[0, 1] = False
         assert mask[0, 1] and not mask[0, 0]
@@ -474,20 +468,22 @@ class TestOneExponentialEngine:
                 assert np.float64(got.loss_value).tobytes() == np.float64(want).tobytes()
             sigma_ref = np.exp(x - lse[:, None])
             big = sigma_ref > 1e-290
-            np.testing.assert_allclose(got.structure.sigma[big], sigma_ref[big], rtol=1e-12, atol=0)
-            assert np.all(got.structure.sigma[~big] < 1e-289)
+            np.testing.assert_allclose(got.sigma[big], sigma_ref[big], rtol=1e-12, atol=0)
+            assert np.all(got.sigma[~big] < 1e-289)
 
     def test_spec_inputs_computed_once(self):
         batch = random_batch(np.random.default_rng(62), "msc")
         spec = contrastive_spec("msc", batch, CFG)
-        a = _run_engine(batch, spec, CFG, False).structure
-        b = _run_engine(batch, spec, CFG, False, compute_gradients=False).structure
-        for name in ("positive_mask", "lam_norm", "denominator_mask"):
-            assert getattr(a, name) is getattr(b, name), name
-        assert spec.denominator is spec.denominator
+        inputs = ("positive_mask", "total", "lam_norm", "denominator")
+        first = [getattr(spec, name) for name in inputs]
+        for compute_gradients in (True, False):
+            assert _run_engine(batch, spec, CFG, False, compute_gradients).spec is spec
+            for name, value in zip(inputs, first):
+                assert getattr(spec, name) is value, name
         total = spec.coeff.sum(axis=1)
-        np.testing.assert_array_equal(a.lam_norm, spec.coeff / np.where(total > 0, total, 1.0)[:, None])
-        np.testing.assert_array_equal(a.positive_mask, spec.coeff > 0)
+        np.testing.assert_array_equal(spec.lam_norm,
+                                      spec.coeff / np.where(total > 0, total, 1.0)[:, None])
+        np.testing.assert_array_equal(spec.positive_mask, spec.coeff > 0)
 
     def test_diagonal_shift_is_cached_and_read_only(self):
         mask, shift = _denominator(4, 7, True)
@@ -525,18 +521,16 @@ class TestLossReg:
         cfg = LossConfig(alpha=alpha)
         for _ in range(10):
             batch = random_batch(rng, "reg")
-            lam = contrastive_loss("reg", batch, cfg).structure.lam
+            lam = contrastive_loss("reg", batch, cfg).spec.lam
             np.testing.assert_allclose(lam, _reg_lam_reference(batch.y, alpha),
                                        rtol=0, atol=1e-12)
 
     def test_regularizer_toggle_at_minimum_condition(self):
         # orthonormal same-class embeddings with matching prototypes removed:
-        # use the injected-structure route, which is exact
+        # pass sigma = lam_norm to reg_term, which is exact
         batch = random_batch(np.random.default_rng(22), "reg")
         bundle = contrastive_loss("reg-noreg", batch, CFG)
-        st = bundle.structure
-        st.sigma = st.lam_norm.copy()
-        res = reg_term(batch, st, CFG)
+        res = reg_term(batch, bundle.spec, bundle.spec.lam_norm.copy(), CFG)
         assert np.all(res.value_per_anchor == 0.0)
 
     def test_fd_differentiable_part_with_alpha(self):
@@ -563,7 +557,7 @@ class TestLossReg:
         batch = random_batch(np.random.default_rng(26), "reg")
         noreg = contrastive_loss("reg-noreg", batch, CFG)
         reg = contrastive_loss("reg", batch, CFG)
-        np.testing.assert_array_equal(noreg.structure.coeff, reg.structure.coeff)
+        np.testing.assert_array_equal(noreg.spec.coeff, reg.spec.coeff)
         np.testing.assert_array_equal(noreg.gate_value, reg.gate_value)
         assert noreg.loss_value != reg.loss_value
 
@@ -589,9 +583,9 @@ class TestSupcon:
             total = lam.sum(axis=1)
             coeff = np.where(total[:, None] > 0.0,
                              lam / np.where(total > 0, total, 1.0)[:, None], 0.0)
-            st = contrastive_loss("supcon", batch, CFG).structure
-            assert st.coeff.tobytes() == coeff.tobytes()
-            assert st.outer.tobytes() == np.full(batch.n, 1.0 / batch.n).tobytes()
+            spec = contrastive_loss("supcon", batch, CFG).spec
+            assert spec.coeff.tobytes() == coeff.tobytes()
+            assert spec.outer.tobytes() == np.full(batch.n, 1.0 / batch.n).tobytes()
 
     def test_positive_negative_structure(self):
         rng = np.random.default_rng(28)
@@ -599,10 +593,10 @@ class TestSupcon:
         y = np.array([[1, 0], [1, 0], [0, 1]], dtype=np.int8)
         batch = ContrastiveBatch(z=z, y=y)
         bundle = _fd_check(lambda b: contrastive_loss("supcon", b, CFG), batch)
-        st = bundle.structure
-        assert st.positive_mask[0, 1] and st.positive_mask[1, 0]
-        assert not st.positive_mask[0, 2]
-        assert st.negatives_mask()[0, 2]
+        spec = bundle.spec
+        assert spec.positive_mask[0, 1] and spec.positive_mask[1, 0]
+        assert not spec.positive_mask[0, 2]
+        assert (spec.denominator[0] & ~spec.positive_mask)[0, 2]
 
     def test_all_same_class_gate_values(self):
         rng = np.random.default_rng(29)
@@ -611,8 +605,7 @@ class TestSupcon:
         y = np.zeros((n, 2), dtype=np.int8)
         y[:, 0] = 1
         bundle = contrastive_loss("supcon-reg", ContrastiveBatch(z=z, y=y), CFG)
-        st = bundle.structure
-        expected = -1.0 / (n - 1) + st.sigma[st.positive_mask]
+        expected = -1.0 / (n - 1) + bundle.sigma[bundle.spec.positive_mask]
         np.testing.assert_allclose(bundle.gate_value, expected, atol=1e-15)
 
     def test_minimum_condition_equals_plain_supcon(self):
@@ -720,15 +713,15 @@ class TestLogitLosses:
 
 def _eager_gates(bundle, regularized):
     """(gate_anchor, gate_pool, gate_value, combined_coeff) extracted from the
-    structure eagerly, as the engine did before it built them on demand."""
-    st = bundle.structure
-    gi, gk = np.nonzero(st.positive_mask)
-    d_s = -st.coeff + st.coeff.sum(axis=1)[:, None] * st.sigma
-    combined = np.where(st.positive_mask, d_s, 0.0)
+    spec and sigma eagerly, as the engine did before it built them on demand."""
+    spec, sigma = bundle.spec, bundle.sigma
+    gi, gk = np.nonzero(spec.positive_mask)
+    d_s = -spec.coeff + spec.coeff.sum(axis=1)[:, None] * sigma
+    combined = np.where(spec.positive_mask, d_s, 0.0)
     if regularized:
-        combined = combined - np.where(st.positive_mask,
-                                       np.maximum(0.0, -st.lam_norm + st.sigma), 0.0)
-    return gi, gk, (-st.lam_norm + st.sigma)[gi, gk], combined[gi, gk]
+        combined = combined - np.where(spec.positive_mask,
+                                       np.maximum(0.0, -spec.lam_norm + sigma), 0.0)
+    return gi, gk, (-spec.lam_norm + sigma)[gi, gk], combined[gi, gk]
 
 
 def _same_prr(a, b):
@@ -781,8 +774,8 @@ class TestGatesOnDemand:
         y = np.zeros((4, 2), dtype=np.int8)
         y[:, 0] = 1
         bundle = contrastive_loss("supcon-reg", ContrastiveBatch(z=z, y=y), CFG)
-        st = bundle.structure
-        assert np.array_equal(st.sigma[st.positive_mask], st.lam_norm[st.positive_mask])
+        spec = bundle.spec
+        assert np.array_equal(bundle.sigma[spec.positive_mask], spec.lam_norm[spec.positive_mask])
         assert bundle.prr_counts() == (0, 12)
         assert _counted_prr(bundle) == prr(bundle.gate_value) == 0.0
 
@@ -925,8 +918,8 @@ class TestLossTable:
         assert needs_prototypes(loss_id) == needs_prototypes(host)
         assert needs_single_label(loss_id) == needs_single_label(host)
         batch = random_batch(np.random.default_rng(44), loss_id)
-        np.testing.assert_array_equal(contrastive_loss(loss_id, batch, CFG).structure.coeff,
-                                      contrastive_loss(host, batch, CFG).structure.coeff)
+        np.testing.assert_array_equal(contrastive_loss(loss_id, batch, CFG).spec.coeff,
+                                      contrastive_loss(host, batch, CFG).spec.coeff)
 
 
 def _worst_cosine(rows, grads):

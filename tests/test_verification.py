@@ -93,6 +93,15 @@ class TestCheckGradients:
         with pytest.raises(ConfigError):
             check_gradients("nope", trials=1, tol=1e-5, seed=0)
 
+    @pytest.mark.parametrize("trials,seed,match", [
+        (0, 0, "trials must be at least 1, got 0"),
+        (-1, 0, "trials must be at least 1, got -1"),
+        (1, -1, "seed must be nonnegative, got -1"),
+    ])
+    def test_count_and_seed_checked_at_the_boundary(self, trials, seed, match):
+        with pytest.raises(ConfigError, match=match):
+            check_gradients("reg", trials=trials, tol=1e-5, seed=seed)
+
     def test_json_lines_round_trip(self, tmp_path):
         reports = check_gradients("bce", trials=3, tol=1e-6, seed=5)
         path = tmp_path / "reports.jsonl"
@@ -120,10 +129,10 @@ class TestRegGradientReference:
 class TestMinimumResidual:
     def test_constructed_sigma_equals_lam(self):
         batch = random_batch(np.random.default_rng(12), "reg")
-        st = contrastive_loss("reg-noreg", batch, CFG).structure
-        st.sigma = np.where(st.positive_mask, st.lam_norm, 0.0)
+        spec = contrastive_loss("reg-noreg", batch, CFG).spec
+        sigma = np.where(spec.positive_mask, spec.lam_norm, 0.0)
         # positive part vanishes; only negatives contribute, and here they are zero too
-        assert minimum_residual(st) == 0.0
+        assert minimum_residual(spec, sigma) == 0.0
 
     def test_uniform_no_negatives_is_zero(self):
         # all same class: denominator equals the positive set, orthonormal
@@ -132,13 +141,13 @@ class TestMinimumResidual:
         z = np.linalg.qr(rng.normal(size=(5, 5)))[0][:4]
         y = np.zeros((4, 2), dtype=np.int8)
         y[:, 0] = 1
-        st = contrastive_loss("supcon-reg", ContrastiveBatch(z=z, y=y), CFG).structure
-        assert minimum_residual(st) < 1e-25
+        bundle = contrastive_loss("supcon-reg", ContrastiveBatch(z=z, y=y), CFG)
+        assert minimum_residual(bundle.spec, bundle.sigma) < 1e-25
 
     def test_random_batch_positive(self):
         batch = random_batch(np.random.default_rng(14), "reg")
-        st = contrastive_loss("reg", batch, CFG).structure
-        assert minimum_residual(st) > 0.0
+        bundle = contrastive_loss("reg", batch, CFG)
+        assert minimum_residual(bundle.spec, bundle.sigma) > 0.0
 
 
 class TestGateReport:
