@@ -1,7 +1,8 @@
 """Batch-experiment command line.
 
 Verbs: gen-data, gradcheck, train, eval, compare, sweep-tau, fraction.
-Exit codes: 0 success, 1 invariant or acceptance failure, 2 config error.
+Exit codes: 0 success, 1 invariant or acceptance failure, 2 config error or
+an input file that is missing or unreadable.
 Every config-driven command echoes the effective configuration into the
 output directory; re-running from that echo reproduces the outputs byte for
 byte.
@@ -186,7 +187,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ParseError) as exc:
+    except (ConfigError, ParseError, OSError, UnicodeDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (DomainError, OracleError, TrainingDivergence) as exc:

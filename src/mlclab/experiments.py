@@ -14,7 +14,7 @@ import numpy as np
 from .config import ExperimentConfig
 from .datamodel import ContrastiveBatch, MultiLabelDataset, generate_longtail, read_dataset
 from .errors import ConfigError, DomainError
-from .evaluation import MetricsReport, compute_report, macro_f1
+from .evaluation import MetricsReport, compute_report
 from .losses import contrastive_loss, is_contrastive
 from .training import (
     TrainResult,

@@ -238,7 +238,7 @@ class LossSpec:
     (include_prototypes). coeff[i, k] is the forward coefficient of positive
     pair (i, k) on that pool and outer the per-anchor weights. log_g, when
     given, adds log-multipliers to the denominator logits (-inf removes an
-    entry). lam is the raw positive weight matrix (coeff when not given).
+    entry).
 
     A spec depends only on the labels and the config, so it holds the
     engine's inputs that follow from them, each computed once when first
@@ -252,11 +252,6 @@ class LossSpec:
     include_batch: bool
     include_prototypes: bool
     log_g: np.ndarray | None = None
-    lam: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.lam is None:
-            self.lam = self.coeff
 
     @cached_property
     def positive_mask(self) -> np.ndarray:
@@ -398,7 +393,7 @@ def _anchor_mean_spec(lam: np.ndarray, include_batch: bool, include_prototypes: 
     total = lam.sum(axis=1)
     coeff = np.where(total[:, None] > 0.0, lam / np.where(total > 0, total, 1.0)[:, None], 0.0)
     return LossSpec(coeff=coeff, outer=np.full(n, 1.0 / n), include_batch=include_batch,
-                    include_prototypes=include_prototypes, lam=lam)
+                    include_prototypes=include_prototypes)
 
 
 def _per_label_lam(yf: np.ndarray, pool_y: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -493,7 +488,7 @@ def _spec_reg(batch: ContrastiveBatch, cfg: LossConfig) -> LossSpec:
     np.fill_diagonal(f_pool, 0.0)
     lam = _per_label_lam(yf, pool_y, f_pool)
     return LossSpec(coeff=lam / yf.sum(axis=1)[:, None], outer=np.full(batch.n, 1.0 / batch.n),
-                    include_batch=True, include_prototypes=True, lam=lam)
+                    include_batch=True, include_prototypes=True)
 
 
 class _ContrastiveLoss(NamedTuple):

@@ -99,19 +99,15 @@ class Encoder:
         f, _ = self.forward(np.asarray(x, dtype=np.float64))
         return f
 
-    def backward(self, cache, d_f, out=None):
-        """Gradients as a dict in the order w2, b2, w1, b1; with out (a dict
-        of arrays of those shapes, such as train_model's views) they are
-        written into out's arrays and out is returned."""
+    def backward(self, cache, d_f, out):
+        """Write the gradients of w2, b2, w1 and b1 into out's arrays."""
         x, h1, a1 = cache
-        g = {} if out is None else out
-        g["w2"] = np.matmul(a1.T, d_f, out=g.get("w2"))
-        g["b2"] = np.sum(d_f, axis=0, out=g.get("b2"))
+        np.matmul(a1.T, d_f, out=out["w2"])
+        np.sum(d_f, axis=0, out=out["b2"])
         d_h1 = d_f @ self.w2.T
         d_h1 *= h1 > 0.0
-        g["w1"] = np.matmul(x.T, d_h1, out=g.get("w1"))
-        g["b1"] = np.sum(d_h1, axis=0, out=g.get("b1"))
-        return g
+        np.matmul(x.T, d_h1, out=out["w1"])
+        np.sum(d_h1, axis=0, out=out["b1"])
 
 
 @dataclass
@@ -127,16 +123,14 @@ class ProjectionHead:
         z = r1 @ self.v2
         return z, (f, p1, r1)
 
-    def backward(self, cache, d_z, out=None):
-        """(gradients of v2 and v1, d_f); with out, as Encoder.backward."""
+    def backward(self, cache, d_z, out):
+        """Write the gradients of v2 and v1 into out's arrays; returns d_f."""
         f, p1, r1 = cache
-        g = {} if out is None else out
-        g["v2"] = np.matmul(r1.T, d_z, out=g.get("v2"))
+        np.matmul(r1.T, d_z, out=out["v2"])
         d_p1 = d_z @ self.v2.T
         d_p1 *= p1 > 0.0
-        g["v1"] = np.matmul(f.T, d_p1, out=g.get("v1"))
-        d_f = d_p1 @ self.v1.T
-        return g, d_f
+        np.matmul(f.T, d_p1, out=out["v1"])
+        return d_p1 @ self.v1.T
 
 
 @dataclass
@@ -228,7 +222,8 @@ def clip_gradient(grads: dict, threshold: float, scratch: dict | None = None) ->
     return grads
 
 
-# the order of _batch_step's gradient dict, and of the optimizer's vectors
+# the order of the optimizer's vectors and of its gradient dict, which is
+# the order train_model's clip sums the squares in
 _LAYOUT = ("w2", "b2", "w1", "b1", "v2", "v1", "cls_w", "cls_b", "prototypes")
 
 
@@ -236,7 +231,7 @@ class _FlatSGD:
     """SGD with momentum and decoupled weight decay over one contiguous
     float64 vector per role: the parameters, the velocity, the scratch for
     the lr * v and lr * wd * p products, and the gradients. Each vector is
-    laid out in the gradient dict's order (_LAYOUT). The model's parameters
+    laid out in _LAYOUT order. The model's parameters
     become views of the first vector, `grads` holds views of the last for
     the backward to write into, and `squares` views of the scratch for the
     clip.
@@ -329,33 +324,28 @@ def _epoch_batches(n: int, batch_size: int, rng: np.random.Generator):
     return out
 
 
-def _batch_step(model: TrainedModel, xb, yb, out=None):
-    """Forward + backward for one batch; returns (loss, grads, (open gates,
-    positive pairs)), the counts (0, 0) for a logit loss. The gradients share
-    no memory with each other or with the parameters; with out (a dict of
-    arrays keyed and shaped as the gradients) they are written into out's
-    arrays and grads is out."""
+def _batch_step(model: TrainedModel, xb, yb, grads):
+    """Forward + backward for one batch, writing every gradient into grads'
+    arrays (keyed and shaped as model.params(), such as _FlatSGD.grads);
+    returns (loss, (open gates, positive pairs)), the counts (0, 0) for a
+    logit loss."""
     f, enc_cache = model.encoder.forward(xb)
     if model.head is not None:
         z, head_cache = model.head.forward(f)
         # yb is rows of the validated dataset; the engine rejects zero-norm z
         batch = ContrastiveBatch._trusted(z, yb, model.prototypes)
         bundle = contrastive_loss(model.loss_id, batch, model.loss_cfg)
-        head_grads, d_f = model.head.backward(head_cache, bundle.d_z, out=out)
-        grads = model.encoder.backward(enc_cache, d_f, out=out)
-        grads.update(head_grads)
+        d_f = model.head.backward(head_cache, bundle.d_z, grads)
+        model.encoder.backward(enc_cache, d_f, grads)
         if model.prototypes is not None:
-            if out is None:
-                grads["prototypes"] = bundle.d_prototypes
-            else:
-                out["prototypes"][...] = bundle.d_prototypes
-        return bundle.loss_value, grads, bundle.prr_counts()
+            grads["prototypes"][...] = bundle.d_prototypes
+        return bundle.loss_value, bundle.prr_counts()
     logits = f @ model.classifier_w + model.classifier_b
     res = logit_loss(model.loss_id, logits, yb, model.loss_cfg)
-    grads = model.encoder.backward(enc_cache, res.d_logits @ model.classifier_w.T, out=out)
-    grads["cls_w"] = np.matmul(f.T, res.d_logits, out=grads.get("cls_w"))
-    grads["cls_b"] = np.sum(res.d_logits, axis=0, out=grads.get("cls_b"))
-    return res.loss_value, grads, (0, 0)
+    model.encoder.backward(enc_cache, res.d_logits @ model.classifier_w.T, grads)
+    np.matmul(f.T, res.d_logits, out=grads["cls_w"])
+    np.sum(res.d_logits, axis=0, out=grads["cls_b"])
+    return res.loss_value, (0, 0)
 
 
 @dataclass
@@ -406,8 +396,8 @@ def train_model(
         lr_now = 0.0
         for idx in _epoch_batches(x_train.shape[0], tcfg.batch_size, rng):
             try:
-                loss_val, grads, (n_open, n_pos) = _batch_step(model, x_train[idx], y_train[idx],
-                                                               out=sgd.grads)
+                loss_val, (n_open, n_pos) = _batch_step(model, x_train[idx], y_train[idx],
+                                                        sgd.grads)
             except DomainError as exc:
                 # the dataset was validated up front, so a domain error here
                 # comes from the parameters: a finite row of z or of the
@@ -418,7 +408,7 @@ def train_model(
             if not np.isfinite(loss_val):
                 raise TrainingDivergence(f"non-finite loss at step {step}")
             # scales sgd.grads, the views of sgd.gradient, in place
-            clip_gradient(grads, tcfg.clip, scratch=sgd.squares)
+            clip_gradient(sgd.grads, tcfg.clip, scratch=sgd.squares)
             lr_now = lr_schedule(step, total_steps, tcfg.lr, tcfg.warmup_frac)
             sgd.step(lr_now, tcfg.momentum, tcfg.weight_decay)
             losses.append(loss_val)
@@ -712,27 +702,36 @@ def save_checkpoint(model: TrainedModel, path, dataset_meta: dict | None = None)
 
 
 def load_checkpoint(path) -> tuple[TrainedModel, dict]:
+    """Read a checkpoint that save_checkpoint wrote. A file that is not JSON,
+    not a checkpoint, of another version or missing a field is a ConfigError
+    naming the path."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format") != CHECKPOINT_FORMAT:
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ConfigError(f"not a checkpoint file: {path}: {exc}") from exc
+    if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise ConfigError(f"not a checkpoint file: {path}")
     if doc.get("version") != CHECKPOINT_VERSION:
-        raise ConfigError(f"unsupported checkpoint version {doc.get('version')}")
-    params = {k: _array_from_jsonable(v) for k, v in doc["params"].items()}
-    enc = Encoder(w1=params["w1"], b1=params["b1"], w2=params["w2"], b2=params["b2"])
-    head = None
-    if "v1" in params:
-        head = ProjectionHead(v1=params["v1"], v2=params["v2"])
-    model = TrainedModel(
-        encoder=enc,
-        head=head,
-        classifier_w=params.get("cls_w"),
-        classifier_b=params.get("cls_b"),
-        prototypes=params.get("prototypes"),
-        loss_id=doc["loss_id"],
-        loss_cfg=LossConfig(**doc["loss_config"]),
-        train_cfg=TrainConfig(**doc["train_config"]),
-        n_features=doc["n_features"],
-        n_labels=doc["n_labels"],
-    )
+        raise ConfigError(f"unsupported checkpoint version {doc.get('version')}: {path}")
+    try:
+        params = {k: _array_from_jsonable(v) for k, v in doc["params"].items()}
+        enc = Encoder(w1=params["w1"], b1=params["b1"], w2=params["w2"], b2=params["b2"])
+        head = None
+        if "v1" in params:
+            head = ProjectionHead(v1=params["v1"], v2=params["v2"])
+        model = TrainedModel(
+            encoder=enc,
+            head=head,
+            classifier_w=params.get("cls_w"),
+            classifier_b=params.get("cls_b"),
+            prototypes=params.get("prototypes"),
+            loss_id=doc["loss_id"],
+            loss_cfg=LossConfig(**doc["loss_config"]),
+            train_cfg=TrainConfig(**doc["train_config"]),
+            n_features=doc["n_features"],
+            n_labels=doc["n_labels"],
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed checkpoint {path}: {type(exc).__name__}: {exc}") from exc
     return model, doc.get("dataset_meta", {})

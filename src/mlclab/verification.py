@@ -296,11 +296,14 @@ def check_gradients(loss_id: str, trials: int, tol: float, seed: int,
     Deterministic in the master seed: trial seeds are spawned from it, so
     trials are independent and could run concurrently. Returns one report per
     trial. cfg overrides the loss configuration (default: stock LossConfig).
-    trials below 1 and negative seeds are a ConfigError.
+    trials below 1, a tol that is not finite and positive and negative seeds
+    are a ConfigError.
     """
     check_loss_id(loss_id)
     if trials < 1:
         raise ConfigError(f"trials must be at least 1, got {trials}")
+    if not (np.isfinite(tol) and tol > 0):
+        raise ConfigError(f"tol must be finite and positive, got {tol}")
     if seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {seed}")
     if cfg is None:

@@ -160,7 +160,8 @@ class TestCriterion4Reductions:
         for _ in range(25):
             # alpha = 0: each other carrier of label j, and prototype j, weighs 1/(carriers + 1)
             b = random_batch(rng, "reg")
-            lam = contrastive_loss("reg", b, LossConfig(alpha=0.0)).spec.lam
+            spec = contrastive_loss("reg", b, LossConfig(alpha=0.0)).spec
+            lam = spec.coeff * b.y.sum(axis=1)[:, None]
             uniform = np.zeros_like(lam)
             for i, anchor in enumerate(positive_sets(b.y)):
                 for j, carriers in anchor.per_label.items():

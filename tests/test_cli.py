@@ -61,8 +61,9 @@ def test_gradcheck_passes(capsys):
 
 
 def test_gradcheck_zero_tolerance_fails(capsys):
+    # the smallest positive tol: only exact agreement passes (0 itself exits 2)
     assert main(["gradcheck", "--loss", "base", "--trials", "2", "--seed", "42",
-                 "--tol", "0"]) == 1
+                 "--tol", "5e-324"]) == 1
 
 
 def test_gradcheck_unknown_loss(capsys):
@@ -74,6 +75,10 @@ def test_gradcheck_unknown_loss(capsys):
     ("--trials", "0", "trials must be at least 1"),
     ("--trials", "-1", "trials must be at least 1"),
     ("--seed", "-1", "seed must be nonnegative"),
+    ("--tol", "nan", "tol must be finite and positive, got nan"),
+    ("--tol", "inf", "tol must be finite and positive, got inf"),
+    ("--tol", "-1", "tol must be finite and positive, got -1.0"),
+    ("--tol", "0", "tol must be finite and positive, got 0.0"),
 ])
 def test_gradcheck_rejects_bad_count_or_seed(capsys, flag, value, message):
     args = {"--trials": "1", "--seed": "0", flag: value}
@@ -285,3 +290,35 @@ def test_eval_shape_mismatch_exits_2(line, what, tiny_config, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and what in err
     assert not ev.exists()
+
+
+@pytest.mark.parametrize("text, what", [
+    ("{not json", "not a checkpoint file"),
+    ('{"format": "mlclab-checkpoint", "version": 4}', "KeyError: 'params'"),
+])
+def test_eval_bad_checkpoint_exits_2(text, what, tmp_path, capsys):
+    ckpt = tmp_path / "checkpoint.json"
+    ckpt.write_text(text)
+    assert main(["eval", "--checkpoint", str(ckpt), "--dataset", str(tmp_path / "d.txt"),
+                 "--out", str(tmp_path / "eval")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("config error:") and what in line and str(ckpt) in line
+
+
+@pytest.mark.parametrize("args", [["gen-data", "--config"], ["train", "--config"],
+                                  ["eval", "--dataset", "d.txt", "--checkpoint"]])
+@pytest.mark.parametrize("content", [None, b"\xff\xfe"], ids=["missing", "not-utf8"])
+def test_missing_or_unreadable_input_file_exits_2(args, content, tmp_path, capsys):
+    path = tmp_path / "input.txt"
+    if content is not None:
+        path.write_bytes(content)
+    out = tmp_path / "out"
+    assert main([*args, str(path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("config error:") and (content is not None or str(path) in line)
+    assert not out.exists()
+

@@ -167,8 +167,8 @@ class TestLossMulsupcon:
         y = np.array([[1, 1], [1, 0], [1, 0]], dtype=np.int8)
         batch = ContrastiveBatch(z=z, y=y)
         bundle = contrastive_loss("mulsupcon", batch, CFG)
-        # anchor 0's label 1 has no other carrier; its lam only reflects label 0
-        assert bundle.spec.lam[0, 1] == pytest.approx(0.5)  # 1/|P(0,0)| = 1/2
+        # anchor 0's label 1 has no other carrier; its coeff only reflects label 0
+        assert bundle.spec.coeff[0, 1] == pytest.approx(0.5)  # 1/|P(0,0)| = 1/2
         assert np.isfinite(bundle.loss_value)
 
 
@@ -521,7 +521,8 @@ class TestLossReg:
         cfg = LossConfig(alpha=alpha)
         for _ in range(10):
             batch = random_batch(rng, "reg")
-            lam = contrastive_loss("reg", batch, cfg).spec.lam
+            spec = contrastive_loss("reg", batch, cfg).spec
+            lam = spec.coeff * batch.y.sum(axis=1)[:, None]
             np.testing.assert_allclose(lam, _reg_lam_reference(batch.y, alpha),
                                        rtol=0, atol=1e-12)
 

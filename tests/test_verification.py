@@ -69,7 +69,9 @@ class TestCheckGradients:
 
     def test_zero_tolerance_guard_rail(self):
         # floating point guarantees nonzero discrepancy: everything must fail
-        reports = check_gradients("base", trials=3, tol=0.0, seed=42)
+        # at the smallest positive tol, which only exact agreement passes (a
+        # tol of 0 is a config error)
+        reports = check_gradients("base", trials=3, tol=np.nextafter(0.0, 1.0), seed=42)
         assert not any(r.passed for r in reports)
 
     def test_deterministic_in_seed(self):
@@ -101,6 +103,11 @@ class TestCheckGradients:
     def test_count_and_seed_checked_at_the_boundary(self, trials, seed, match):
         with pytest.raises(ConfigError, match=match):
             check_gradients("reg", trials=trials, tol=1e-5, seed=seed)
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0, 0.0])
+    def test_tol_checked_at_the_boundary(self, tol):
+        with pytest.raises(ConfigError, match=f"tol must be finite and positive, got {tol}"):
+            check_gradients("reg", trials=1, tol=tol, seed=0)
 
     def test_json_lines_round_trip(self, tmp_path):
         reports = check_gradients("bce", trials=3, tol=1e-6, seed=5)
