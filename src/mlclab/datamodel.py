@@ -316,8 +316,9 @@ def write_dataset(dataset: MultiLabelDataset, path) -> None:
 
 def read_dataset(path) -> MultiLabelDataset:
     """Read the text format written by write_dataset. Write-then-read is a
-    bit-exact round trip. Malformed lines raise ParseError with the line
-    number (1-based) and, for field errors, the field position."""
+    bit-exact round trip. Malformed lines, among them a repeated label index
+    and a non-finite feature, raise ParseError with the line number
+    (1-based) and, for field errors, the field position."""
     with open(path, "r", encoding="utf-8") as fh:
         raw_lines = fh.read().splitlines()
 
@@ -384,6 +385,8 @@ def read_dataset(path) -> MultiLabelDataset:
                     f"line {lineno}, label field {col}: label index {j} out of range "
                     f"for L={n_labels}"
                 )
+            if labels[row, j]:
+                raise ParseError(f"line {lineno}, label field {col}: duplicate label index {j}")
             labels[row, j] = 1
         toks = feat_part.split()
         if len(toks) != n_features:
@@ -397,6 +400,11 @@ def read_dataset(path) -> MultiLabelDataset:
                 raise ParseError(
                     f"line {lineno}, feature field {col}: not a number: {tok!r}"
                 ) from exc
+    bad = np.argwhere(~np.isfinite(features))
+    if bad.size:
+        row, col = bad[0]
+        raise ParseError(f"line {body[row][0]}, feature field {col + 1}: "
+                         f"not finite: {features[row, col]}")
 
     counts = meta.get("split_counts")
     if counts:

@@ -199,45 +199,37 @@ def lr_schedule(step: int, total_steps: int, base_lr: float, warmup_frac: float)
     return base_lr * 0.5 * (1.0 + np.cos(np.pi * progress))
 
 
-def clip_gradient(grads: dict, threshold: float, scratch: dict | None = None) -> dict:
-    """Global-norm gradient clip of a dict of gradient arrays: if their joint
-    Euclidean norm exceeds the threshold, every array is scaled by
-    threshold / norm. Direction is preserved and the output norm never
-    exceeds the threshold. The norm sums each array's pairwise sum of
-    squares in dict order.
+def clip_gradient(gradient: np.ndarray, threshold: float) -> np.ndarray:
+    """Global-norm gradient clip of a flat float64 gradient vector: if its
+    Euclidean norm, sqrt(g . g), exceeds the threshold, the vector is scaled
+    by threshold / norm. Direction is preserved and the output norm never
+    exceeds the threshold.
 
-    The arrays are scaled in place and the same dict is returned, so no two
-    of them may share memory; an array gets the same bytes as `g * scale`.
-    The squares go to fresh arrays, or into scratch when given: one array
-    per key, of the gradient's shape, whose contents are overwritten.
+    The vector is scaled in place and returned; it gets the same bytes as
+    `g * (threshold / norm)`.
     """
     if threshold <= 0:
         raise ConfigError(f"clip threshold must be positive, got {threshold}")
-    norm = np.sqrt(sum(float(np.sum(np.multiply(g, g, out=None if scratch is None else scratch[k])))
-                       for k, g in grads.items()))
+    norm = np.sqrt(np.dot(gradient, gradient))
     if norm > threshold:
-        scale = threshold / norm
-        for g in grads.values():
-            g *= scale
-    return grads
+        gradient *= threshold / norm
+    return gradient
 
 
-# the order of the optimizer's vectors and of its gradient dict, which is
-# the order train_model's clip sums the squares in
-_LAYOUT = ("w2", "b2", "w1", "b1", "v2", "v1", "cls_w", "cls_b", "prototypes")
+# the order of the optimizer's vectors: every decayed array, then the biases
+_LAYOUT = ("w2", "w1", "v2", "v1", "cls_w", "prototypes") + _BIAS_KEYS
 
 
 class _FlatSGD:
     """SGD with momentum and decoupled weight decay over one contiguous
     float64 vector per role: the parameters, the velocity, the scratch for
-    the lr * v and lr * wd * p products, and the gradients. Each vector is
-    laid out in _LAYOUT order. The model's parameters
-    become views of the first vector, `grads` holds views of the last for
-    the backward to write into, and `squares` views of the scratch for the
-    clip.
+    the lr * v and lr * wd * p products, and the gradient. Each vector is
+    laid out in _LAYOUT order, so the decayed arrays are the one slice
+    `decayed` at its front. The model's parameters become views of the
+    first vector, and `grads` holds views of the last for the backward to
+    write into.
 
-    A step is a few whole-vector operations, with the decay applied to the
-    runs of the layout that hold no bias. Every element goes through the
+    A step is a few whole-vector operations. Every element goes through the
     operations of the per-array update, in the same order, so it gets the
     same bits."""
 
@@ -249,20 +241,15 @@ class _FlatSGD:
         self.velocity = np.zeros(size)
         self.scratch = np.empty(size)
         self.gradient = np.empty(size)
+        self.decayed = slice(0, sum(arrays[k].size for k in keys if k not in _BIAS_KEYS))
         views = {}
         self.grads = {}
-        self.squares = {}
-        self.decayed = []
         start = 0
         for k in keys:
             shape, stop = arrays[k].shape, start + arrays[k].size
             views[k] = self.params[start:stop].reshape(shape)
             views[k][...] = arrays[k]
             self.grads[k] = self.gradient[start:stop].reshape(shape)
-            self.squares[k] = self.scratch[start:stop].reshape(shape)
-            if k not in _BIAS_KEYS:
-                joined = self.decayed and self.decayed[-1].stop == start
-                self.decayed.append(slice(self.decayed.pop().start if joined else start, stop))
             start = stop
         model.set_params(views)
 
@@ -272,8 +259,8 @@ class _FlatSGD:
         v += self.gradient
         p -= np.multiply(lr, v, out=buf)
         if weight_decay > 0:
-            for run in self.decayed:
-                p[run] -= np.multiply(lr * weight_decay, p[run], out=buf[run])
+            d = self.decayed
+            p[d] -= np.multiply(lr * weight_decay, p[d], out=buf[d])
 
 
 def _init_model(loss_id: str, n_features: int, n_labels: int,
@@ -407,8 +394,8 @@ def train_model(
                 raise TrainingDivergence(f"{kind} forward at step {step}: {exc}") from exc
             if not np.isfinite(loss_val):
                 raise TrainingDivergence(f"non-finite loss at step {step}")
-            # scales sgd.grads, the views of sgd.gradient, in place
-            clip_gradient(sgd.grads, tcfg.clip, scratch=sgd.squares)
+            # scales sgd.gradient, which sgd.grads view, in place
+            clip_gradient(sgd.gradient, tcfg.clip)
             lr_now = lr_schedule(step, total_steps, tcfg.lr, tcfg.warmup_frac)
             sgd.step(lr_now, tcfg.momentum, tcfg.weight_decay)
             losses.append(loss_val)
@@ -701,10 +688,26 @@ def save_checkpoint(model: TrainedModel, path, dataset_meta: dict | None = None)
         fh.write("\n")
 
 
+def _param_shapes(loss_id: str, n_features: int, n_labels: int,
+                  tcfg: TrainConfig) -> dict[str, tuple]:
+    """The shape of every parameter of a model trained with this loss, keyed
+    as TrainedModel.params() keys them."""
+    h = tcfg.hidden
+    shapes = {"w1": (n_features, h), "b1": (h,), "w2": (h, h), "b2": (h,)}
+    if is_contrastive(loss_id):
+        shapes.update(v1=(h, h), v2=(h, tcfg.proj_dim))
+        if needs_prototypes(loss_id):
+            shapes["prototypes"] = (n_labels, tcfg.proj_dim)
+    else:
+        shapes.update(cls_w=(h, n_labels), cls_b=(n_labels,))
+    return shapes
+
+
 def load_checkpoint(path) -> tuple[TrainedModel, dict]:
     """Read a checkpoint that save_checkpoint wrote. A file that is not JSON,
-    not a checkpoint, of another version or missing a field is a ConfigError
-    naming the path."""
+    not a checkpoint, of another version, missing a field, or whose
+    parameters are not the finite arrays its loss id, sizes and train config
+    call for is a ConfigError naming the path."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -716,6 +719,16 @@ def load_checkpoint(path) -> tuple[TrainedModel, dict]:
         raise ConfigError(f"unsupported checkpoint version {doc.get('version')}: {path}")
     try:
         params = {k: _array_from_jsonable(v) for k, v in doc["params"].items()}
+        tcfg = TrainConfig(**doc["train_config"])
+        shapes = _param_shapes(check_loss_id(doc["loss_id"]), doc["n_features"],
+                               doc["n_labels"], tcfg)
+        if sorted(params) != sorted(shapes):
+            raise ConfigError(f"params {sorted(params)}, expected {sorted(shapes)}")
+        for k, shape in shapes.items():
+            if params[k].shape != shape:
+                raise ConfigError(f"{k} has shape {params[k].shape}, expected {shape}")
+            if not np.isfinite(params[k]).all():
+                raise ConfigError(f"{k} has non-finite entries")
         enc = Encoder(w1=params["w1"], b1=params["b1"], w2=params["w2"], b2=params["b2"])
         head = None
         if "v1" in params:
@@ -728,7 +741,7 @@ def load_checkpoint(path) -> tuple[TrainedModel, dict]:
             prototypes=params.get("prototypes"),
             loss_id=doc["loss_id"],
             loss_cfg=LossConfig(**doc["loss_config"]),
-            train_cfg=TrainConfig(**doc["train_config"]),
+            train_cfg=tcfg,
             n_features=doc["n_features"],
             n_labels=doc["n_labels"],
         )

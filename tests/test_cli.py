@@ -9,6 +9,8 @@ import pytest
 
 from mlclab.cli import main
 from mlclab.datamodel import read_dataset
+from mlclab.losses import LossConfig
+from mlclab.training import TrainConfig, _init_model, save_checkpoint
 
 TINY = (
     "data.n = 160\n"
@@ -292,12 +294,31 @@ def test_eval_shape_mismatch_exits_2(line, what, tiny_config, tmp_path, capsys):
     assert not ev.exists()
 
 
+def _cut_w2(params):
+    w2 = np.asarray(params["w2"]["data"]).reshape(params["w2"]["shape"])[:, :-1]
+    params["w2"] = {"shape": list(w2.shape), "data": w2.ravel().tolist()}
+
+
+def _nan_in_w1(params):
+    params["w1"]["data"][3] = float("nan")
+
+
 @pytest.mark.parametrize("text, what", [
     ("{not json", "not a checkpoint file"),
     ('{"format": "mlclab-checkpoint", "version": 4}', "KeyError: 'params'"),
+    pytest.param(_cut_w2, "w2 has shape (4, 3), expected (4, 4)", id="w2-cut"),
+    pytest.param(_nan_in_w1, "w1 has non-finite entries", id="w1-nan"),
 ])
 def test_eval_bad_checkpoint_exits_2(text, what, tmp_path, capsys):
     ckpt = tmp_path / "checkpoint.json"
+    if callable(text):
+        # a real checkpoint of a small model, with one parameter spoiled
+        cfg = TrainConfig(hidden=4, proj_dim=4)
+        save_checkpoint(_init_model("reg", 6, 5, LossConfig(), cfg, np.random.default_rng(0)),
+                        ckpt)
+        doc = json.loads(ckpt.read_text())
+        text(doc["params"])
+        text = json.dumps(doc)
     ckpt.write_text(text)
     assert main(["eval", "--checkpoint", str(ckpt), "--dataset", str(tmp_path / "d.txt"),
                  "--out", str(tmp_path / "eval")]) == 2

@@ -224,6 +224,19 @@ class TestDatasetIO:
         with pytest.raises(ParseError, match="label index 7 out of range"):
             read_dataset(p)
 
+    def test_duplicate_label_index(self, tmp_path):
+        p = tmp_path / "bad.txt"
+        p.write_text("2 5 2\n0\t0.0 1.0\n1,3,1\t0.0 1.0\n")
+        with pytest.raises(ParseError, match="^line 3, label field 3: duplicate label index 1$"):
+            read_dataset(p)
+
+    @pytest.mark.parametrize("token, shown", [("nan", "nan"), ("1e999", "inf"), ("-inf", "-inf")])
+    def test_non_finite_feature(self, tmp_path, token, shown):
+        p = tmp_path / "bad.txt"
+        p.write_text(f"# meta: {{}}\n2 5 2\n0\t0.0 1.0\n1\t0.5 {token}\n")
+        with pytest.raises(ParseError, match=f"^line 4, feature field 2: not finite: {shown}$"):
+            read_dataset(p)
+
     def test_empty_label_field(self, tmp_path):
         p = tmp_path / "bad.txt"
         p.write_text("1 5 2\n\t0.0 1.0\n")

@@ -86,78 +86,42 @@ class TestLrSchedule:
             lr_schedule(-1, 100, 1.0, 0.05)
 
 
-def _joint_norm(grads):
-    return np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
-
-
 class TestClipGradient:
     def test_below_threshold_unchanged(self):
-        grads = {"g": np.array([0.3, 0.4])}
-        assert clip_gradient(grads, 1.0) is grads
-        np.testing.assert_array_equal(grads["g"], [0.3, 0.4])
+        g = np.array([0.3, 0.4])
+        assert clip_gradient(g, 1.0) is g
+        np.testing.assert_array_equal(g, [0.3, 0.4])
 
     def test_three_four_scales_to_unit(self):
-        np.testing.assert_allclose(clip_gradient({"g": np.array([3.0, 4.0])}, 1.0)["g"],
-                                   [0.6, 0.8], atol=1e-15)
+        np.testing.assert_allclose(clip_gradient(np.array([3.0, 4.0]), 1.0), [0.6, 0.8],
+                                   atol=1e-15)
 
     def test_norm_never_exceeds_threshold(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
-            grads = {k: rng.normal(0, 10, size=rng.integers(1, 20))
-                     for k in range(rng.integers(1, 4))}
-            assert _joint_norm(clip_gradient(grads, 1.5)) <= 1.5 + 1e-12
+            g = np.concatenate([rng.normal(0, 10, size=rng.integers(1, 20))
+                                for _ in range(rng.integers(1, 4))])
+            assert np.linalg.norm(clip_gradient(g, 1.5)) <= 1.5 + 1e-12
 
     def test_direction_preserved(self):
         rng = np.random.default_rng(1)
-        grads = {"a": np.array([3.0, 4.0]), "b": rng.normal(size=(2, 3))}
-        before = np.concatenate([g.ravel() for g in grads.values()])
-        c = clip_gradient(grads, 1.0)
-        after = np.concatenate([g.ravel() for g in c.values()])
+        g = np.concatenate([[3.0, 4.0], rng.normal(size=(2, 3)).ravel()])
+        before = g.copy()
+        after = clip_gradient(g, 1.0)
         np.testing.assert_allclose(after / np.linalg.norm(after),
                                    before / np.linalg.norm(before), atol=1e-15)
-
-    def test_dict_global_norm(self):
-        grads = {"a": np.array([3.0]), "b": np.array([4.0])}
-        assert _joint_norm(clip_gradient(grads, 1.0)) == pytest.approx(1.0)
 
     def test_bad_threshold(self):
         for threshold in (0.0, -1.0):
             with pytest.raises(ConfigError):
-                clip_gradient({"a": np.array([1.0])}, threshold)
+                clip_gradient(np.array([1.0]), threshold)
 
-    def test_dict_scales_in_place(self):
+    def test_scales_in_place(self):
         rng = np.random.default_rng(3)
-        grads = {"a": rng.normal(size=(4, 3)), "b": rng.normal(size=5)}
-        scale = 0.5 / _joint_norm(grads)
-        expected = {k: g * scale for k, g in grads.items()}
-        arrays = dict(grads)
-        assert clip_gradient(grads, 0.5) is grads
-        for k, g in grads.items():
-            assert g is arrays[k] and g.tobytes() == expected[k].tobytes()
-
-    def test_dict_below_threshold_untouched(self):
-        grads = {"a": np.array([0.3]), "b": np.array([0.4])}
-        arrays = dict(grads)
-        assert clip_gradient(grads, 1.0) is grads
-        assert all(grads[k] is arrays[k] for k in grads)
-        assert grads["a"][0] == 0.3 and grads["b"][0] == 0.4
-
-    @pytest.mark.parametrize("threshold", [1e-3, 1e6])
-    def test_squaring_into_scratch_views_keeps_the_bytes(self, threshold):
-        # train_model squares into views of its flat scratch vector
-        rng = np.random.default_rng(4)
-        shapes = {"w": (64, 256), "b": (64,), "p": (20, 256), "c": (3, 5)}
-        for _ in range(5):
-            grads = {k: rng.normal(size=shape) for k, shape in shapes.items()}
-            flat = np.empty(sum(int(np.prod(sh)) for sh in shapes.values()) + 1)
-            scratch, start = {}, 1  # views off the vector's own alignment
-            for k, g in grads.items():
-                scratch[k] = flat[start:start + g.size].reshape(g.shape)
-                start += g.size
-            want = clip_gradient({k: g.copy() for k, g in grads.items()}, threshold)
-            got = clip_gradient(grads, threshold, scratch=scratch)
-            for k in grads:
-                assert got[k].tobytes() == want[k].tobytes(), k
+        g = np.concatenate([rng.normal(size=(4, 3)).ravel(), rng.normal(size=5)])
+        expected = g * (0.5 / np.sqrt(np.dot(g, g)))
+        assert clip_gradient(g, 0.5) is g
+        assert g.tobytes() == expected.tobytes()
 
 
 class TestTraining:
@@ -338,7 +302,7 @@ def _reference_train(ds, loss_id, cfg):
     model = _init_model(loss_id, x_train.shape[1], y_train.shape[1], loss_cfg, cfg, rng)
     params = model.params()
     velocity = {k: np.zeros_like(v) for k, v in params.items()}
-    # the step's scratch gradients, in the clip's summation order
+    # the step's scratch gradients, in the optimizer's layout order
     scratch = {k: np.empty_like(params[k]) for k in _LAYOUT if k in params}
     total_steps = cfg.epochs * len(_epoch_batches(x_train.shape[0], cfg.batch_size,
                                                   np.random.default_rng(0)))
@@ -351,7 +315,8 @@ def _reference_train(ds, loss_id, cfg):
                 batch = ContrastiveBatch._trusted(model.project(xb), yb, model.prototypes)
                 prrs.append(prr(contrastive_loss(loss_id, batch, loss_cfg).gate_value))
             loss_val, _ = _batch_step(model, xb, yb, scratch)
-            norm = np.sqrt(sum(float(np.sum(g * g)) for g in scratch.values()))
+            flat = np.concatenate([g.ravel() for g in scratch.values()])
+            norm = np.sqrt(np.dot(flat, flat))
             if norm <= cfg.clip:
                 grads = {k: g.copy() for k, g in scratch.items()}
             else:
@@ -430,7 +395,7 @@ def _assert_packed(arrays: dict, buf):
 
 class TestFlatOptimizer:
     """train_model's parameters, velocity, scratch and gradients are one
-    contiguous float64 vector each, laid out in the gradient dict's order."""
+    contiguous float64 vector each, laid out in _LAYOUT order."""
 
     @pytest.mark.parametrize("loss_id", ["reg", "base", "bce"])
     def test_each_role_is_one_buffer_of_views(self, loss_id):
@@ -451,10 +416,9 @@ class TestFlatOptimizer:
             assert not any(np.shares_memory(a, b) for b in buffers[i + 1:])
         assert not sgd.velocity.any()
         _batch_step(model, x[:16], y[:16], sgd.grads)
-        # the decayed runs hold every weight and no bias
+        # the decayed slice holds every weight and no bias
         decayed = np.zeros(sgd.params.size, dtype=bool)
-        for run in sgd.decayed:
-            decayed[run] = True
+        decayed[sgd.decayed] = True
         for k, v in sgd.grads.items():
             (start,) = _offsets([v], sgd.gradient)
             assert decayed[start:start + v.size].all() == (k not in _BIAS_KEYS)
@@ -504,6 +468,14 @@ class TestFlatOptimizer:
         import mlclab.training as training
 
         calls = {}
+        flat = []
+        init = training._FlatSGD.__init__
+
+        def recording_init(sgd, model):
+            init(sgd, model)
+            flat.append(sgd.gradient)
+
+        monkeypatch.setattr(training._FlatSGD, "__init__", recording_init)
 
         def counted(owner, name):
             original = getattr(owner, name)
@@ -518,9 +490,9 @@ class TestFlatOptimizer:
         clip_args = []
         clip = training.clip_gradient
 
-        def recording_clip(grads, threshold, **kwargs):
-            clip_args.append((type(grads), list(grads)))
-            return clip(grads, threshold, **kwargs)
+        def recording_clip(gradient, threshold):
+            clip_args.append(gradient)
+            return clip(gradient, threshold)
 
         monkeypatch.setattr(training, "clip_gradient", recording_clip)
         for cls in (Encoder, ProjectionHead):
@@ -530,9 +502,8 @@ class TestFlatOptimizer:
         train_model(ds, loss_id, LossConfig(), FAST)
         steps = FAST.epochs * len(_epoch_batches(int((ds.split == "train").sum()),
                                                  FAST.batch_size, np.random.default_rng(0)))
-        keys = ["w2", "b2", "w1", "b1"] + (["v2", "v1", "prototypes"] if loss_id == "reg"
-                                           else ["cls_w", "cls_b"])
-        assert clip_args == [(dict, keys)] * steps
+        (gradient,) = flat
+        assert len(clip_args) == steps and all(g is gradient for g in clip_args)
         head = steps if loss_id == "reg" else 0
         assert calls == {"Encoder.forward": steps, "Encoder.backward": steps,
                          **({"ProjectionHead.forward": head, "ProjectionHead.backward": head}
@@ -734,6 +705,20 @@ class TestCheckpoint:
         with pytest.raises(ConfigError, match="version"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("edit, what", [
+        (lambda doc: doc["params"].pop("prototypes"), r"params \[.*\], expected \[.*'prototypes'"),
+        (lambda doc: doc.update(loss_id="bce"), r"params .*, expected \[.*'cls_b'"),
+        (lambda doc: doc.update(n_labels=7), r"prototypes has shape \(5, 24\), expected \(7, 24\)"),
+    ], ids=["missing-key", "other-loss", "other-labels"])
+    def test_rejects_parameters_that_do_not_fit(self, tmp_path, edit, what):
+        model = _init_model("reg", 6, 5, LossConfig(), FAST, np.random.default_rng(0))
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(model, path)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match=f"^malformed checkpoint {path}: ConfigError: {what}"):
+            load_checkpoint(path)
 
     def test_rejects_version_2(self, tmp_path):
         # version 2 carried the loss_config key epsilon, version 3 use_alpha_weighting
