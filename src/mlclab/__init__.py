@@ -10,9 +10,6 @@ from .datamodel import (
     ContrastiveBatch,
     MultiLabelDataset,
     generate_longtail,
-    jaccard,
-    overlap_ratio,
-    positive_sets,
     read_dataset,
     write_dataset,
 )

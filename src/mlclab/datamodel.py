@@ -1,5 +1,5 @@
-"""Multi-label data: label-set combinatorics, batches, synthetic long-tailed
-dataset generation, and the on-disk text format.
+"""Multi-label data: label matrices, batches, synthetic long-tailed dataset
+generation, and the on-disk text format.
 
 A label matrix is an (n, L) array with entries in {0, 1}. Instances with zero
 labels are rejected: the contrastive losses divide by per-instance label
@@ -42,63 +42,6 @@ def validate_label_matrix(y, require_nonempty_rows: bool = False) -> np.ndarray:
                 f"instances with zero labels rejected (first offender: row {int(empty[0])})"
             )
     return arr
-
-
-def jaccard(y_i, y_j) -> float:
-    """Jaccard similarity |y_i & y_j| / |y_i | y_j| of two binary label vectors.
-
-    Both-empty input is a 0/0 domain error.
-    """
-    a = np.asarray(y_i, dtype=bool)
-    b = np.asarray(y_j, dtype=bool)
-    union = np.logical_or(a, b).sum()
-    if union == 0:
-        raise DomainError("jaccard undefined: both label sets are empty")
-    inter = np.logical_and(a, b).sum()
-    return float(inter) / float(union)
-
-
-def overlap_ratio(y_i, y_j, alpha: float) -> float:
-    """Shared-label ratio (|y_i & y_j| / |y_j|) ** alpha.
-
-    alpha = 0 gives 1 for every pair; larger alpha suppresses pairs whose
-    labels are mostly outside the anchor's set. y_j must be nonempty.
-    """
-    if alpha < 0:
-        raise ConfigError(f"alpha must be nonnegative, got {alpha}")
-    a = np.asarray(y_i, dtype=bool)
-    b = np.asarray(y_j, dtype=bool)
-    size_j = b.sum()
-    if size_j == 0:
-        raise DomainError("overlap_ratio undefined: second label set is empty")
-    ratio = float(np.logical_and(a, b).sum()) / float(size_j)
-    if alpha == 0:
-        return 1.0
-    return ratio ** alpha
-
-
-@dataclass(frozen=True)
-class AnchorPositives:
-    """Positive index sets for one anchor: one entry per label the anchor has."""
-
-    labels: np.ndarray                    # label indices j with y_anchor[j] = 1
-    per_label: dict[int, np.ndarray]      # j -> indices k != anchor with y_k[j] = 1
-
-
-def positive_sets(y) -> list[AnchorPositives]:
-    """Per-anchor positive sets: for each anchor i and each of its labels j,
-    the indices of other instances that also carry label j."""
-    ym = validate_label_matrix(y)
-    n = ym.shape[0]
-    out = []
-    for i in range(n):
-        labels = np.nonzero(ym[i])[0]
-        per_label = {}
-        for j in labels:
-            members = np.nonzero(ym[:, j])[0]
-            per_label[int(j)] = members[members != i]
-        out.append(AnchorPositives(labels=labels, per_label=per_label))
-    return out
 
 
 @dataclass
@@ -422,10 +365,3 @@ def read_dataset(path) -> MultiLabelDataset:
         split = np.array(["train"] * n, dtype=object)
     return MultiLabelDataset(features=features, labels=labels, split=split, meta=meta)
 
-
-def datasets_equal(a: MultiLabelDataset, b: MultiLabelDataset) -> bool:
-    return (
-        np.array_equal(a.features, b.features)
-        and np.array_equal(a.labels, b.labels)
-        and np.array_equal(a.split, b.split)
-    )

@@ -255,11 +255,3 @@ def finite_difference_gradient(f: Callable[[np.ndarray], float], x, h: float = 1
         grad[idx] = (f_plus - f_minus) / (2.0 * h)
         it.iternext()
     return grad
-
-
-def relative_error(analytic: np.ndarray, reference: np.ndarray, floor: float = 1e-8) -> np.ndarray:
-    """Entrywise |a - r| / max(|a|, |r|, floor)."""
-    a = np.asarray(analytic, dtype=np.float64)
-    r = np.asarray(reference, dtype=np.float64)
-    denom = np.maximum(np.maximum(np.abs(a), np.abs(r)), floor)
-    return np.abs(a - r) / denom

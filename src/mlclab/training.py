@@ -149,32 +149,33 @@ class TrainedModel:
     n_labels: int
 
     def params(self) -> dict[str, np.ndarray]:
-        p = {
-            "w1": self.encoder.w1,
-            "b1": self.encoder.b1,
-            "w2": self.encoder.w2,
-            "b2": self.encoder.b2,
-        }
+        """The arrays the model holds, keyed as in _param_shapes."""
+        enc = self.encoder
+        p = {"w1": enc.w1, "b1": enc.b1, "w2": enc.w2, "b2": enc.b2}
         if self.head is not None:
-            p["v1"] = self.head.v1
-            p["v2"] = self.head.v2
+            p.update(v1=self.head.v1, v2=self.head.v2)
         if self.classifier_w is not None:
-            p["cls_w"] = self.classifier_w
-            p["cls_b"] = self.classifier_b
+            p.update(cls_w=self.classifier_w, cls_b=self.classifier_b)
         if self.prototypes is not None:
             p["prototypes"] = self.prototypes
         return p
 
-    def set_params(self, arrays: dict[str, np.ndarray]) -> None:
-        """Point the model at the given arrays, keyed as params() keys them."""
-        enc = self.encoder
-        enc.w1, enc.b1, enc.w2, enc.b2 = (arrays[k] for k in ("w1", "b1", "w2", "b2"))
-        if self.head is not None:
-            self.head.v1, self.head.v2 = arrays["v1"], arrays["v2"]
-        if self.classifier_w is not None:
-            self.classifier_w, self.classifier_b = arrays["cls_w"], arrays["cls_b"]
-        if self.prototypes is not None:
-            self.prototypes = arrays["prototypes"]
+    @classmethod
+    def from_params(cls, params: dict[str, np.ndarray], loss_id: str, loss_cfg: LossConfig,
+                    train_cfg: TrainConfig, n_features: int, n_labels: int) -> "TrainedModel":
+        """A model that holds these arrays, not copies, keyed as in _param_shapes."""
+        return cls(
+            encoder=Encoder(*(params[k] for k in ("w1", "b1", "w2", "b2"))),
+            head=ProjectionHead(params["v1"], params["v2"]) if "v1" in params else None,
+            classifier_w=params.get("cls_w"),
+            classifier_b=params.get("cls_b"),
+            prototypes=params.get("prototypes"),
+            loss_id=loss_id,
+            loss_cfg=loss_cfg,
+            train_cfg=train_cfg,
+            n_features=n_features,
+            n_labels=n_labels,
+        )
 
     def project(self, x) -> np.ndarray:
         if self.head is None:
@@ -225,33 +226,31 @@ class _FlatSGD:
     float64 vector per role: the parameters, the velocity, the scratch for
     the lr * v and lr * wd * p products, and the gradient. Each vector is
     laid out in _LAYOUT order, so the decayed arrays are the one slice
-    `decayed` at its front. The model's parameters become views of the
-    first vector, and `grads` holds views of the last for the backward to
-    write into.
+    `decayed` at its front. `views` holds views of the first vector, filled
+    with copies of the given parameters, and `grads` views of the last for
+    the backward to write into.
 
     A step is a few whole-vector operations. Every element goes through the
     operations of the per-array update, in the same order, so it gets the
     same bits."""
 
-    def __init__(self, model: TrainedModel):
-        arrays = model.params()
-        keys = [k for k in _LAYOUT if k in arrays]
-        size = sum(arrays[k].size for k in keys)
+    def __init__(self, params: dict[str, np.ndarray]):
+        keys = [k for k in _LAYOUT if k in params]
+        size = sum(params[k].size for k in keys)
         self.params = np.empty(size)
         self.velocity = np.zeros(size)
         self.scratch = np.empty(size)
         self.gradient = np.empty(size)
-        self.decayed = slice(0, sum(arrays[k].size for k in keys if k not in _BIAS_KEYS))
-        views = {}
+        self.decayed = slice(0, sum(params[k].size for k in keys if k not in _BIAS_KEYS))
+        self.views = {}
         self.grads = {}
         start = 0
         for k in keys:
-            shape, stop = arrays[k].shape, start + arrays[k].size
-            views[k] = self.params[start:stop].reshape(shape)
-            views[k][...] = arrays[k]
+            shape, stop = params[k].shape, start + params[k].size
+            self.views[k] = self.params[start:stop].reshape(shape)
+            self.views[k][...] = params[k]
             self.grads[k] = self.gradient[start:stop].reshape(shape)
             start = stop
-        model.set_params(views)
 
     def step(self, lr: float, momentum: float, weight_decay: float) -> None:
         p, v, buf = self.params, self.velocity, self.scratch
@@ -266,39 +265,13 @@ class _FlatSGD:
 def _init_model(loss_id: str, n_features: int, n_labels: int,
                 loss_cfg: LossConfig, tcfg: TrainConfig,
                 rng: np.random.Generator) -> TrainedModel:
-    h = tcfg.hidden
-    enc = Encoder(
-        w1=rng.normal(0.0, np.sqrt(2.0 / n_features), size=(n_features, h)),
-        b1=np.zeros(h),
-        w2=rng.normal(0.0, np.sqrt(2.0 / h), size=(h, h)),
-        b2=np.zeros(h),
-    )
-    head = None
-    cls_w = cls_b = None
-    protos = None
-    if is_contrastive(loss_id):
-        head = ProjectionHead(
-            v1=rng.normal(0.0, np.sqrt(2.0 / h), size=(h, h)),
-            v2=rng.normal(0.0, np.sqrt(2.0 / h), size=(h, tcfg.proj_dim)),
-        )
-        if needs_prototypes(loss_id):
-            raw = rng.normal(0.0, 1.0, size=(n_labels, tcfg.proj_dim))
-            protos = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-    else:
-        cls_w = rng.normal(0.0, np.sqrt(1.0 / h), size=(h, n_labels))
-        cls_b = np.zeros(n_labels)
-    return TrainedModel(
-        encoder=enc,
-        head=head,
-        classifier_w=cls_w,
-        classifier_b=cls_b,
-        prototypes=protos,
-        loss_id=loss_id,
-        loss_cfg=loss_cfg,
-        train_cfg=tcfg,
-        n_features=n_features,
-        n_labels=n_labels,
-    )
+    """Draw each parameter of _param_shapes in its order: normal at its
+    scale, zeros at scale 0, and the prototypes scaled to unit rows."""
+    params = {k: rng.normal(0.0, scale, size=shape) if scale else np.zeros(shape)
+              for k, (shape, scale) in _param_shapes(loss_id, n_features, n_labels, tcfg).items()}
+    if "prototypes" in params:
+        params["prototypes"] /= np.linalg.norm(params["prototypes"], axis=1, keepdims=True)
+    return TrainedModel.from_params(params, loss_id, loss_cfg, tcfg, n_features, n_labels)
 
 
 def _epoch_batches(n: int, batch_size: int, rng: np.random.Generator):
@@ -359,17 +332,19 @@ def train_model(
     """
     check_loss_id(loss_id)
     x_train, y_train = dataset.subset("train")
-    if x_train.shape[0] == 0:
-        raise DomainError("train split is empty")
+    if x_train.shape[0] < 2:
+        # _epoch_batches drops a 1-row batch: a 1-row split would train nothing
+        raise DomainError(f"training needs at least 2 train rows, got {x_train.shape[0]}")
     if needs_single_label(loss_id) and np.any(y_train.sum(axis=1) != 1):
         raise ConfigError(
             f"{loss_id} requires exactly one label per training instance; "
             "use a multi-label loss for multi-label data"
         )
     rng = np.random.default_rng(tcfg.seed)
-    model = _init_model(loss_id, x_train.shape[1], y_train.shape[1], loss_cfg, tcfg, rng)
-    # the model's parameters become views of the optimizer's flat vector
-    sgd = _FlatSGD(model)
+    n_features, n_labels = x_train.shape[1], y_train.shape[1]
+    sgd = _FlatSGD(_init_model(loss_id, n_features, n_labels, loss_cfg, tcfg, rng).params())
+    # the trained model holds views of the optimizer's flat vector
+    model = TrainedModel.from_params(sgd.views, loss_id, loss_cfg, tcfg, n_features, n_labels)
 
     steps_per_epoch = len(_epoch_batches(x_train.shape[0], tcfg.batch_size,
                                          np.random.default_rng(0)))
@@ -638,10 +613,6 @@ def linear_eval(
 # ---------------------------------------------------------------------------
 
 
-def _array_from_jsonable(d) -> np.ndarray:
-    return np.asarray(d["data"], dtype=np.float64).reshape(d["shape"])
-
-
 _JSON_CHUNK = 1024
 
 
@@ -690,17 +661,20 @@ def save_checkpoint(model: TrainedModel, path, dataset_meta: dict | None = None)
 
 def _param_shapes(loss_id: str, n_features: int, n_labels: int,
                   tcfg: TrainConfig) -> dict[str, tuple]:
-    """The shape of every parameter of a model trained with this loss, keyed
-    as TrainedModel.params() keys them."""
-    h = tcfg.hidden
-    shapes = {"w1": (n_features, h), "b1": (h,), "w2": (h, h), "b2": (h,)}
+    """The one table of a model's parameters, name -> (shape, initial scale),
+    in the order _init_model draws them; TrainedModel.params() keys them the
+    same. Scale 0 draws zeros (the biases)."""
+    h, d = tcfg.hidden, tcfg.proj_dim
+    he = np.sqrt(2.0 / h)  # He scale of a layer with fan-in h
+    table = {"w1": ((n_features, h), np.sqrt(2.0 / n_features)), "b1": ((h,), 0.0),
+             "w2": ((h, h), he), "b2": ((h,), 0.0)}
     if is_contrastive(loss_id):
-        shapes.update(v1=(h, h), v2=(h, tcfg.proj_dim))
+        table.update(v1=((h, h), he), v2=((h, d), he))
         if needs_prototypes(loss_id):
-            shapes["prototypes"] = (n_labels, tcfg.proj_dim)
+            table["prototypes"] = ((n_labels, d), 1.0)
     else:
-        shapes.update(cls_w=(h, n_labels), cls_b=(n_labels,))
-    return shapes
+        table.update(cls_w=((h, n_labels), np.sqrt(1.0 / h)), cls_b=((n_labels,), 0.0))
+    return table
 
 
 def load_checkpoint(path) -> tuple[TrainedModel, dict]:
@@ -718,33 +692,22 @@ def load_checkpoint(path) -> tuple[TrainedModel, dict]:
     if doc.get("version") != CHECKPOINT_VERSION:
         raise ConfigError(f"unsupported checkpoint version {doc.get('version')}: {path}")
     try:
-        params = {k: _array_from_jsonable(v) for k, v in doc["params"].items()}
+        params = {k: np.asarray(v["data"], dtype=np.float64).reshape(v["shape"])
+                  for k, v in doc["params"].items()}
         tcfg = TrainConfig(**doc["train_config"])
-        shapes = _param_shapes(check_loss_id(doc["loss_id"]), doc["n_features"],
-                               doc["n_labels"], tcfg)
-        if sorted(params) != sorted(shapes):
-            raise ConfigError(f"params {sorted(params)}, expected {sorted(shapes)}")
-        for k, shape in shapes.items():
+        if not all(isinstance(doc[k], int) and doc[k] > 0 for k in ("n_features", "n_labels")):
+            raise ConfigError("n_features and n_labels must be positive integers")
+        table = _param_shapes(check_loss_id(doc["loss_id"]), doc["n_features"],
+                              doc["n_labels"], tcfg)
+        if sorted(params) != sorted(table):
+            raise ConfigError(f"params {sorted(params)}, expected {sorted(table)}")
+        for k, (shape, _) in table.items():
             if params[k].shape != shape:
                 raise ConfigError(f"{k} has shape {params[k].shape}, expected {shape}")
             if not np.isfinite(params[k]).all():
                 raise ConfigError(f"{k} has non-finite entries")
-        enc = Encoder(w1=params["w1"], b1=params["b1"], w2=params["w2"], b2=params["b2"])
-        head = None
-        if "v1" in params:
-            head = ProjectionHead(v1=params["v1"], v2=params["v2"])
-        model = TrainedModel(
-            encoder=enc,
-            head=head,
-            classifier_w=params.get("cls_w"),
-            classifier_b=params.get("cls_b"),
-            prototypes=params.get("prototypes"),
-            loss_id=doc["loss_id"],
-            loss_cfg=LossConfig(**doc["loss_config"]),
-            train_cfg=tcfg,
-            n_features=doc["n_features"],
-            n_labels=doc["n_labels"],
-        )
+        model = TrainedModel.from_params(params, doc["loss_id"], LossConfig(**doc["loss_config"]),
+                                         tcfg, doc["n_features"], doc["n_labels"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed checkpoint {path}: {type(exc).__name__}: {exc}") from exc
     return model, doc.get("dataset_meta", {})

@@ -9,6 +9,10 @@ value against a dense matrix form (loss_reg_matrix_value). A contrastive trial
 builds its loss spec once, from the batch's labels, and runs it through the
 engine for the analytic gradient and for every finite-difference
 evaluation.
+
+The positive-pair oracles, `positive_sets` and the reg loss's scalar pair
+weight `overlap_ratio`, live here too: the tests build per-pair references
+of the engine's positive weights from them.
 """
 
 from __future__ import annotations
@@ -18,8 +22,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .datamodel import ContrastiveBatch, overlap_ratio
-from .errors import ConfigError, OracleError
+from .datamodel import ContrastiveBatch, validate_label_matrix
+from .errors import ConfigError, DomainError, OracleError
 from .losses import (
     CONTRASTIVE_LOSS_IDS,
     LOGIT_LOSS_IDS,
@@ -40,7 +44,6 @@ from .losses import (
 from .numerics import (
     finite_difference_gradient,
     masked_logsumexp,
-    relative_error,
     tempered_cosine_matrix,
 )
 
@@ -53,6 +56,57 @@ REG_CLOSED_FORM_TOL = 1e-10
 # the default temperature; entries far below the gradient's scale sit under
 # that noise and can only be checked against it, not to 1e-5 of themselves.
 RESOLUTION_FRACTION = 1e-3
+
+
+def relative_error(analytic: np.ndarray, reference: np.ndarray, floor: float = 1e-8) -> np.ndarray:
+    """Entrywise |a - r| / max(|a|, |r|, floor)."""
+    a = np.asarray(analytic, dtype=np.float64)
+    r = np.asarray(reference, dtype=np.float64)
+    denom = np.maximum(np.maximum(np.abs(a), np.abs(r)), floor)
+    return np.abs(a - r) / denom
+
+
+def overlap_ratio(y_i, y_j, alpha: float) -> float:
+    """Shared-label ratio (|y_i & y_j| / |y_j|) ** alpha.
+
+    alpha = 0 gives 1 for every pair; larger alpha suppresses pairs whose
+    labels are mostly outside the anchor's set. y_j must be nonempty.
+    """
+    if alpha < 0:
+        raise ConfigError(f"alpha must be nonnegative, got {alpha}")
+    a = np.asarray(y_i, dtype=bool)
+    b = np.asarray(y_j, dtype=bool)
+    size_j = b.sum()
+    if size_j == 0:
+        raise DomainError("overlap_ratio undefined: second label set is empty")
+    ratio = float(np.logical_and(a, b).sum()) / float(size_j)
+    if alpha == 0:
+        return 1.0
+    return ratio ** alpha
+
+
+@dataclass(frozen=True)
+class AnchorPositives:
+    """Positive index sets for one anchor: one entry per label the anchor has."""
+
+    labels: np.ndarray                    # label indices j with y_anchor[j] = 1
+    per_label: dict[int, np.ndarray]      # j -> indices k != anchor with y_k[j] = 1
+
+
+def positive_sets(y) -> list[AnchorPositives]:
+    """Per-anchor positive sets: for each anchor i and each of its labels j,
+    the indices of other instances that also carry label j."""
+    ym = validate_label_matrix(y)
+    n = ym.shape[0]
+    out = []
+    for i in range(n):
+        labels = np.nonzero(ym[i])[0]
+        per_label = {}
+        for j in labels:
+            members = np.nonzero(ym[:, j])[0]
+            per_label[int(j)] = members[members != i]
+        out.append(AnchorPositives(labels=labels, per_label=per_label))
+    return out
 
 
 @dataclass

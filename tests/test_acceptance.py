@@ -16,7 +16,7 @@ import pytest
 
 from mlclab.cli import main
 from mlclab.config import default_config
-from mlclab.datamodel import ContrastiveBatch, positive_sets
+from mlclab.datamodel import ContrastiveBatch
 from mlclab.evaluation import (
     alignment,
     hamming,
@@ -33,7 +33,12 @@ from mlclab.losses import (
     loss_bce,
     reg_term,
 )
-from mlclab.verification import check_gradients, loss_reg_matrix_value, random_batch
+from mlclab.verification import (
+    check_gradients,
+    loss_reg_matrix_value,
+    positive_sets,
+    random_batch,
+)
 
 SEED = 20260810
 

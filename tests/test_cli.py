@@ -207,6 +207,15 @@ def test_train_single_label_loss_on_multi_label_data_exits_2(tmp_path, capsys):
     assert not (out / "checkpoint.json").exists()
 
 
+def test_train_one_row_train_split_exits_1_without_checkpoint(tmp_path, capsys):
+    cfg = tmp_path / "c.txt"
+    cfg.write_text("data.n = 5\ndata.split = 0.2,0.4,0.4\ntrain.epochs = 1\n")
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "at least 2 train rows, got 1" in capsys.readouterr().err
+    assert not (out / "checkpoint.json").exists()
+
+
 @pytest.mark.parametrize("line", ["train.lr = nan", "train.clip = nan", "loss.alpha = nan",
                                   "train.lr = inf"])
 def test_train_non_finite_value_exits_2(line, tmp_path, capsys, monkeypatch):
@@ -228,6 +237,15 @@ def test_malformed_config_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("loss.tau = not_a_number\n")
     assert main(["gen-data", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+
+
+def test_train_one_row_train_split_exits_1_without_checkpoint(tmp_path, capsys):
+    cfg = tmp_path / "c.txt"
+    cfg.write_text("data.n = 5\ndata.split = 0.2,0.4,0.4\ntrain.epochs = 1\n")
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "at least 2 train rows, got 1" in capsys.readouterr().err
+    assert not (out / "checkpoint.json").exists()
 
 
 @pytest.mark.parametrize("line", ["train.lr = nan", "loss.tau = -0.1", "eval.wds = -1",

@@ -9,49 +9,23 @@ import pytest
 from mlclab.datamodel import (
     ContrastiveBatch,
     MultiLabelDataset,
-    datasets_equal,
     generate_longtail,
-    jaccard,
-    overlap_ratio,
-    positive_sets,
     read_dataset,
     write_dataset,
 )
 from mlclab.errors import ConfigError, DomainError, ParseError
+from mlclab.verification import overlap_ratio, positive_sets
+
+
+def _same_data(a, b):
+    return all(np.array_equal(getattr(a, k), getattr(b, k))
+               for k in ("features", "labels", "split"))
 
 
 def _vec(labels, size=4):
     v = np.zeros(size, dtype=np.int8)
     v[list(labels)] = 1
     return v
-
-
-class TestJaccard:
-    def test_identical_sets(self):
-        assert jaccard(_vec({1, 3}), _vec({1, 3})) == 1.0
-
-    def test_disjoint(self):
-        assert jaccard(_vec({0}), _vec({1})) == 0.0
-
-    def test_partial_overlap(self):
-        assert jaccard(_vec({0, 1}), _vec({1, 2})) == pytest.approx(1 / 3)
-
-    def test_both_empty(self):
-        with pytest.raises(DomainError):
-            jaccard(_vec(set()), _vec(set()))
-
-    def test_symmetry_and_bounds_exhaustive(self):
-        subsets = list(itertools.product([0, 1], repeat=4))
-        for a in subsets:
-            for b in subsets:
-                if sum(a) == 0 and sum(b) == 0:
-                    continue
-                j1 = jaccard(np.array(a), np.array(b))
-                j2 = jaccard(np.array(b), np.array(a))
-                assert j1 == j2
-                assert 0.0 <= j1 <= 1.0
-                if a == b and sum(a) > 0:
-                    assert j1 == 1.0
 
 
 class TestOverlapRatio:
@@ -161,7 +135,7 @@ class TestGenerateLongtail:
     def test_determinism(self, tmp_path):
         a = generate_longtail(200, 6, 5, seed=11)
         b = generate_longtail(200, 6, 5, seed=11)
-        assert datasets_equal(a, b)
+        assert _same_data(a, b)
         pa, pb = tmp_path / "a.txt", tmp_path / "b.txt"
         write_dataset(a, pa)
         write_dataset(b, pb)
@@ -170,7 +144,7 @@ class TestGenerateLongtail:
     def test_different_seeds_differ(self):
         a = generate_longtail(200, 6, 5, seed=11)
         b = generate_longtail(200, 6, 5, seed=12)
-        assert not datasets_equal(a, b)
+        assert not _same_data(a, b)
 
     def test_every_instance_labeled(self):
         ds = generate_longtail(500, 10, 4, seed=3, tail_exponent=2.5)
@@ -213,7 +187,7 @@ class TestDatasetIO:
         p1 = tmp_path / "d.txt"
         write_dataset(ds, p1)
         back = read_dataset(p1)
-        assert datasets_equal(ds, back)
+        assert _same_data(ds, back)
         p2 = tmp_path / "d2.txt"
         write_dataset(back, p2)
         assert p1.read_bytes() == p2.read_bytes()

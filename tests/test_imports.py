@@ -1,4 +1,5 @@
-"""Every name a module imports at top level is used in that module.
+"""Every name a module imports at top level is used in that module, and the
+pipeline modules do not import the oracles in `verification`.
 
 No linter ships with the package, so this walks the syntax trees itself.
 `src/mlclab/__init__.py` is skipped: its imports are the package's
@@ -42,3 +43,29 @@ def test_detector_sees_unused_and_used_names():
               "import os.path\nimport json as j\nfrom x import a, b as c\n"
               "def f(v: a) -> None:\n    return os.path.join(v)\n")
     assert unused_imports(source) == ["j", "c"]
+
+
+
+# the modules a train-and-evaluate run executes; cli may import verification
+PIPELINE = ("datamodel", "numerics", "losses", "training", "evaluation", "experiments")
+
+
+def import_parts(source: str) -> set[str]:
+    """Every dotted part of every module an import statement, at any depth,
+    names or imports from."""
+    parts = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            parts.update((node.module or "").split("."))
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                parts.update(alias.name.split("."))
+    return parts
+
+
+def test_pipeline_modules_do_not_import_verification():
+    src = ROOT / "src" / "mlclab"
+    for name in PIPELINE:
+        assert "verification" not in import_parts((src / f"{name}.py").read_text("utf-8")), name
+    # the detector sees the one module allowed to import it
+    assert "verification" in import_parts((src / "cli.py").read_text("utf-8"))

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlclab.datamodel import ContrastiveBatch, overlap_ratio, positive_sets
+from mlclab.datamodel import ContrastiveBatch
 from mlclab.errors import ConfigError, DomainError
 from mlclab.losses import (
     CONTRASTIVE_LOSS_IDS,
@@ -38,10 +38,15 @@ from mlclab.losses import (
 from mlclab.numerics import (
     _cosine_forward,
     finite_difference_gradient,
-    relative_error,
     tempered_cosine_matrix,
 )
-from mlclab.verification import loss_reg_matrix_value, random_batch
+from mlclab.verification import (
+    loss_reg_matrix_value,
+    overlap_ratio,
+    positive_sets,
+    random_batch,
+    relative_error,
+)
 
 CFG = LossConfig()
 

@@ -12,10 +12,10 @@ from mlclab.numerics import (
     _softmax_rows,
     finite_difference_gradient,
     masked_logsumexp,
-    relative_error,
     tempered_cosine_backward,
     tempered_cosine_matrix,
 )
+from mlclab.verification import relative_error
 
 
 class TestTemperedCosine:

@@ -11,7 +11,15 @@ from mlclab.config import ExperimentConfig
 from mlclab.datamodel import ContrastiveBatch, MultiLabelDataset, generate_longtail
 from mlclab.errors import ConfigError, DomainError, TrainingDivergence
 from mlclab.evaluation import alignment, micro_f1
-from mlclab.losses import LOSS_IDS, LossConfig, contrastive_loss, needs_single_label, prr
+from mlclab.losses import (
+    LOSS_IDS,
+    LossConfig,
+    contrastive_loss,
+    is_contrastive,
+    needs_prototypes,
+    needs_single_label,
+    prr,
+)
 from mlclab.training import (
     _BIAS_KEYS,
     _LAYOUT,
@@ -20,6 +28,7 @@ from mlclab.training import (
     Encoder,
     ProjectionHead,
     TrainConfig,
+    TrainedModel,
     _batch_step,
     _FlatSGD,
     _epoch_batches,
@@ -124,7 +133,64 @@ class TestClipGradient:
         assert g.tobytes() == expected.tobytes()
 
 
+def _explicit_init(loss_id, n_features, n_labels, cfg, rng):
+    """_init_model's draws written out in order: w1, w2, then v1, v2 and the
+    unit-row prototypes, or cls_w; every bias zero."""
+    h, d = cfg.hidden, cfg.proj_dim
+    p = {"w1": rng.normal(0.0, np.sqrt(2.0 / n_features), size=(n_features, h)),
+         "b1": np.zeros(h),
+         "w2": rng.normal(0.0, np.sqrt(2.0 / h), size=(h, h)),
+         "b2": np.zeros(h)}
+    if is_contrastive(loss_id):
+        p["v1"] = rng.normal(0.0, np.sqrt(2.0 / h), size=(h, h))
+        p["v2"] = rng.normal(0.0, np.sqrt(2.0 / h), size=(h, d))
+        if needs_prototypes(loss_id):
+            raw = rng.normal(0.0, 1.0, size=(n_labels, d))
+            p["prototypes"] = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+    else:
+        p["cls_w"] = rng.normal(0.0, np.sqrt(1.0 / h), size=(h, n_labels))
+        p["cls_b"] = np.zeros(n_labels)
+    return p
+
+
+@pytest.mark.parametrize("loss_id", LOSS_IDS)
+def test_init_model_matches_explicit_draws(loss_id):
+    rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
+    got = _init_model(loss_id, 6, 5, LossConfig(), FAST, rng).params()
+    want = _explicit_init(loss_id, 6, 5, FAST, ref_rng)
+    assert sorted(got) == sorted(want)
+    for k, v in want.items():
+        assert got[k].dtype == np.float64 and got[k].shape == v.shape, k
+        assert got[k].tobytes() == v.tobytes(), k
+    # both consumed the same number of draws
+    assert rng.random() == ref_rng.random()
+
+
 class TestTraining:
+    @pytest.mark.parametrize("n_train", [0, 1])
+    def test_train_split_below_two_rows_rejected_before_first_step(self, n_train,
+                                                                   monkeypatch):
+        # _epoch_batches drops a batch of 1 row: one train row would run no step
+        import mlclab.training as training
+
+        def no_step(*args, **kwargs):
+            raise AssertionError("a training step ran")
+
+        monkeypatch.setattr(training, "_batch_step", no_step)
+        ds = _tiny_dataset(n=20)
+        split = np.array(["train"] * n_train + ["val"] * (ds.n - n_train), dtype=object)
+        ds = MultiLabelDataset(features=ds.features, labels=ds.labels, split=split)
+        with pytest.raises(DomainError, match=f"at least 2 train rows, got {n_train}$"):
+            train_model(ds, "reg", LossConfig(), FAST)
+
+    def test_two_train_rows_take_one_step_per_epoch(self):
+        ds = _tiny_dataset(n=20)
+        split = np.array(["train"] * 2 + ["val"] * (ds.n - 2), dtype=object)
+        ds = MultiLabelDataset(features=ds.features, labels=ds.labels, split=split)
+        log = train_model(ds, "reg", LossConfig(), FAST).log
+        assert len(log) == FAST.epochs
+        assert all(np.isfinite(row["loss"]) for row in log) and log[0]["lr"] > 0
+
     def test_deterministic_in_seed(self):
         ds = _tiny_dataset()
         r1 = train_model(ds, "reg", LossConfig(), FAST)
@@ -369,10 +435,17 @@ class TestInPlaceStep:
         x, y = ds.subset("train")
         model = _init_model(loss_id, x.shape[1], y.shape[1], LossConfig(), FAST,
                             np.random.default_rng(0))
-        sgd = _FlatSGD(model)
+        sgd = _FlatSGD(model.params())
         sgd.gradient.fill(np.nan)
         _batch_step(model, x[:16], y[:16], sgd.grads)
         assert np.isfinite(sgd.gradient).all()
+
+
+def _flat(model):
+    """A _FlatSGD over the model's parameters, and the model built on its views."""
+    sgd = _FlatSGD(model.params())
+    return sgd, TrainedModel.from_params(sgd.views, model.loss_id, model.loss_cfg,
+                                         model.train_cfg, model.n_features, model.n_labels)
 
 
 def _offsets(arrays, buf):
@@ -404,7 +477,7 @@ class TestFlatOptimizer:
         model = _init_model(loss_id, x.shape[1], y.shape[1], LossConfig(), FAST,
                             np.random.default_rng(0))
         before = {k: v.copy() for k, v in model.params().items()}
-        sgd = _FlatSGD(model)
+        sgd, model = _flat(model)
         params = model.params()
         for k, v in before.items():
             assert params[k].tobytes() == v.tobytes(), k
@@ -424,6 +497,22 @@ class TestFlatOptimizer:
             assert decayed[start:start + v.size].all() == (k not in _BIAS_KEYS)
             assert decayed[start:start + v.size].any() == (k not in _BIAS_KEYS)
 
+    @pytest.mark.parametrize("loss_id", ["reg", "base", "bce"])
+    def test_copies_its_input_and_the_model_on_views_shares_its_buffer(self, loss_id):
+        model = _init_model(loss_id, 6, 5, LossConfig(), FAST, np.random.default_rng(0))
+        params = model.params()
+        before = {k: v.copy() for k, v in params.items()}
+        sgd = _FlatSGD(params)
+        sgd.params.fill(7.0)
+        for k, v in params.items():
+            assert v.tobytes() == before[k].tobytes(), k
+            assert not np.shares_memory(v, sgd.params), k
+        on_views = TrainedModel.from_params(sgd.views, loss_id, LossConfig(), FAST, 6, 5)
+        assert sorted(on_views.params()) == sorted(params)
+        for k, v in on_views.params().items():
+            assert v is sgd.views[k] and np.shares_memory(v, sgd.params), k
+            assert (v == 7.0).all(), k
+
     def test_step_matches_per_array_update(self):
         rng = np.random.default_rng(5)
         ds = _tiny_dataset()
@@ -432,7 +521,7 @@ class TestFlatOptimizer:
         want = {k: v.copy() for k, v in model.params().items()}
         velocity = {k: rng.normal(size=v.shape) for k, v in want.items()}
         grads = {k: rng.normal(size=v.shape) for k, v in want.items()}
-        sgd = _FlatSGD(model)
+        sgd, model = _flat(model)
         for k in want:
             sgd.grads[k][...] = grads[k]
             (start,) = _offsets([sgd.grads[k]], sgd.gradient)
@@ -471,8 +560,8 @@ class TestFlatOptimizer:
         flat = []
         init = training._FlatSGD.__init__
 
-        def recording_init(sgd, model):
-            init(sgd, model)
+        def recording_init(sgd, params):
+            init(sgd, params)
             flat.append(sgd.gradient)
 
         monkeypatch.setattr(training._FlatSGD, "__init__", recording_init)
@@ -635,16 +724,31 @@ class TestLinearEval:
 
 
 class TestCheckpoint:
-    def test_round_trip_exact(self, tmp_path):
-        ds = _tiny_dataset()
-        result = train_model(ds, "reg", LossConfig(), FAST)
+    # heads, heads with prototypes and classifiers all load through from_params
+    @pytest.mark.parametrize("loss_id", LOSS_IDS)
+    def test_round_trip_exact(self, tmp_path, loss_id):
+        ds = _single_label(_tiny_dataset()) if needs_single_label(loss_id) else _tiny_dataset()
+        result = train_model(ds, loss_id, LossConfig(), FAST)
         path = tmp_path / "ckpt.json"
         save_checkpoint(result.model, path, dataset_meta=ds.meta)
         loaded, meta = load_checkpoint(path)
+        assert sorted(loaded.params()) == sorted(result.model.params())
         for k, v in result.model.params().items():
-            np.testing.assert_array_equal(v, loaded.params()[k])
-        assert loaded.loss_id == "reg"
+            assert loaded.params()[k].tobytes() == v.tobytes(), k
+        assert loaded.loss_id == loss_id
         assert meta["seed"] == ds.meta["seed"]
+
+    @pytest.mark.parametrize("key, value", [("n_features", 0), ("n_features", -6),
+                                            ("n_labels", 0), ("n_features", 6.5)])
+    def test_rejects_sizes_that_are_not_positive_integers(self, tmp_path, key, value):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(_init_model("reg", 6, 5, LossConfig(), FAST, np.random.default_rng(0)),
+                        path)
+        doc = json.loads(path.read_text())
+        doc[key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match="n_features and n_labels must be positive"):
+            load_checkpoint(path)
 
     def test_two_saves_identical_bytes(self, tmp_path):
         ds = _tiny_dataset()
