@@ -8,6 +8,7 @@ multi-label metrics.
 
 from .datamodel import (
     ContrastiveBatch,
+    DataConfig,
     MultiLabelDataset,
     generate_longtail,
     read_dataset,

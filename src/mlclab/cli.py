@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from .config import ExperimentConfig, default_config, load_config
-from .datamodel import write_dataset
+from .datamodel import read_dataset, write_dataset
 from .errors import ConfigError, DomainError, OracleError, ParseError, TrainingDivergence
 from .experiments import (
     _COMPARE_METRICS,
@@ -41,9 +41,8 @@ def _load_cfg(args) -> ExperimentConfig:
     return cfg
 
 
-def _out_dir(args, cfg: ExperimentConfig | None = None) -> Path:
-    out = args.out or (cfg["run.out"] if cfg else "runs")
-    path = Path(out)
+def _out_dir(args, cfg: ExperimentConfig) -> Path:
+    path = Path(args.out or cfg["run.out"])
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -93,8 +92,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    from .datamodel import read_dataset
-
     model, _ = load_checkpoint(args.checkpoint)
     dataset = read_dataset(args.dataset)
     cfg = _load_cfg(args)
@@ -137,15 +134,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, loss_flag=True):
+    def common(p, seed_key=None, loss_flag=False):
+        """--config and --out; --seed overrides seed_key, --loss loss.id."""
         p.add_argument("--config", help="config file of 'key = value' lines")
         p.add_argument("--out", help="output directory (default: run.out)")
-        p.add_argument("--seed", type=int, default=None, help="seed override")
+        if seed_key:
+            p.add_argument("--seed", type=int, default=None, help=f"{seed_key} override")
         if loss_flag:
-            p.add_argument("--loss", help="loss id override")
+            p.add_argument("--loss", help="loss.id override")
 
     p = sub.add_parser("gen-data", help="generate the synthetic dataset")
-    common(p)
+    common(p, seed_key="data.seed")
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient checks")
@@ -158,25 +157,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("train", help="train a model per the config")
-    common(p)
+    common(p, seed_key="train.seed", loss_flag=True)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--dataset", required=True)
-    common(p, loss_flag=False)
+    common(p)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("compare", help="loss comparison table over seeds")
-    common(p, loss_flag=False)
-    p.set_defaults(func=cmd_study)
-
-    p = sub.add_parser("sweep-tau", help="PRR of a trained model across temperatures")
     common(p)
     p.set_defaults(func=cmd_study)
 
+    p = sub.add_parser("sweep-tau", help="PRR of a trained model across temperatures")
+    common(p, loss_flag=True)
+    p.set_defaults(func=cmd_study)
+
     p = sub.add_parser("fraction", help="macro-F1 under shrinking train splits")
-    common(p, loss_flag=False)
+    common(p)
     p.set_defaults(func=cmd_study)
 
     return parser

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .datamodel import DataConfig
 from .errors import ConfigError, ParseError
 from .losses import LOSS_IDS, LossConfig
 from .training import TrainConfig, check_weight_decays
@@ -36,13 +37,15 @@ def _parse_list(item_parser):
 
 
 # section -> the dataclass whose fields are that section's keys
-_SECTIONS = {"loss": LossConfig, "train": TrainConfig}
+_SECTIONS = {"data": DataConfig, "loss": LossConfig, "train": TrainConfig}
 
 
 def _section_schema(section: str) -> dict:
-    """'<section>.<field>' -> (parser, field default) for every field."""
+    """'<section>.<field>' -> (parser, field default) for every field; a
+    tuple field is a list of floats."""
     return {
-        f"{section}.{f.name}": (type(f.default), f.default)
+        f"{section}.{f.name}": (
+            _parse_list(float) if isinstance(f.default, tuple) else type(f.default), f.default)
         for f in fields(_SECTIONS[section])
     }
 
@@ -50,15 +53,7 @@ def _section_schema(section: str) -> dict:
 # key -> (parser, default)
 SCHEMA: dict = {
     "data.source": (str, "generate"),
-    "data.n": (int, 2500),
-    "data.labels": (int, 20),
-    "data.features": (int, 32),
-    "data.seed": (int, 7),
-    "data.tail_exponent": (float, 1.2),
-    "data.avg_labels": (float, 2.5),
-    "data.noise": (float, 0.5),
-    "data.cooccur_boost": (float, 0.35),
-    "data.split": (_parse_list(float), (0.8, 0.1, 0.1)),
+    **_section_schema("data"),
     "loss.id": (str, "reg"),
     **_section_schema("loss"),
     **_section_schema("train"),
@@ -75,15 +70,6 @@ SCHEMA: dict = {
 # key -> (test every value of the key must pass, the rule it states); a list
 # key is tested item by item, and every number must also be finite
 _RANGES = {
-    "data.n": (lambda v: v >= 1, ">= 1"),
-    "data.labels": (lambda v: v >= 1, ">= 1"),
-    "data.features": (lambda v: v >= 1, ">= 1"),
-    "data.seed": (lambda v: v >= 0, ">= 0"),
-    "data.tail_exponent": (lambda v: v > 0, "> 0"),
-    "data.avg_labels": (lambda v: v > 0, "> 0"),
-    "data.noise": (lambda v: v >= 0, ">= 0"),
-    "data.cooccur_boost": (lambda v: 0 <= v <= 1, "in [0, 1]"),
-    "data.split": (lambda v: v >= 0, ">= 0"),
     # eval.lrs is not read by the Newton probe; it stays a valid key
     "eval.lrs": (lambda v: v > 0, "> 0"),
     "run.seeds": (lambda v: v >= 0, ">= 0"),
@@ -97,8 +83,8 @@ class ExperimentConfig:
     """Fully-defaulted experiment configuration keyed by dotted names.
 
     Construction and every override validate the whole config: the loss
-    ids, the `loss.*` and `train.*` sections (by building their dataclasses),
-    the probe grid, and the ranges of the `data.*` and `run.*` keys, so a
+    ids, the `data.*`, `loss.*` and `train.*` sections (by building their
+    dataclasses), the probe grid, and the ranges of the `run.*` keys, so a
     bad value fails before any data is generated."""
 
     values: dict = field(default_factory=dict)
@@ -120,6 +106,7 @@ class ExperimentConfig:
         for loss in self.values["run.losses"]:
             if loss not in LOSS_IDS:
                 raise ConfigError(f"unknown loss id {loss!r} in run.losses")
+        self.data_config()
         self.loss_config()
         self.train_config()
         check_weight_decays(self.values["eval.wds"])
@@ -128,13 +115,6 @@ class ExperimentConfig:
             items = value if isinstance(value, (tuple, list)) else (value,)
             if not all(np.isfinite(x) and ok(x) for x in items):
                 raise ConfigError(f"{key} must be finite and {rule}, got {_fmt(value)}")
-        if self.values["data.avg_labels"] > self.values["data.labels"]:
-            raise ConfigError(f"data.avg_labels = {self.values['data.avg_labels']} exceeds "
-                              f"data.labels = {self.values['data.labels']}")
-        split = self.values["data.split"]
-        if len(split) != 3 or abs(sum(split) - 1.0) > 1e-9:
-            raise ConfigError(f"data.split must be three fractions summing to 1, "
-                              f"got {_fmt(split)}")
 
     def __getitem__(self, key: str):
         if key not in self.values:
@@ -157,6 +137,9 @@ class ExperimentConfig:
         cls = _SECTIONS[section]
         kwargs = {f.name: self.values[f"{section}.{f.name}"] for f in fields(cls)}
         return cls(**{**kwargs, **overrides})
+
+    def data_config(self) -> DataConfig:
+        return self._section_config("data")
 
     def loss_config(self) -> LossConfig:
         return self._section_config("loss")

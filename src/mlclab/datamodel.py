@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DomainError, ParseError
-from .numerics import _inverse_norms, as_matrix
+from .numerics import _inverse_norms, as_matrix, require_finite_floats
 
 RNG_ALGORITHM = "numpy-pcg64"
 
@@ -143,18 +143,47 @@ class MultiLabelDataset:
         return self.features[idx], self.labels[idx]
 
 
-def generate_longtail(
-    n: int,
-    n_labels: int,
-    n_features: int,
-    seed: int,
-    tail_exponent: float = 1.2,
-    avg_labels: float = 2.5,
-    noise: float = 0.5,
-    cooccur_boost: float = 0.35,
-    split_fractions: tuple[float, float, float] = (0.8, 0.1, 0.1),
-) -> MultiLabelDataset:
-    """Synthetic long-tailed multi-label dataset, deterministic in the seed.
+@dataclass
+class DataConfig:
+    """Parameters of the synthetic long-tailed generator, the config's
+    `data.*` keys: n instances with `labels` labels and `features` features,
+    split into (train, val, test) fractions. Every float must be finite.
+    """
+
+    n: int = 2500
+    labels: int = 20
+    features: int = 32
+    seed: int = 7
+    tail_exponent: float = 1.2
+    avg_labels: float = 2.5
+    noise: float = 0.5
+    cooccur_boost: float = 0.35
+    split: tuple[float, ...] = (0.8, 0.1, 0.1)
+
+    def __post_init__(self):
+        require_finite_floats(self)
+        for name, low in (("n", 1), ("labels", 1), ("features", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= low):
+                raise ConfigError(f"{name} must be finite and >= {low}, got {value}")
+        if self.tail_exponent <= 0:
+            raise ConfigError(f"tail_exponent must be positive, got {self.tail_exponent}")
+        if not (0 < self.avg_labels <= self.labels):
+            raise ConfigError(f"avg_labels must be in (0, labels = {self.labels}], "
+                              f"got {self.avg_labels}")
+        if self.noise < 0:
+            raise ConfigError(f"noise must be nonnegative, got {self.noise}")
+        if not (0 <= self.cooccur_boost <= 1):
+            raise ConfigError(f"cooccur_boost must be in [0, 1], got {self.cooccur_boost}")
+        # a NaN fails f >= 0 and an infinity the sum
+        split = self.split
+        if len(split) != 3 or not all(f >= 0 for f in split) or abs(sum(split) - 1.0) > 1e-9:
+            raise ConfigError(f"split must be three fractions >= 0 summing to 1, "
+                              f"got {tuple(split)}")
+
+
+def generate_longtail(cfg: DataConfig) -> MultiLabelDataset:
+    """Synthetic long-tailed multi-label dataset, deterministic in cfg.seed.
 
     Label marginals follow a power law: the probability of label of rank r is
     proportional to r ** -tail_exponent, scaled so the expected label count
@@ -163,28 +192,16 @@ def generate_longtail(
     Features are a noisy linear image of the label vector (fixed mixing
     matrix drawn from the seed), which keeps the task learnable.
     """
-    if n < 1 or n_labels < 1 or n_features < 1:
-        raise ConfigError("n, n_labels, n_features must all be >= 1")
-    if tail_exponent <= 0:
-        raise ConfigError(f"tail_exponent must be positive, got {tail_exponent}")
-    if avg_labels > n_labels:
-        raise ConfigError(
-            f"avg_labels={avg_labels} infeasible with n_labels={n_labels}"
-        )
-    if avg_labels <= 0:
-        raise ConfigError(f"avg_labels must be positive, got {avg_labels}")
-    if abs(sum(split_fractions) - 1.0) > 1e-9 or any(f < 0 for f in split_fractions):
-        raise ConfigError(f"split fractions must be nonnegative and sum to 1, got {split_fractions}")
-
+    n, n_labels, n_features, seed = cfg.n, cfg.labels, cfg.features, cfg.seed
     rng = np.random.default_rng(seed)
     ranks = np.arange(1, n_labels + 1, dtype=np.float64)
-    weights = ranks ** (-tail_exponent)
-    marginals = np.minimum(avg_labels * weights / weights.sum(), 0.95)
+    weights = ranks ** (-cfg.tail_exponent)
+    marginals = np.minimum(cfg.avg_labels * weights / weights.sum(), 0.95)
 
     labels = (rng.random((n, n_labels)) < marginals[None, :]).astype(np.int8)
-    if n_labels > 1 and cooccur_boost > 0:
+    if n_labels > 1 and cfg.cooccur_boost > 0:
         # tail label present -> adjacent head label joins with fixed probability
-        boost = rng.random((n, n_labels - 1)) < cooccur_boost
+        boost = rng.random((n, n_labels - 1)) < cfg.cooccur_boost
         labels[:, :-1] |= (labels[:, 1:].astype(bool) & boost).astype(np.int8)
     empty = np.nonzero(labels.sum(axis=1) == 0)[0]
     if empty.size:
@@ -194,10 +211,10 @@ def generate_longtail(
 
     mixing = rng.normal(0.0, 1.0, size=(n_labels, n_features))
     features = labels.astype(np.float64) @ mixing
-    features += noise * rng.normal(0.0, 1.0, size=(n, n_features))
+    features += cfg.noise * rng.normal(0.0, 1.0, size=(n, n_features))
 
-    n_train = int(np.floor(split_fractions[0] * n))
-    n_val = int(np.floor(split_fractions[1] * n))
+    n_train = int(np.floor(cfg.split[0] * n))
+    n_val = int(np.floor(cfg.split[1] * n))
     split = np.array(
         ["train"] * n_train + ["val"] * n_val + ["test"] * (n - n_train - n_val),
         dtype=object,
@@ -210,10 +227,10 @@ def generate_longtail(
         "n": int(n),
         "n_labels": int(n_labels),
         "n_features": int(n_features),
-        "tail_exponent": float(tail_exponent),
-        "avg_labels": float(avg_labels),
-        "noise": float(noise),
-        "cooccur_boost": float(cooccur_boost),
+        "tail_exponent": float(cfg.tail_exponent),
+        "avg_labels": float(cfg.avg_labels),
+        "noise": float(cfg.noise),
+        "cooccur_boost": float(cfg.cooccur_boost),
         "split_counts": {
             "train": int(n_train),
             "val": int(n_val),
@@ -351,12 +368,13 @@ def read_dataset(path) -> MultiLabelDataset:
 
     counts = meta.get("split_counts")
     if counts:
-        split = np.array(
-            ["train"] * int(counts.get("train", 0))
-            + ["val"] * int(counts.get("val", 0))
-            + ["test"] * int(counts.get("test", 0)),
-            dtype=object,
-        )
+        sizes = [counts.get(name, 0) for name in SPLIT_NAMES]
+        for name, size in zip(SPLIT_NAMES, sizes):
+            # bool is an int subclass; JSON true is not a count
+            if type(size) is not int or size < 0:
+                raise ParseError(f"meta split_counts[{name!r}] must be a non-negative "
+                                 f"integer, got {size!r}")
+        split = np.repeat(np.array(SPLIT_NAMES, dtype=object), sizes)
         if split.shape[0] != n:
             raise ParseError(
                 f"meta split_counts sum to {split.shape[0]}, header declares {n}"

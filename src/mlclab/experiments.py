@@ -31,17 +31,7 @@ def get_dataset(cfg: ExperimentConfig) -> MultiLabelDataset:
     source = cfg["data.source"]
     if source != "generate":
         return read_dataset(source)
-    return generate_longtail(
-        n=cfg["data.n"],
-        n_labels=cfg["data.labels"],
-        n_features=cfg["data.features"],
-        seed=cfg["data.seed"],
-        tail_exponent=cfg["data.tail_exponent"],
-        avg_labels=cfg["data.avg_labels"],
-        noise=cfg["data.noise"],
-        cooccur_boost=cfg["data.cooccur_boost"],
-        split_fractions=tuple(cfg["data.split"]),
-    )
+    return generate_longtail(cfg.data_config())
 
 
 def run_training(

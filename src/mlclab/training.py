@@ -284,6 +284,12 @@ def _epoch_batches(n: int, batch_size: int, rng: np.random.Generator):
     return out
 
 
+def _epoch_steps(n: int, batch_size: int) -> int:
+    """len(_epoch_batches(n, batch_size, rng)) without drawing a permutation:
+    the full batches, plus the last one if it has at least 2 rows."""
+    return n // batch_size + int(n % batch_size >= 2)
+
+
 def _batch_step(model: TrainedModel, xb, yb, grads):
     """Forward + backward for one batch, writing every gradient into grads'
     arrays (keyed and shaped as model.params(), such as _FlatSGD.grads);
@@ -346,9 +352,7 @@ def train_model(
     # the trained model holds views of the optimizer's flat vector
     model = TrainedModel.from_params(sgd.views, loss_id, loss_cfg, tcfg, n_features, n_labels)
 
-    steps_per_epoch = len(_epoch_batches(x_train.shape[0], tcfg.batch_size,
-                                         np.random.default_rng(0)))
-    total_steps = max(tcfg.epochs * steps_per_epoch, 1)
+    total_steps = max(tcfg.epochs * _epoch_steps(x_train.shape[0], tcfg.batch_size), 1)
 
     log = []
     step = 0

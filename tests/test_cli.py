@@ -55,6 +55,20 @@ def test_gen_data_seed_override(tiny_config, tmp_path):
     assert (out1 / "dataset.txt").read_bytes() != (out2 / "dataset.txt").read_bytes()
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "--checkpoint", "c.json", "--dataset", "d.txt", "--seed", "1"],
+    ["compare", "--seed", "1"],
+    ["fraction", "--seed", "1"],
+    ["sweep-tau", "--seed", "1"],
+    ["gen-data", "--loss", "bce"],
+])
+def test_flag_the_verb_does_not_read_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_gradcheck_passes(capsys):
     assert main(["gradcheck", "--loss", "base", "--trials", "5", "--seed", "42"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()

@@ -11,6 +11,7 @@ from mlclab.config import (
     load_config,
     parse_config_text,
 )
+from mlclab.datamodel import DataConfig, generate_longtail
 from mlclab.errors import ConfigError, ParseError
 from mlclab.losses import LossConfig
 from mlclab.training import TrainConfig
@@ -110,9 +111,10 @@ class TestAccessors:
 
 
 class TestSectionsFromDataclasses:
-    @pytest.mark.parametrize("section,cls", [("loss", LossConfig), ("train", TrainConfig)])
+    @pytest.mark.parametrize("section,cls", [("data", DataConfig), ("loss", LossConfig),
+                                             ("train", TrainConfig)])
     def test_one_key_per_field_with_its_default(self, section, cls):
-        keys = {k for k in SCHEMA if k.startswith(section + ".")} - {"loss.id"}
+        keys = {k for k in SCHEMA if k.startswith(section + ".")} - {"data.source", "loss.id"}
         assert keys == {f"{section}.{f.name}" for f in fields(cls)}
         rendered = dict(line.split(" = ") for line in default_config().render().splitlines())
         for f in fields(cls):
@@ -123,6 +125,7 @@ class TestSectionsFromDataclasses:
 
     def test_defaults_build_default_dataclasses(self):
         cfg = default_config()
+        assert cfg.data_config() == DataConfig()
         assert cfg.loss_config() == LossConfig()
         assert cfg.train_config() == TrainConfig()
 
@@ -134,6 +137,17 @@ class TestSectionsFromDataclasses:
         lc, tc = cfg.loss_config(), cfg.train_config(seed=3)
         assert (lc.alpha, lc.proto_denominator) == (0.5, "batch+prototypes")
         assert (tc.hidden, tc.clip, tc.seed) == (7, 2.5, 3)
+
+    @pytest.mark.parametrize("name, value, text", [
+        ("noise", -1.0, "-1"), ("cooccur_boost", 2.0, "2.0"), ("cooccur_boost", -0.5, "-0.5"),
+        ("tail_exponent", float("inf"), "inf"), ("split", (0.5, 0.5), "0.5,0.5"),
+        ("avg_labels", float("nan"), "nan"), ("seed", -1, "-1"),
+    ])
+    def test_generator_and_config_reject_the_same_values(self, name, value, text):
+        with pytest.raises(ConfigError):
+            generate_longtail(DataConfig(**{name: value}))
+        with pytest.raises(ConfigError):
+            parse_config_text(f"data.{name} = {text}\n")
 
     def test_removed_epsilon_key_rejected(self):
         for line in ("loss.epsilon = 1e-12\n", "loss.use_alpha_weighting = true\n"):

@@ -8,6 +8,7 @@ import pytest
 
 from mlclab.datamodel import (
     ContrastiveBatch,
+    DataConfig,
     MultiLabelDataset,
     generate_longtail,
     read_dataset,
@@ -133,8 +134,8 @@ class TestContrastiveBatch:
 
 class TestGenerateLongtail:
     def test_determinism(self, tmp_path):
-        a = generate_longtail(200, 6, 5, seed=11)
-        b = generate_longtail(200, 6, 5, seed=11)
+        a = generate_longtail(DataConfig(n=200, labels=6, features=5, seed=11))
+        b = generate_longtail(DataConfig(n=200, labels=6, features=5, seed=11))
         assert _same_data(a, b)
         pa, pb = tmp_path / "a.txt", tmp_path / "b.txt"
         write_dataset(a, pa)
@@ -142,40 +143,43 @@ class TestGenerateLongtail:
         assert pa.read_bytes() == pb.read_bytes()
 
     def test_different_seeds_differ(self):
-        a = generate_longtail(200, 6, 5, seed=11)
-        b = generate_longtail(200, 6, 5, seed=12)
+        a = generate_longtail(DataConfig(n=200, labels=6, features=5, seed=11))
+        b = generate_longtail(DataConfig(n=200, labels=6, features=5, seed=12))
         assert not _same_data(a, b)
 
     def test_every_instance_labeled(self):
-        ds = generate_longtail(500, 10, 4, seed=3, tail_exponent=2.5)
+        ds = generate_longtail(DataConfig(n=500, labels=10, features=4, seed=3,
+                                           tail_exponent=2.5))
         assert np.all(ds.labels.sum(axis=1) >= 1)
 
     def test_head_dominates_tail(self):
         # rank-1 vs rank-2 marginal frequency follows the power law; boost
         # disabled so the pure marginal law is visible
         exponent = 2.0
-        ds = generate_longtail(10000, 8, 3, seed=5, tail_exponent=exponent,
-                               avg_labels=1.2, cooccur_boost=0.0)
+        ds = generate_longtail(DataConfig(n=10000, labels=8, features=3, seed=5,
+                                          tail_exponent=exponent, avg_labels=1.2,
+                                          cooccur_boost=0.0))
         freq = ds.labels.mean(axis=0)
         assert freq[0] / freq[1] >= 2 ** exponent * 0.9
         assert np.all(freq[:1] >= freq[2:])
         # with the default boost the trend still holds, just diluted
-        ds2 = generate_longtail(10000, 8, 3, seed=5, tail_exponent=exponent,
-                                avg_labels=1.2)
+        ds2 = generate_longtail(DataConfig(n=10000, labels=8, features=3, seed=5,
+                                           tail_exponent=exponent, avg_labels=1.2))
         freq2 = ds2.labels.mean(axis=0)
         assert freq2[0] / freq2[1] >= 2 ** exponent * 0.75
 
     def test_degenerate_floor(self):
-        ds = generate_longtail(1, 1, 1, seed=0, avg_labels=1.0)
+        ds = generate_longtail(DataConfig(n=1, labels=1, features=1, seed=0, avg_labels=1.0))
         assert ds.labels.shape == (1, 1)
         assert ds.labels[0, 0] == 1
 
     def test_infeasible_avg_labels(self):
         with pytest.raises(ConfigError):
-            generate_longtail(10, 3, 2, seed=0, avg_labels=5.0)
+            generate_longtail(DataConfig(n=10, labels=3, features=2, seed=0, avg_labels=5.0))
 
     def test_split_counts(self):
-        ds = generate_longtail(100, 4, 3, seed=0, split_fractions=(0.8, 0.1, 0.1))
+        ds = generate_longtail(DataConfig(n=100, labels=4, features=3, seed=0,
+                                           split=(0.8, 0.1, 0.1)))
         assert int((ds.split == "train").sum()) == 80
         assert int((ds.split == "val").sum()) == 10
         assert int((ds.split == "test").sum()) == 10
@@ -183,7 +187,7 @@ class TestGenerateLongtail:
 
 class TestDatasetIO:
     def test_round_trip_bit_exact(self, tmp_path):
-        ds = generate_longtail(60, 5, 4, seed=9)
+        ds = generate_longtail(DataConfig(n=60, labels=5, features=4, seed=9))
         p1 = tmp_path / "d.txt"
         write_dataset(ds, p1)
         back = read_dataset(p1)
@@ -235,8 +239,20 @@ class TestDatasetIO:
         with pytest.raises(ParseError, match="declares 2 instances"):
             read_dataset(p)
 
+    @pytest.mark.parametrize("counts, name, shown", [
+        ('{"train": 3, "val": -1, "test": 2}', "val", "-1"),
+        ('{"train": 3.7, "val": 0, "test": 2.2}', "train", "3.7"),
+    ])
+    def test_bad_split_count_rejected(self, tmp_path, counts, name, shown):
+        p = tmp_path / "bad.txt"
+        rows = "".join(f"0\t{i}.0\n" for i in range(5))
+        p.write_text(f'# meta: {{"split_counts": {counts}}}\n5 2 1\n{rows}')
+        with pytest.raises(ParseError, match=rf"split_counts\['{name}'\] .* got {shown}$"):
+            read_dataset(p)
+
     def test_meta_preserves_splits(self, tmp_path):
-        ds = generate_longtail(50, 3, 2, seed=2, split_fractions=(0.5, 0.3, 0.2))
+        ds = generate_longtail(DataConfig(n=50, labels=3, features=2, seed=2,
+                                           split=(0.5, 0.3, 0.2)))
         p = tmp_path / "d.txt"
         write_dataset(ds, p)
         back = read_dataset(p)

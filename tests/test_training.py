@@ -8,7 +8,12 @@ import numpy as np
 import pytest
 
 from mlclab.config import ExperimentConfig
-from mlclab.datamodel import ContrastiveBatch, MultiLabelDataset, generate_longtail
+from mlclab.datamodel import (
+    ContrastiveBatch,
+    DataConfig,
+    MultiLabelDataset,
+    generate_longtail,
+)
 from mlclab.errors import ConfigError, DomainError, TrainingDivergence
 from mlclab.evaluation import alignment, micro_f1
 from mlclab.losses import (
@@ -32,6 +37,7 @@ from mlclab.training import (
     _batch_step,
     _FlatSGD,
     _epoch_batches,
+    _epoch_steps,
     _init_model,
     clip_gradient,
     linear_eval,
@@ -63,7 +69,14 @@ def _probe_gradient(train_features, train_labels, res):
 
 
 def _tiny_dataset(seed=0, n=120):
-    return generate_longtail(n, 5, 6, seed=seed, avg_labels=1.8)
+    return generate_longtail(DataConfig(n=n, labels=5, features=6, seed=seed, avg_labels=1.8))
+
+
+def test_epoch_steps_counts_epoch_batches():
+    rng = np.random.default_rng(0)
+    for n in range(2, 201):
+        for batch_size in range(2, 71):
+            assert _epoch_steps(n, batch_size) == len(_epoch_batches(n, batch_size, rng))
 
 
 class TestLrSchedule:
