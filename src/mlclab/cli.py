@@ -81,9 +81,11 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _load_cfg(args)
+    if args.seed is not None:
+        cfg.override("train.seed", args.seed)
     out = _out_dir(args, cfg)
     dataset = get_dataset(cfg)
-    result = run_training(dataset, cfg, seed=args.seed)
+    result = run_training(dataset, cfg)
     save_checkpoint(result.model, out / "checkpoint.json", dataset_meta=dataset.meta)
     (out / "training_log.csv").write_text(training_log_csv(result.log), encoding="utf-8")
     _echo_config(cfg, out)

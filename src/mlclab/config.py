@@ -21,7 +21,7 @@ from .training import TrainConfig, check_weight_decays
 
 def _fmt(value) -> str:
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))
     if isinstance(value, (list, tuple)):
         return ",".join(_fmt(v) for v in value)
     return str(value)
@@ -78,6 +78,18 @@ _RANGES = {
 }
 
 
+def _read(key: str, value):
+    """What the key's parser makes of value's config-file text. Construction,
+    override and parsing then accept the same values, and a rendered echo
+    always parses back."""
+    if key not in SCHEMA:
+        raise ConfigError(f"unknown config key {key!r}")
+    try:
+        return SCHEMA[key][0](_fmt(value))
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"bad value for {key}: {exc}") from exc
+
+
 @dataclass
 class ExperimentConfig:
     """Fully-defaulted experiment configuration keyed by dotted names.
@@ -92,9 +104,7 @@ class ExperimentConfig:
     def __post_init__(self):
         merged = {key: default for key, (_, default) in SCHEMA.items()}
         for key, val in self.values.items():
-            if key not in SCHEMA:
-                raise ConfigError(f"unknown config key {key!r}")
-            merged[key] = val
+            merged[key] = _read(key, val)
         self.values = merged
         self._validate()
 
@@ -122,11 +132,9 @@ class ExperimentConfig:
         return self.values[key]
 
     def override(self, key: str, value) -> None:
-        if key not in SCHEMA:
-            raise ConfigError(f"unknown config key {key!r}")
-        parser, _ = SCHEMA[key]
+        value = _read(key, value)
         previous = self.values[key]
-        self.values[key] = parser(value) if isinstance(value, str) else value
+        self.values[key] = value
         try:
             self._validate()
         except ConfigError:

@@ -294,6 +294,10 @@ def read_dataset(path) -> MultiLabelDataset:
                     meta = json.loads(stripped[len("meta:"):])
                 except json.JSONDecodeError as exc:
                     raise ParseError(f"line {lineno}: bad meta JSON ({exc})") from exc
+                if not isinstance(meta, dict) or not isinstance(
+                        meta.get("split_counts", {}), dict):
+                    raise ParseError(f"line {lineno}: meta and its split_counts must be "
+                                     "JSON objects")
             continue
         header = line
         header_lineno = lineno

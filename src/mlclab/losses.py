@@ -6,8 +6,10 @@ Every contrastive loss is an instance of one generalized engine: per anchor,
 positives with nonnegative weights and a tempered-cosine softmax over the
 pool (batch, prototypes, or both) minus the anchor. A loss states only its
 positive coefficients, outer weights, pool layout and (msc) denominator
-log-multipliers; mulsupcon, supcon, msc and reg build their per-label
-positives with one function, _per_label_lam. The engine returns the value
+log-multipliers. Each id's positive pairs are one row of data (the instance
+pair weight, the normalization scope, whether the prototypes are in the
+pool, and msc's beta), which one builder, _build_spec, turns into that
+LossSpec. The engine returns the value
 with exact gradients for the embeddings and prototypes, taken through the
 cosine normalization and checked against the finite-difference oracle.
 
@@ -358,14 +360,6 @@ def _run_engine(
                           spec=spec, sigma=sigma, d_s=d_s)
 
 
-def _label_stats(y: np.ndarray):
-    yf = y.astype(np.float64)
-    sizes = yf.sum(axis=1)
-    inter = yf @ yf.T
-    union = sizes[:, None] + sizes[None, :] - inter
-    return yf, sizes, inter, union
-
-
 @lru_cache(maxsize=64)
 def _denominator(n: int, m: int, include_batch: bool) -> tuple[np.ndarray, np.ndarray | None]:
     """The whole pool, minus the anchor itself when the batch is in it, as a
@@ -384,134 +378,110 @@ def _denominator(n: int, m: int, include_batch: bool) -> tuple[np.ndarray, np.nd
     return mask, shift
 
 
-def _anchor_mean_spec(lam: np.ndarray, include_batch: bool, include_prototypes: bool) -> LossSpec:
-    """Raw weights lam normalized to sum to one per anchor (the anchor itself
-    excluded), with the per-anchor terms averaged over the batch."""
-    n = lam.shape[0]
-    if include_batch:
-        np.fill_diagonal(lam, 0.0)
-    total = lam.sum(axis=1)
-    coeff = np.where(total[:, None] > 0.0, lam / np.where(total > 0, total, 1.0)[:, None], 0.0)
-    return LossSpec(coeff=coeff, outer=np.full(n, 1.0 / n), include_batch=include_batch,
-                    include_prototypes=include_prototypes)
+def _jaccard(yf: np.ndarray, cfg: LossConfig) -> np.ndarray:
+    """|y_i & y_k| / |y_i | y_k|: every row carries a label, so the union is
+    never empty."""
+    inter = yf @ yf.T
+    sizes = yf.sum(axis=1)
+    return np.where(inter > 0, inter / (sizes[:, None] + sizes[None, :] - inter), 0.0)
 
 
-def _per_label_lam(yf: np.ndarray, pool_y: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Per-label positive weights on the pool: for each label j of anchor i,
-    the pool rows carrying j (pool_y is the pool's label matrix) weighted by
-    f[i, k], which is 0 at the anchor, and normalized over that label;
-    lam[i, k] sums the shares over the anchor's labels. A label with no
-    weighted carrier drops out."""
-    norm = yf * (f @ pool_y)
-    inner = np.where(norm > 0, yf / np.where(norm > 0, norm, 1.0), 0.0)
-    return f * (inner @ pool_y.T)
+def _uniform(yf: np.ndarray, cfg: LossConfig) -> np.ndarray:
+    """1 on every pair."""
+    return np.ones((yf.shape[0], yf.shape[0]))
 
 
-def _spec_base(batch: ContrastiveBatch, cfg: LossConfig) -> LossSpec:
-    """Jaccard-weighted contrastive loss over batch instances.
-
-    Positives of an anchor are the other instances sharing at least one
-    label, weighted by Jaccard similarity of the label sets and normalized by
-    their sum; the denominator is the rest of the batch. Anchors sharing no
-    label with anyone are skipped.
-    """
-    _, _, inter, union = _label_stats(batch.y)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        jac = np.where(inter > 0, inter / union, 0.0)
-    return _anchor_mean_spec(jac, include_batch=True, include_prototypes=False)
+def _inverse_union(yf: np.ndarray, cfg: LossConfig) -> np.ndarray:
+    """1 / |y_i | y_k|, down-weighting pairs with many labels."""
+    sizes = yf.sum(axis=1)
+    return 1.0 / (sizes[:, None] + sizes[None, :] - yf @ yf.T)
 
 
-def _spec_proto(batch: ContrastiveBatch, cfg: LossConfig) -> LossSpec:
-    """Prototype-anchored loss: each instance is attracted to the prototypes
-    of its labels, uniformly weighted; the softmax runs over the prototype
-    set (or over batch plus prototypes with proto_denominator set to
-    "batch+prototypes"). Gradients flow to both embeddings and prototypes."""
-    include_batch = cfg.proto_denominator == "batch+prototypes"
-    n, big_l = batch.n, batch.n_labels
-    m = n + big_l if include_batch else big_l
-    lam = np.zeros((n, m))
-    lam[:, m - big_l:] = batch.y
-    return _anchor_mean_spec(lam, include_batch=include_batch, include_prototypes=True)
-
-
-def _spec_mulsupcon(batch: ContrastiveBatch, cfg: LossConfig) -> LossSpec:
-    """Per-label contrastive loss: each (instance, label) pair acts as its
-    own anchor with uniform weight over that label's other carriers, and the
-    grand total is normalized by the number of (instance, label) pairs in the
-    batch. Empty per-label positive sets drop out. On single-label rows this
-    is SupCon (Khosla et al. 2020), which supcon and supcon-reg use."""
-    yf = batch.y.astype(np.float64)
-    f = np.ones((batch.n, batch.n))
-    np.fill_diagonal(f, 0.0)
-    return LossSpec(coeff=_per_label_lam(yf, yf, f), outer=np.full(batch.n, 1.0 / yf.sum()),
-                    include_batch=True, include_prototypes=False)
-
-
-def _spec_msc(batch: ContrastiveBatch, cfg: LossConfig) -> LossSpec:
-    """Frequency-reweighted contrastive loss with prototypes.
-
-    For each anchor label, the positives are the other carriers of that label
-    plus its prototype; instance pairs are weighted by the inverse size of
-    the label union, prototypes by one, normalized per label. Instance
-    terms of the denominator are multiplied by beta; beta = 0 removes
-    instance negatives entirely.
-    """
-    yf, sizes, _, union = _label_stats(batch.y)
-    n, big_l = batch.n, batch.n_labels
-    # every row carries a label, so union > 0
-    f_inst = 1.0 / union
-    np.fill_diagonal(f_inst, 0.0)
-    lam = _per_label_lam(yf, np.vstack([yf, np.eye(big_l)]), np.hstack([f_inst, yf]))
-    log_g = np.zeros((n, n + big_l))
-    with np.errstate(divide="ignore"):
-        log_g[:, :n] = np.log(cfg.beta) if cfg.beta > 0 else -np.inf
-    return LossSpec(coeff=lam / sizes[:, None], outer=np.full(n, 1.0 / n),
-                    include_batch=True, include_prototypes=True, log_g=log_g)
-
-
-def _spec_reg(batch: ContrastiveBatch, cfg: LossConfig) -> LossSpec:
-    """Multi-label contrastive loss with prototypes in the pool, the host of
-    the gate regularizer.
-
-    Positive structure follows the per-label scheme of mulsupcon, but the
-    prototypes join the batch: each anchor label contributes its other
-    carriers plus its prototype, weighted by the shared-label overlap ratio
-    (|y_i & y_k| / |y_k|) ** alpha and normalized per label, with outer
-    weight one over the anchor's label count. alpha = 0 weights each label's
-    positives uniformly.
-    """
-    yf = batch.y.astype(np.float64)
-    pool_y = np.vstack([yf, np.eye(batch.n_labels)])
-    inter_pool = yf @ pool_y.T
-    ratio = inter_pool / pool_y.sum(axis=1)[None, :]
-    f_pool = np.where(inter_pool > 0, ratio ** cfg.alpha, 0.0)
-    np.fill_diagonal(f_pool, 0.0)
-    lam = _per_label_lam(yf, pool_y, f_pool)
-    return LossSpec(coeff=lam / yf.sum(axis=1)[:, None], outer=np.full(batch.n, 1.0 / batch.n),
-                    include_batch=True, include_prototypes=True)
+def _overlap(yf: np.ndarray, cfg: LossConfig) -> np.ndarray:
+    """(|y_i & y_k| / |y_k|) ** alpha on pairs sharing a label; alpha = 0
+    weights each label's carriers uniformly."""
+    inter = yf @ yf.T
+    return np.where(inter > 0, (inter / yf.sum(axis=1)) ** cfg.alpha, 0.0)
 
 
 class _ContrastiveLoss(NamedTuple):
-    """Everything the package knows about one contrastive loss id."""
+    """One contrastive loss id: its positive-pair definition, which
+    _build_spec reads, and the facts the package asks of it."""
 
-    build: Callable[[ContrastiveBatch, LossConfig], LossSpec]
-    host: str | None      # the unregularized id this one adds the gate regularizer to
-    prototypes: bool      # the pool includes trainable label prototypes
-    single_label: bool    # every row must carry exactly one label
+    # (yf, cfg) -> (n, n) weights of the instance pairs; None: no instance
+    # positives, and the batch joins the pool only under
+    # proto_denominator = "batch+prototypes"
+    weight: Callable[[np.ndarray, LossConfig], np.ndarray] | None
+    # how the weights are normalized: "anchor" over all of an anchor's
+    # positives; "label" per anchor label, then averaged over the anchor's
+    # labels; "pair" per label, each (instance, label) pair weighing one
+    # over the batch's count of them
+    scope: str
+    prototypes: bool            # the label prototypes are in the pool
+    host: str | None = None     # the unregularized id this one adds the gate regularizer to
+    single_label: bool = False  # every row must carry exactly one label
+    beta: bool = False          # log(beta) on the denominator's instance columns
 
 
 # the gate regularizer is chosen by id: reg-noreg and supcon host reg and
 # supcon-reg; supcon is mulsupcon on rows that carry exactly one label
+# (SupCon, Khosla et al. 2020)
 _CONTRASTIVE_LOSSES = {
-    "base": _ContrastiveLoss(_spec_base, None, False, False),
-    "proto": _ContrastiveLoss(_spec_proto, None, True, False),
-    "mulsupcon": _ContrastiveLoss(_spec_mulsupcon, None, False, False),
-    "msc": _ContrastiveLoss(_spec_msc, None, True, False),
-    "reg": _ContrastiveLoss(_spec_reg, "reg-noreg", True, False),
-    "reg-noreg": _ContrastiveLoss(_spec_reg, None, True, False),
-    "supcon": _ContrastiveLoss(_spec_mulsupcon, None, False, True),
-    "supcon-reg": _ContrastiveLoss(_spec_mulsupcon, "supcon", False, True),
+    "base": _ContrastiveLoss(_jaccard, "anchor", False),
+    "proto": _ContrastiveLoss(None, "label", True),
+    "mulsupcon": _ContrastiveLoss(_uniform, "pair", False),
+    "msc": _ContrastiveLoss(_inverse_union, "label", True, beta=True),
+    "reg": _ContrastiveLoss(_overlap, "label", True, host="reg-noreg"),
+    "reg-noreg": _ContrastiveLoss(_overlap, "label", True),
+    "supcon": _ContrastiveLoss(_uniform, "pair", False, single_label=True),
+    "supcon-reg": _ContrastiveLoss(_uniform, "pair", False, host="supcon", single_label=True),
 }
+
+
+def _build_spec(row: _ContrastiveLoss, batch: ContrastiveBatch, cfg: LossConfig) -> LossSpec:
+    """The LossSpec of a row on the batch's labels. The pool is the batch
+    (weighted by row.weight, the anchor itself excluded), then the label
+    prototypes, each anchor's own weighing one. Under the per-label scopes,
+    label j of anchor i shares one unit of weight among the pool rows
+    carrying j, and a label with no such row drops out; under "anchor",
+    the anchor's positives share one unit and an anchor with none is
+    skipped."""
+    yf = batch.y.astype(np.float64)
+    n, big_l = yf.shape
+    include_batch = row.weight is not None or cfg.proto_denominator == "batch+prototypes"
+    weights = []
+    if include_batch:
+        weights.append(np.zeros((n, n)) if row.weight is None else row.weight(yf, cfg))
+    if row.prototypes:
+        weights.append(yf)
+    # one part is used as it is: each weight function returns a fresh array
+    f = np.concatenate(weights, axis=1) if len(weights) > 1 else weights[0]
+    if include_batch:
+        np.fill_diagonal(f, 0.0)
+    if row.scope == "anchor":
+        total = f.sum(axis=1)
+        coeff = np.where(total[:, None] > 0.0, f / np.where(total > 0, total, 1.0)[:, None], 0.0)
+    else:
+        # without instance positives, a label's prototype is its one carrier
+        # and keeps its weight
+        coeff = f
+        if row.weight is not None:
+            pool_y = np.concatenate([yf, np.eye(big_l)]) if row.prototypes else yf
+            # norm[i, j]: the weight of label j's carriers in anchor i's pool
+            norm = yf * (f @ pool_y)
+            inner = np.where(norm > 0, yf / np.where(norm > 0, norm, 1.0), 0.0)
+            coeff = f * (inner @ pool_y.T)
+        if row.scope == "label":
+            coeff = coeff / yf.sum(axis=1)[:, None]
+    log_g = None
+    if row.beta:
+        log_g = np.zeros(coeff.shape)
+        log_g[:, :n] = np.log(cfg.beta) if cfg.beta > 0 else -np.inf
+    outer = 1.0 / (yf.sum() if row.scope == "pair" else n)
+    return LossSpec(coeff=coeff, outer=np.full(n, outer), include_batch=include_batch,
+                    include_prototypes=row.prototypes, log_g=log_g)
+
+
 CONTRASTIVE_LOSS_IDS = tuple(_CONTRASTIVE_LOSSES)
 REGULARIZED_LOSS_IDS = tuple(k for k, row in _CONTRASTIVE_LOSSES.items() if row.host)
 PROTOTYPE_LOSS_IDS = tuple(k for k, row in _CONTRASTIVE_LOSSES.items() if row.prototypes)
@@ -649,7 +619,7 @@ def contrastive_spec(loss_id: str, batch: ContrastiveBatch, cfg: LossConfig) -> 
             f"{loss_id} requires exactly one label per instance; "
             "use the multi-label losses for multi-label batches"
         )
-    return row.build(batch, cfg)
+    return _build_spec(row, batch, cfg)
 
 
 def contrastive_loss(loss_id: str, batch: ContrastiveBatch, cfg: LossConfig,

@@ -375,3 +375,13 @@ def test_missing_or_unreadable_input_file_exits_2(args, content, tmp_path, capsy
     assert line.startswith("config error:") and (content is not None or str(path) in line)
     assert not out.exists()
 
+
+def test_train_seed_is_echoed_and_reruns_from_the_echo(tiny_config, tmp_path):
+    seeded, rerun, default = tmp_path / "s3", tmp_path / "rerun", tmp_path / "s0"
+    assert main(["train", "--config", str(tiny_config), "--out", str(seeded), "--seed", "3"]) == 0
+    assert "train.seed = 3\n" in (seeded / "config_echo.txt").read_text()
+    assert main(["train", "--config", str(seeded / "config_echo.txt"), "--out", str(rerun)]) == 0
+    assert main(["train", "--config", str(tiny_config), "--out", str(default)]) == 0
+    first = (seeded / "checkpoint.json").read_bytes()
+    assert (rerun / "checkpoint.json").read_bytes() == first
+    assert (default / "checkpoint.json").read_bytes() != first

@@ -2,6 +2,7 @@
 
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from mlclab.config import (
@@ -104,6 +105,27 @@ class TestAccessors:
         assert cfg["loss.tau"] == 0.7
         cfg.override("loss.id", "bce")
         assert cfg["loss.id"] == "bce"
+
+    @pytest.mark.parametrize("key, value", [("data.n", 100.5), ("train.epochs", 2.5),
+                                            ("train.seed", True)])
+    def test_override_rejects_what_its_echo_could_not_parse(self, key, value):
+        cfg = default_config()
+        with pytest.raises(ConfigError, match=f"bad value for {key}"):
+            cfg.override(key, value)
+        assert cfg[key] == SCHEMA[key][1]
+        with pytest.raises(ConfigError, match=f"bad value for {key}"):
+            ExperimentConfig(values={key: value})
+
+    def test_override_values_round_trip_through_the_echo(self):
+        cfg = default_config()
+        for key, value in [("data.seed", 0), ("train.seed", np.int64(7)), ("loss.tau", 1),
+                           ("loss.beta", np.float64(0.5)), ("run.seeds", (3, 4)),
+                           ("eval.wds", [0.5])]:
+            cfg.override(key, value)
+        assert cfg["train.seed"] == 7 and type(cfg["train.seed"]) is int
+        assert cfg["loss.tau"] == 1.0 and type(cfg["loss.tau"]) is float
+        assert cfg["run.seeds"] == (3, 4) and cfg["eval.wds"] == (0.5,)
+        assert parse_config_text(cfg.render()).values == cfg.values
 
     def test_constructor_rejects_unknown(self):
         with pytest.raises(ConfigError):

@@ -250,6 +250,13 @@ class TestDatasetIO:
         with pytest.raises(ParseError, match=rf"split_counts\['{name}'\] .* got {shown}$"):
             read_dataset(p)
 
+    @pytest.mark.parametrize("meta", ["3", '{"split_counts": [1]}'])
+    def test_meta_that_is_not_an_object_rejected(self, tmp_path, meta):
+        p = tmp_path / "bad.txt"
+        p.write_text(f"# meta: {meta}\n1 2 1\n0\t0.5\n")
+        with pytest.raises(ParseError, match="line 1: meta and its split_counts must be"):
+            read_dataset(p)
+
     def test_meta_preserves_splits(self, tmp_path):
         ds = generate_longtail(DataConfig(n=50, labels=3, features=2, seed=2,
                                            split=(0.5, 0.3, 0.2)))

@@ -353,31 +353,60 @@ def _reg_lam_reference(y, alpha):
     return _per_label_reference(y, lambda i, k: overlap_ratio(y[i], pool_y[k], alpha), True)
 
 
-class TestPerLabelReferences:
-    """The coeff of mulsupcon and msc against the pair-by-pair loop."""
+def _reference_spec(loss_id, y, cfg):
+    """(coeff, outer) of a contrastive id, written pair by pair."""
+    n, big_l = y.shape
+    yb = y.astype(bool)
+    sizes = yb.sum(axis=1)
+    anchors = positive_sets(y)
+    if loss_id == "base":
+        # every other row sharing a label, by Jaccard, normalized per anchor
+        coeff = np.zeros((n, n))
+        for i, anchor in enumerate(anchors):
+            shared = sorted({int(k) for carriers in anchor.per_label.values() for k in carriers})
+            jaccard = [np.sum(yb[i] & yb[k]) / np.sum(yb[i] | yb[k]) for k in shared]
+            for k, w in zip(shared, jaccard):
+                coeff[i, k] = w / sum(jaccard)
+        return coeff, np.full(n, 1.0 / n)
+    if loss_id == "proto":
+        # the anchor's own prototypes, uniformly; the batch, when in the pool,
+        # holds no positive
+        offset = n if cfg.proto_denominator == "batch+prototypes" else 0
+        coeff = np.zeros((n, offset + big_l))
+        for i, anchor in enumerate(anchors):
+            coeff[i, offset + anchor.labels] = 1.0 / len(anchor.labels)
+        return coeff, np.full(n, 1.0 / n)
+    if loss_id in ("mulsupcon", "supcon", "supcon-reg"):
+        return _per_label_reference(y, lambda i, k: 1.0, False), np.full(n, 1.0 / sizes.sum())
+    if loss_id == "msc":
+        # 1 / |y_i | y_k| for an instance, 1 for a prototype
+        lam = _per_label_reference(
+            y, lambda i, k: 1.0 / np.sum(yb[i] | yb[k]) if k < n else 1.0, True)
+    else:
+        lam = _reg_lam_reference(y, cfg.alpha)
+    return lam / sizes[:, None], np.full(n, 1.0 / n)
 
-    def test_mulsupcon_coeff(self):
+
+class TestPerLabelReferences:
+    """Each id's coeff and outer against its pair-by-pair definition."""
+
+    @pytest.mark.parametrize("loss_id,cfg", [
+        *(pytest.param(lid, CFG, id=lid) for lid in CONTRASTIVE_LOSS_IDS),
+        pytest.param("proto", LossConfig(proto_denominator="batch+prototypes"),
+                     id="proto-batch+prototypes"),
+        *(pytest.param("msc", LossConfig(beta=beta), id=f"msc-beta{beta}")
+          for beta in (0.0, 0.5)),
+        *(pytest.param(lid, LossConfig(alpha=0.7), id=f"{lid}-alpha0.7")
+          for lid in ("reg", "reg-noreg")),
+    ])
+    def test_coeff_and_outer(self, loss_id, cfg):
         rng = np.random.default_rng(51)
         for _ in range(10):
-            batch = random_batch(rng, "mulsupcon")
-            coeff = contrastive_loss("mulsupcon", batch, CFG).spec.coeff
-            expected = _per_label_reference(batch.y, lambda i, k: 1.0, False)
-            np.testing.assert_allclose(coeff, expected, rtol=0, atol=1e-15)
-
-    @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
-    def test_msc_coeff(self, beta):
-        rng = np.random.default_rng(52)
-        for _ in range(10):
-            batch = random_batch(rng, "msc")
-            y, n = batch.y.astype(bool), batch.n
-
-            def weight(i, k):
-                # 1 / |y_i | y_k| for an instance, 1 for a prototype
-                return 1.0 / np.sum(y[i] | y[k]) if k < n else 1.0
-
-            coeff = contrastive_loss("msc", batch, LossConfig(beta=beta)).spec.coeff
-            expected = _per_label_reference(batch.y, weight, True) / y.sum(axis=1)[:, None]
-            np.testing.assert_allclose(coeff, expected, rtol=0, atol=1e-15)
+            batch = random_batch(rng, loss_id)
+            spec = contrastive_loss(loss_id, batch, cfg).spec
+            coeff, outer = _reference_spec(loss_id, batch.y, cfg)
+            np.testing.assert_allclose(spec.coeff, coeff, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(spec.outer, outer, rtol=0, atol=1e-15)
 
 
 class TestDenominatorMask:
@@ -955,6 +984,28 @@ class TestGradientIdentities:
         assert _worst_cosine(batch.z, bundle.d_z) <= 1e-12
         if batch.prototypes is not None:
             assert _worst_cosine(batch.prototypes, bundle.d_prototypes) <= 1e-12
+
+    @pytest.mark.parametrize("loss_id", CONTRASTIVE_LOSS_IDS)
+    @_IDENTITY_SETTINGS
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_permuting_the_labels_permutes_the_prototype_gradient(self, loss_id, seed):
+        # renaming the labels, with their prototypes, changes no pair's
+        # weight; alpha and beta are off their defaults so every row's
+        # weight function is live
+        cfg = LossConfig(alpha=0.7, beta=0.5)
+        rng = np.random.default_rng(seed)
+        batch = random_batch(rng, loss_id)
+        perm = rng.permutation(batch.n_labels)
+        protos = batch.prototypes
+        moved = ContrastiveBatch(z=batch.z, y=batch.y[:, perm],
+                                 prototypes=None if protos is None else protos[perm])
+        a = contrastive_loss(loss_id, batch, cfg)
+        b = contrastive_loss(loss_id, moved, cfg)
+        assert abs(b.loss_value - a.loss_value) <= 1e-12 * abs(a.loss_value)
+        assert np.abs(b.d_z - a.d_z).max() <= 1e-12 * np.abs(a.d_z).max()
+        if protos is not None:
+            assert (np.abs(b.d_prototypes - a.d_prototypes[perm]).max()
+                    <= 1e-12 * np.abs(a.d_prototypes).max())
 
     @pytest.mark.parametrize("loss_id", CONTRASTIVE_LOSS_IDS)
     @_IDENTITY_SETTINGS
