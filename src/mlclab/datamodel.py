@@ -15,6 +15,8 @@ ContrastiveBatch._trusted, which skips the checks.
 from __future__ import annotations
 
 import json
+import os
+import stat
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,7 +34,10 @@ def validate_label_matrix(y, require_nonempty_rows: bool = False) -> np.ndarray:
     arr = np.asarray(y)
     if arr.ndim != 2:
         raise DomainError(f"label matrix must be 2-D, got ndim={arr.ndim}")
-    if not np.isin(arr, (0, 1)).all():
+    # two comparisons: np.isin holds about 12 bytes per entry of an int8 matrix
+    binary = arr == 0
+    binary |= arr == 1
+    if not binary.all():
         raise DomainError("label matrix entries must be 0 or 1")
     arr = arr.astype(np.int8)
     if require_nonempty_rows:
@@ -137,10 +142,18 @@ class MultiLabelDataset:
         return self.features.shape[1]
 
     def subset(self, split_name: str) -> tuple[np.ndarray, np.ndarray]:
+        """(features, labels) of the split's rows. When they form one
+        contiguous block, as in every generated or read dataset, these are
+        read-only views of the dataset's arrays; otherwise they are copies."""
         if split_name not in SPLIT_NAMES:
             raise ConfigError(f"unknown split {split_name!r}")
-        idx = np.nonzero(self.split == split_name)[0]
-        return self.features[idx], self.labels[idx]
+        idx = np.flatnonzero(self.split == split_name)
+        if idx.size == 0 or idx[-1] - idx[0] + 1 != idx.size:
+            return self.features[idx], self.labels[idx]
+        views = self.features[idx[0]:idx[-1] + 1], self.labels[idx[0]:idx[-1] + 1]
+        for view in views:
+            view.flags.writeable = False
+        return views
 
 
 @dataclass
@@ -240,16 +253,13 @@ def generate_longtail(cfg: DataConfig) -> MultiLabelDataset:
     return MultiLabelDataset(features=features, labels=labels, split=split, meta=meta)
 
 
-def _format_float(x: float) -> str:
-    # repr of a Python float is the shortest string that round-trips exactly
-    return repr(float(x))
-
-
 def write_dataset(dataset: MultiLabelDataset, path) -> None:
     """Write the line-oriented text format: a `# meta:` comment, a header
-    `n L p`, then one instance per line as `label,indices<TAB>features`.
-    The file keeps only the split counts and read_dataset rebuilds the tags
-    as train, val, test blocks, so a row out of that order is a DomainError."""
+    `n L p`, then one instance per line as `label,indices<TAB>features`,
+    each feature the repr of a Python float (the shortest string that reads
+    back exactly). Rows go to the file one at a time. The file keeps only
+    the split counts and read_dataset rebuilds the tags as train, val, test
+    blocks, so a row out of that order is a DomainError."""
     rank = np.select([dataset.split == name for name in SPLIT_NAMES], range(len(SPLIT_NAMES)))
     behind = np.nonzero(np.diff(rank) < 0)[0]
     if behind.size:
@@ -257,36 +267,34 @@ def write_dataset(dataset: MultiLabelDataset, path) -> None:
         raise DomainError(f"row {i} is tagged {dataset.split[i]!r} after a "
                           f"{dataset.split[i - 1]!r} row; splits must come as "
                           f"{', '.join(SPLIT_NAMES)} blocks")
-    lines = []
     meta = dict(dataset.meta)
     meta.setdefault("rng", RNG_ALGORITHM)
     meta["split_counts"] = {
         name: int((dataset.split == name).sum()) for name in SPLIT_NAMES
     }
-    lines.append("# meta: " + json.dumps(meta, sort_keys=True))
-    lines.append(f"{dataset.n} {dataset.n_labels} {dataset.n_features}")
-    for i in range(dataset.n):
-        label_idx = np.nonzero(dataset.labels[i])[0]
-        label_part = ",".join(str(int(j)) for j in label_idx)
-        feat_part = " ".join(_format_float(v) for v in dataset.features[i])
-        lines.append(label_part + "\t" + feat_part)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("# meta: " + json.dumps(meta, sort_keys=True) + "\n")
+        fh.write(f"{dataset.n} {dataset.n_labels} {dataset.n_features}\n")
+        for y, x in zip(dataset.labels, dataset.features):
+            fh.write(",".join(map(str, np.flatnonzero(y).tolist())) + "\t"
+                     + " ".join(map(repr, x.tolist())) + "\n")
 
 
-def read_dataset(path) -> MultiLabelDataset:
-    """Read the text format written by write_dataset. Write-then-read is a
-    bit-exact round trip. Malformed lines, among them a repeated label index
-    and a non-finite feature, raise ParseError with the line number
-    (1-based) and, for field errors, the field position."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw_lines = fh.read().splitlines()
+def _lines(fh):
+    """(line number, line) of each line of fh, split as str.splitlines would
+    split the whole text, one line at a time."""
+    lineno = 0
+    for chunk in fh:
+        for line in chunk.splitlines():
+            lineno += 1
+            yield lineno, line
 
+
+def _read_header(lines) -> tuple[dict, int, tuple[int, int, int]]:
+    """(meta, header line number, (n, L, p)) from the comments before the
+    header and the header itself."""
     meta: dict = {}
-    header = None
-    header_lineno = 0
-    body_start = 0
-    for lineno, line in enumerate(raw_lines, start=1):
+    for lineno, line in lines:
         if line.startswith("#"):
             stripped = line[1:].strip()
             if stripped.startswith("meta:"):
@@ -299,75 +307,116 @@ def read_dataset(path) -> MultiLabelDataset:
                     raise ParseError(f"line {lineno}: meta and its split_counts must be "
                                      "JSON objects")
             continue
-        header = line
-        header_lineno = lineno
-        body_start = lineno
-        break
-    if header is None:
-        raise ParseError("line 1: missing header 'n L p'")
+        parts = line.split()
+        if len(parts) != 3:
+            raise ParseError(f"line {lineno}: header must be 'n L p', got {line!r}")
+        try:
+            counts = tuple(int(p) for p in parts)
+        except ValueError as exc:
+            raise ParseError(f"line {lineno}: header fields must be integers") from exc
+        if min(counts) < 1:
+            raise ParseError(f"line {lineno}: header counts must be >= 1")
+        return meta, lineno, counts
+    raise ParseError("line 1: missing header 'n L p'")
 
-    parts = header.split()
-    if len(parts) != 3:
-        raise ParseError(f"line {header_lineno}: header must be 'n L p', got {header!r}")
+
+def _convert(convert, text: str, tokens: list[str]) -> list | None:
+    """[convert(tok) for tok in tokens], or None when a token does not
+    convert. Python reads "_" in a number as a digit separator ("1_0" is
+    10); the format has none, so a "_" anywhere in text fails too."""
+    if "_" in text:
+        return None
     try:
-        n, n_labels, n_features = (int(p) for p in parts)
-    except ValueError as exc:
-        raise ParseError(f"line {header_lineno}: header fields must be integers") from exc
-    if n < 1 or n_labels < 1 or n_features < 1:
-        raise ParseError(f"line {header_lineno}: header counts must be >= 1")
+        return list(map(convert, tokens))
+    except ValueError:
+        return None
 
-    body = [
-        (lineno, line)
-        for lineno, line in enumerate(raw_lines, start=1)
-        if lineno > body_start and not line.startswith("#") and line.strip() != ""
-    ]
-    if len(body) != n:
+
+def _parse_row(lineno: int, line: str, n_labels: int, n_features: int):
+    """(label indices, feature values) of one instance line. Each field list
+    is converted in one pass; only a row that fails is scanned field by
+    field for the first bad one."""
+    if "\t" not in line:
+        raise ParseError(f"line {lineno}: expected '<labels>\\t<features>'")
+    label_part, feat_part = line.split("\t", 1)
+    if label_part.strip() == "":
         raise ParseError(
-            f"line {header_lineno}: header declares {n} instances, file has {len(body)}"
+            f"line {lineno}, column 1: empty label field; "
+            "instances with zero labels rejected"
         )
-
-    labels = np.zeros((n, n_labels), dtype=np.int8)
-    features = np.zeros((n, n_features), dtype=np.float64)
-    for row, (lineno, line) in enumerate(body):
-        if "\t" not in line:
-            raise ParseError(f"line {lineno}: expected '<labels>\\t<features>'")
-        label_part, feat_part = line.split("\t", 1)
-        if label_part.strip() == "":
-            raise ParseError(
-                f"line {lineno}, column 1: empty label field; "
-                "instances with zero labels rejected"
-            )
-        for col, tok in enumerate(label_part.split(","), start=1):
-            try:
-                j = int(tok)
-            except ValueError as exc:
-                raise ParseError(
-                    f"line {lineno}, label field {col}: not an integer: {tok!r}"
-                ) from exc
+    tokens = label_part.split(",")
+    idx = _convert(int, label_part, tokens)
+    if idx is None or min(idx) < 0 or max(idx) >= n_labels or len(set(idx)) < len(idx):
+        seen = set()
+        for col, tok in enumerate(tokens, start=1):
+            where = f"line {lineno}, label field {col}"
+            converted = _convert(int, tok, [tok])
+            if converted is None:
+                raise ParseError(f"{where}: not an integer: {tok!r}")
+            j = converted[0]
             if not (0 <= j < n_labels):
-                raise ParseError(
-                    f"line {lineno}, label field {col}: label index {j} out of range "
-                    f"for L={n_labels}"
-                )
-            if labels[row, j]:
-                raise ParseError(f"line {lineno}, label field {col}: duplicate label index {j}")
-            labels[row, j] = 1
-        toks = feat_part.split()
-        if len(toks) != n_features:
+                raise ParseError(f"{where}: label index {j} out of range for L={n_labels}")
+            if j in seen:
+                raise ParseError(f"{where}: duplicate label index {j}")
+            seen.add(j)
+    tokens = feat_part.split()
+    if len(tokens) != n_features:
+        raise ParseError(
+            f"line {lineno}: expected {n_features} features, got {len(tokens)}"
+        )
+    values = _convert(float, feat_part, tokens)
+    if values is None:
+        col = next(col for col, tok in enumerate(tokens, start=1)
+                   if _convert(float, tok, [tok]) is None)
+        raise ParseError(
+            f"line {lineno}, feature field {col}: not a number: {tokens[col - 1]!r}")
+    return idx, values
+
+
+def read_dataset(path) -> MultiLabelDataset:
+    """Read the text format written by write_dataset, one line at a time
+    into arrays sized by the header. Write-then-read is a bit-exact round
+    trip. Malformed lines, among them a repeated label index, a non-finite
+    feature and a number with a "_", raise ParseError with the line number
+    (1-based) and, for field errors, the field position. A header whose
+    instance count differs from the file's is reported before any error in
+    the rows."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = _lines(fh)
+        meta, header_lineno, (n, n_labels, n_features) = _read_header(lines)
+
+        st = os.fstat(fh.fileno())
+        # a valid row takes 2p + 1 characters and a line break at least, so
+        # a header that declares more rows than the file can hold allocates
+        # only what fits; the count check below rejects it
+        fit = n
+        if stat.S_ISREG(st.st_mode):
+            fit = min(n, (st.st_size + 1) // (2 * n_features + 2))
+        labels = np.zeros((fit, n_labels), dtype=np.int8)
+        features = np.empty((fit, n_features), dtype=np.float64)
+        linenos = np.empty(fit, dtype=np.int64)
+        rows = ((lineno, line) for lineno, line in lines
+                if not line.startswith("#") and line.strip() != "")
+        found = 0
+        try:
+            for lineno, line in rows:
+                if found < n:  # rows past the declared count are only counted
+                    idx, values = _parse_row(lineno, line, n_labels, n_features)
+                    labels[found, idx] = 1
+                    features[found] = values
+                    linenos[found] = lineno
+                found += 1
+        except ParseError:
+            found += 1 + sum(1 for _ in rows)
+            if found == n:
+                raise
+        if found != n:
             raise ParseError(
-                f"line {lineno}: expected {n_features} features, got {len(toks)}"
-            )
-        for col, tok in enumerate(toks, start=1):
-            try:
-                features[row, col - 1] = float(tok)
-            except ValueError as exc:
-                raise ParseError(
-                    f"line {lineno}, feature field {col}: not a number: {tok!r}"
-                ) from exc
-    bad = np.argwhere(~np.isfinite(features))
-    if bad.size:
-        row, col = bad[0]
-        raise ParseError(f"line {body[row][0]}, feature field {col + 1}: "
+                f"line {header_lineno}: header declares {n} instances, file has {found}")
+
+    if not np.isfinite(features).all():
+        row, col = np.argwhere(~np.isfinite(features))[0]
+        raise ParseError(f"line {linenos[row]}, feature field {col + 1}: "
                          f"not finite: {features[row, col]}")
 
     counts = meta.get("split_counts")

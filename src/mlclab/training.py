@@ -413,9 +413,7 @@ class LinearEvalResult:
     cells: list[dict] = field(default_factory=list)
 
     def scores(self, features) -> np.ndarray:
-        x = (np.asarray(features, dtype=np.float64) - self.feature_mean) / self.feature_scale
-        xb = np.hstack([x, np.ones((x.shape[0], 1))])
-        return sigmoid(xb @ self.weights)
+        return sigmoid(_design(features, self.feature_mean, self.feature_scale) @ self.weights)
 
     def predict(self, features) -> np.ndarray:
         return (self.scores(features) >= 0.5).astype(np.int8)
@@ -431,6 +429,16 @@ _MAX_HALVINGS = 40
 _ROW_BLOCK = 256
 
 
+def _design(features, mean, scale) -> np.ndarray:
+    """The probe's design matrix [(x - mean) / scale, 1], built in place."""
+    x = np.asarray(features, dtype=np.float64)
+    xb = np.empty((x.shape[0], x.shape[1] + 1))
+    np.subtract(x, mean, out=xb[:, :-1])
+    xb[:, :-1] /= scale
+    xb[:, -1] = 1.0
+    return xb
+
+
 def _probe_objective(u, y, w, wd):
     """Per-label mean BCE from the logits u plus wd/2 |w|^2 over the
     non-bias rows; each BCE term is softplus(-u) for y = 1 and softplus(u)
@@ -443,23 +451,27 @@ def _probe_objective(u, y, w, wd):
 def _newton_steps(xb, p, g, wd):
     """Solve H_j s_j = g_j for each label column j, with the Hessian
     H_j = X^T diag(p_j (1 - p_j)) X / n + wd * I (bias exempt) accumulated
-    over row blocks. Raises LinAlgError when a Hessian is singular."""
+    over row blocks. Columns of p that are all equal share one Hessian, as
+    at w = 0, where p is 1/2 everywhere. Raises LinAlgError when a Hessian
+    is singular."""
     n, m = xb.shape
     steps = np.empty_like(g)
     h = np.empty((m, m))
     part = np.empty((m, m))
     buf = np.empty((min(_ROW_BLOCK, n), m))
     diag = np.arange(m - 1)
+    root = np.sqrt(p * (1.0 - p) / n)
+    shared = bool((p == p[:, :1]).all())
     for j in range(p.shape[1]):
-        h.fill(0.0)
-        h[diag, diag] = wd
-        for start in range(0, n, _ROW_BLOCK):
-            pj = p[start:start + _ROW_BLOCK, j]
-            block = buf[:pj.size]
-            np.multiply(xb[start:start + _ROW_BLOCK], np.sqrt(pj * (1.0 - pj) / n)[:, None],
-                        out=block)
-            np.matmul(block.T, block, out=part)  # symmetric rank-k update
-            h += part
+        if j == 0 or not shared:
+            h.fill(0.0)
+            h[diag, diag] = wd
+            for start in range(0, n, _ROW_BLOCK):
+                rj = root[start:start + _ROW_BLOCK, j]
+                block = buf[:rj.size]
+                np.multiply(xb[start:start + _ROW_BLOCK], rj[:, None], out=block)
+                np.matmul(block.T, block, out=part)  # symmetric rank-k update
+                h += part
         steps[:, j] = np.linalg.solve(h, g[:, j])
     return steps
 
@@ -476,10 +488,10 @@ def _fit_probe(xb, y, wd, max_iters, tol):
     """
     n, m = xb.shape
     w = np.zeros((m, y.shape[1]))
-    active = np.arange(y.shape[1])
+    # the moving labels' columns of w and of y
+    active, wa, ya = np.arange(y.shape[1]), w.copy(), y
     grad_max = np.zeros(y.shape[1])
     for it in range(max_iters + 1):
-        wa, ya = w[:, active], y[:, active]
         u = xb @ wa
         p = sigmoid(u)
         g = xb.T @ (p - ya) / n
@@ -492,7 +504,8 @@ def _fit_probe(xb, y, wd, max_iters, tol):
             return w, it, float(grad_max.max(initial=0.0))
         if it == max_iters:
             break
-        active, wa, ya, u, p, g = (a[..., moving] for a in (active, wa, ya, u, p, g))
+        if not moving.all():
+            active, wa, ya, u, p, g = (a[..., moving] for a in (active, wa, ya, u, p, g))
         try:
             step = _newton_steps(xb, p, g, wd)
         except np.linalg.LinAlgError:
@@ -513,7 +526,7 @@ def _fit_probe(xb, y, wd, max_iters, tol):
                                             trial[:, cols], wd) > limit[cols]
         if rising.any():
             break
-        w[:, active] = trial
+        w[:, active] = wa = trial
     return None, it, float(np.max(grad_max))
 
 
@@ -566,13 +579,12 @@ def linear_eval(
     if max_iters < 1 or not (0 < tol < 1):
         raise ConfigError(f"need max_iters >= 1 and 0 < tol < 1, got {max_iters} and {tol}")
     x = np.asarray(train_features, dtype=np.float64)
-    y = np.asarray(train_labels, dtype=np.float64)
+    # 0/1 labels of any dtype: p - y is exact, so an int8 split is not copied
+    y = np.asarray(train_labels)
     mean = x.mean(axis=0)
     scale = np.maximum(x.std(axis=0), 1e-8)
-    xb = np.hstack([(x - mean) / scale, np.ones((x.shape[0], 1))])
-
-    xv = (np.asarray(val_features, dtype=np.float64) - mean) / scale
-    xvb = np.hstack([xv, np.ones((xv.shape[0], 1))])
+    xb = _design(x, mean, scale)
+    xvb = _design(val_features, mean, scale)
     yv = np.asarray(val_labels)
 
     positives = y.sum(axis=0)

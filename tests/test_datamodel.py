@@ -239,6 +239,88 @@ class TestDatasetIO:
         with pytest.raises(ParseError, match="declares 2 instances"):
             read_dataset(p)
 
+    # every ParseError text of the reader, pinned before it was rewritten to stream
+    @pytest.mark.parametrize("text, message", [
+        pytest.param("2 5 2\n0\t0.0 1.0\n1,x\t0.0 1.0\n",
+                     "line 3, label field 2: not an integer: 'x'", id="label-not-integer"),
+        pytest.param("1 5 2\n1.0\t0.0 1.0\n",
+                     "line 2, label field 1: not an integer: '1.0'", id="label-float"),
+        pytest.param("2 5 2\n0\t0.0 1.0\n1\t0.5 abc\n",
+                     "line 3, feature field 2: not a number: 'abc'", id="feature-not-number"),
+        pytest.param("1 5 2\n0 0.0 1.0\n",
+                     "line 2: expected '<labels>\\t<features>'", id="no-tab"),
+        pytest.param("# meta: {bad\n1 5 2\n0\t0.0 1.0\n",
+                     "line 1: bad meta JSON (Expecting property name enclosed in double "
+                     "quotes: line 1 column 3 (char 2))", id="bad-meta-json"),
+        pytest.param("1 5 x\n0\t0.0 1.0\n",
+                     "line 1: header fields must be integers", id="header-not-integer"),
+        pytest.param("1 0 2\n0\t0.0 1.0\n",
+                     "line 1: header counts must be >= 1", id="header-below-one"),
+        pytest.param("1 5\n0\t0.0\n",
+                     "line 1: header must be 'n L p', got '1 5'", id="header-two-fields"),
+        pytest.param("# meta: {}\n# a comment\n",
+                     "line 1: missing header 'n L p'", id="no-header"),
+        pytest.param("", "line 1: missing header 'n L p'", id="empty-file"),
+        pytest.param("1 5 2\n0\t0.0 1.0\n1\t0.0 1.0\n",
+                     "line 1: header declares 1 instances, file has 2", id="more-rows"),
+        pytest.param("2 5 2\n0\tx 1.0\n1\t0.0 1.0\n1\t0.0 1.0\n",
+                     "line 1: header declares 2 instances, file has 3",
+                     id="count-before-row-error"),
+        pytest.param("100000000000 5 2\n0\t0.0 1.0\n",
+                     "line 1: header declares 100000000000 instances, file has 1",
+                     id="count-of-a-huge-header"),
+        pytest.param('# meta: {"split_counts": {"train": 1, "val": 1, "test": 1}}\n2 5 2\n'
+                     "0\t0.0 1.0\n1\t0.0 1.0\n",
+                     "meta split_counts sum to 3, header declares 2", id="split-sum"),
+        pytest.param("1 5 2\n7\t0.0 1.0\n",
+                     "line 2, label field 1: label index 7 out of range for L=5",
+                     id="label-out-of-range"),
+        pytest.param("1 5 2\n0,9,x\t0.0 1.0\n",
+                     "line 2, label field 2: label index 9 out of range for L=5",
+                     id="range-before-bad-integer"),
+        pytest.param("1 5 2\n1,1,9\t0.0 1.0\n",
+                     "line 2, label field 2: duplicate label index 1",
+                     id="duplicate-before-range"),
+        pytest.param("1 5 2\n\t0.0 1.0\n",
+                     "line 2, column 1: empty label field; instances with zero labels "
+                     "rejected", id="empty-label-field"),
+        pytest.param("1 2 3\n0\t0.0 1.0\n",
+                     "line 2: expected 3 features, got 2", id="feature-count"),
+        pytest.param("2 5 2\n0\tnan 1.0\n1\t0.0 y\n",
+                     "line 3, feature field 2: not a number: 'y'",
+                     id="row-error-before-non-finite"),
+        pytest.param("2 5 2\n\n0\t0.0 1.0\n# c\n  \n1\t0.0 inf\n",
+                     "line 6, feature field 2: not finite: inf",
+                     id="non-finite-after-blank-and-comment"),
+    ])
+    def test_parse_error_text(self, tmp_path, text, message):
+        p = tmp_path / "bad.txt"
+        p.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError) as excinfo:
+            read_dataset(p)
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("text, message", [
+        pytest.param("1 12 2\n0,1_0\t0.0 1.0\n",
+                     "line 2, label field 2: not an integer: '1_0'", id="label"),
+        pytest.param("1 5 2\n0\t1.5 3_5\n",
+                     "line 2, feature field 2: not a number: '3_5'", id="feature"),
+    ])
+    def test_underscore_in_a_number_rejected(self, tmp_path, text, message):
+        # int() and float() read "1_0" as 10 and "3_5" as 35.0; the writer never writes "_"
+        p = tmp_path / "bad.txt"
+        p.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError) as excinfo:
+            read_dataset(p)
+        assert str(excinfo.value) == message
+
+    def test_lines_split_as_str_splitlines_does(self, tmp_path):
+        p = tmp_path / "d.txt"
+        p.write_text("2 5 2\r\n0\t0.0 1.0\x0c1,2\t0.5 -1.0\n", encoding="utf-8")
+        ds = read_dataset(p)
+        np.testing.assert_array_equal(ds.labels, [[1, 0, 0, 0, 0], [0, 1, 1, 0, 0]])
+        np.testing.assert_array_equal(ds.features, [[0.0, 1.0], [0.5, -1.0]])
+
     @pytest.mark.parametrize("counts, name, shown", [
         ('{"train": 3, "val": -1, "test": 2}', "val", "-1"),
         ('{"train": 3.7, "val": 0, "test": 2.2}', "train", "3.7"),

@@ -1,11 +1,12 @@
 """Golden digests: SHA-256 prefixes of the checkpoint and the training log
 that `mlclab train` writes for every loss id, at the default config and seed
-0, recorded in DIGESTS.json at the repository root.
+0, and of the dataset.txt that `mlclab gen-data` writes at the default
+config, recorded in DIGESTS.json at the repository root.
 
     python tools/digests.py            # print the digests, compare with DIGESTS.json
     python tools/digests.py --write    # record them in DIGESTS.json
 
-The trainings run in one subprocess, from this checkout's src/, with
+The commands run in one subprocess, from this checkout's src/, with
 OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS set to 1.
 `supcon` and `supcon-reg` need one label per row, so they train on the
 default dataset cut to each row's first label, written to a dataset file
@@ -37,8 +38,8 @@ def _sha(path: Path) -> str:
 
 
 def _child(workdir: Path) -> None:
-    """Train every loss id with `mlclab train` and write the environment and
-    the digests to workdir/digests.json."""
+    """Run `mlclab gen-data`, train every loss id with `mlclab train` and
+    write the environment and the digests to workdir/digests.json."""
     import contextlib
     import io
 
@@ -59,16 +60,20 @@ def _child(workdir: Path) -> None:
     cut_config = workdir / "first_label.cfg"
     cut_config.write_text(f"data.source = {cut_data}\n", encoding="utf-8")
 
-    digests = {}
+    def run(argv):
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+        if code != 0:
+            raise SystemExit(f"mlclab {' '.join(argv[:3])} exited {code}")
+
+    run(["gen-data", "--out", str(workdir / "gen-data")])
+    digests = {"gen-data": {"dataset": _sha(workdir / "gen-data" / "dataset.txt")}}
     for loss_id in LOSS_IDS:
         out = workdir / loss_id
         argv = ["train", "--loss", loss_id, "--seed", "0", "--out", str(out)]
         if needs_single_label(loss_id):
             argv += ["--config", str(cut_config)]
-        with contextlib.redirect_stdout(io.StringIO()):
-            code = main(argv)
-        if code != 0:
-            raise SystemExit(f"mlclab train --loss {loss_id} exited {code}")
+        run(argv)
         digests[loss_id] = {"checkpoint": _sha(out / "checkpoint.json"),
                             "log": _sha(out / "training_log.csv")}
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -79,8 +84,9 @@ def _child(workdir: Path) -> None:
 
 
 def compute(workdir) -> dict:
-    """{"env": ..., "digests": {loss id: {"checkpoint", "log"}}} of this
-    checkout, from a subprocess pinned to one BLAS thread."""
+    """{"env": ..., "digests": {loss id: {"checkpoint", "log"}, "gen-data":
+    {"dataset"}}} of this checkout, from a subprocess pinned to one BLAS
+    thread."""
     workdir = Path(workdir)
     env = dict(os.environ)
     env.update({var: THREADS for var in _THREAD_VARS})
@@ -132,8 +138,8 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         result = compute(tmp)
     print("# env " + json.dumps(result["env"], sort_keys=True))
-    for loss_id, files in result["digests"].items():
-        print(f"{loss_id:<11} {files['checkpoint']} / {files['log']}")
+    for name, files in result["digests"].items():
+        print(f"{name:<11} " + " / ".join(files.values()))
     tables = load_manifest()
     if args.write:
         tables = [t for t in tables if t["env"] != result["env"]] + [result]
