@@ -78,6 +78,10 @@ _RANGES = {
 }
 
 
+# the list keys a study iterates over: an empty one would run nothing
+_NON_EMPTY = ("run.seeds", "run.losses", "run.taus", "run.fractions")
+
+
 def _read(key: str, value):
     """What the key's parser makes of value's config-file text. Construction,
     override and parsing then accept the same values, and a rendered echo
@@ -96,8 +100,9 @@ class ExperimentConfig:
 
     Construction and every override validate the whole config: the loss
     ids, the `data.*`, `loss.*` and `train.*` sections (by building their
-    dataclasses), the probe grid, and the ranges of the `run.*` keys, so a
-    bad value fails before any data is generated."""
+    dataclasses), the probe grid, and the ranges of the `run.*` keys, none of
+    whose lists may be empty, so a bad value fails before any data is
+    generated."""
 
     values: dict = field(default_factory=dict)
 
@@ -120,6 +125,9 @@ class ExperimentConfig:
         self.loss_config()
         self.train_config()
         check_weight_decays(self.values["eval.wds"])
+        for key in _NON_EMPTY:
+            if not self.values[key]:
+                raise ConfigError(f"{key} must not be empty")
         for key, (ok, rule) in _RANGES.items():
             value = self.values[key]
             items = value if isinstance(value, (tuple, list)) else (value,)

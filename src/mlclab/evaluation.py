@@ -105,10 +105,10 @@ def alignment(features, labels) -> float | None:
     are segment sums over the sorted rows."""
     f = row_normalize(as_matrix(features, "features"), "features")
     y = np.asarray(labels)
-    if y.shape[0] != f.shape[0]:
-        raise DomainError("features and labels must agree on instance count")
     if y.ndim != 2 or not ((y == 0) | (y == 1)).all():
         raise DomainError("labels must be a binary 2-D matrix")
+    if y.shape[0] != f.shape[0]:
+        raise DomainError("features and labels must agree on instance count")
     n = f.shape[0]
     if n < 2:
         return None

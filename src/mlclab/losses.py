@@ -232,63 +232,39 @@ def reg_term(batch: ContrastiveBatch, spec: LossSpec, sigma: np.ndarray,
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class LossSpec:
-    """The data that defines one contrastive loss for the engine.
+    """The data that defines one contrastive loss for the engine: every
+    input it reads, stated once by _build_spec from the labels and the
+    config.
 
     The pool is the batch (include_batch) followed by the prototypes
     (include_prototypes). coeff[i, k] is the forward coefficient of positive
-    pair (i, k) on that pool and outer the per-anchor weights. log_g, when
-    given, adds log-multipliers to the denominator logits (-inf removes an
-    entry).
-
-    A spec depends only on the labels and the config, so it holds the
-    engine's inputs that follow from them, each computed once when first
-    read: the positive mask, the per-anchor mass, lam_norm and the
-    denominator. A caller that varies only the embeddings or the prototypes
-    (the finite-difference oracle) runs one spec through the engine again.
+    pair (i, k) on that pool, outer the per-anchor weights, positive_mask
+    coeff > 0, total each anchor's positive mass T_i and lam_norm coeff / T_i
+    (coeff where T_i is 0). denominator is (mask, shift): the denominator
+    set, and what the engine adds to the logits before its softmax, -inf off
+    the set and any log-multipliers on it (None when it would add nothing).
+    gated adds the gate regularizer. A caller that varies only the
+    embeddings or the prototypes (the finite-difference oracle) runs one
+    spec through the engine again.
     """
 
     coeff: np.ndarray
     outer: np.ndarray
     include_batch: bool
     include_prototypes: bool
-    log_g: np.ndarray | None = None
-
-    @cached_property
-    def positive_mask(self) -> np.ndarray:
-        # coeff is 0 off the positive pairs, so nothing re-masks by them
-        return self.coeff > 0.0
-
-    @cached_property
-    def total(self) -> np.ndarray:
-        """Each anchor's positive mass T_i."""
-        return self.coeff.sum(axis=1)
-
-    @cached_property
-    def lam_norm(self) -> np.ndarray:
-        return self.coeff / np.where(self.total > 0.0, self.total, 1.0)[:, None]
-
-    @cached_property
-    def denominator(self) -> tuple[np.ndarray, np.ndarray | None]:
-        """(mask, shift): the denominator set, and what the engine adds to the
-        logits before its softmax, -inf off the set and log_g on it (None
-        when it would add nothing). A row with no entry left is a
-        DomainError."""
-        n, m = self.coeff.shape
-        mask, shift = _denominator(n, m, self.include_batch)
-        if self.log_g is not None:
-            mask = mask & (self.log_g > -np.inf)
-            shift = self.log_g if shift is None else self.log_g + shift
-            _require_live_rows(mask)
-        return mask, shift
+    positive_mask: np.ndarray
+    total: np.ndarray
+    lam_norm: np.ndarray
+    denominator: tuple[np.ndarray, np.ndarray | None]
+    gated: bool
 
 
 def _run_engine(
     batch: ContrastiveBatch,
     spec: LossSpec,
     cfg: LossConfig,
-    regularized: bool,
     compute_gradients: bool = True,
 ) -> GradientBundle:
     """Shared forward/backward for every contrastive loss.
@@ -296,11 +272,11 @@ def _run_engine(
     Rows of coeff may sum to any positive total mass T_i (losses that
     normalize per anchor pass rows summing to 1). The per-anchor term is
     -sum_k coeff[i, k] * log( exp(s_ik) / sum_j g_ij exp(s_ij) ), summed over
-    the denominator set (the pool minus the anchor, less any entry log_g
-    removes), and the loss is sum_i outer_i * term_i. Anchors with zero
-    positive mass contribute nothing (a removable singularity).
+    the denominator set, with log g_ij the denominator's shift, and the loss
+    is sum_i outer_i * term_i. Anchors with zero positive mass contribute
+    nothing (a removable singularity).
 
-    With regularized on, each positive pair adds -gate_ik * s_ik, where
+    With spec.gated, each positive pair adds -gate_ik * s_ik, where
     gate_ik = max(0, -lam_norm_ik + sigma_ik) is a detached constant. The
     cosine backward is linear in its upstream, so one backward on
     outer * (-coeff + T * sigma - gate) carries both terms.
@@ -333,7 +309,7 @@ def _run_engine(
     per_anchor = lse * total - np.einsum("ij,ij->i", coeff, s)
     loss_value = float(np.dot(outer, per_anchor))
     gates = None
-    if regularized:
+    if spec.gated:
         gates = _open_gates(spec.positive_mask, spec.lam_norm, sigma)
         loss_value += float(np.dot(outer, -np.einsum("ij,ij->i", gates, s)))
 
@@ -473,13 +449,19 @@ def _build_spec(row: _ContrastiveLoss, batch: ContrastiveBatch, cfg: LossConfig)
             coeff = f * (inner @ pool_y.T)
         if row.scope == "label":
             coeff = coeff / yf.sum(axis=1)[:, None]
-    log_g = None
+    total = coeff.sum(axis=1)
+    mask, shift = _denominator(n, coeff.shape[1], include_batch)
     if row.beta:
-        log_g = np.zeros(coeff.shape)
-        log_g[:, :n] = np.log(cfg.beta) if cfg.beta > 0 else -np.inf
+        # log(beta) on the instance columns; beta = 0 removes them
+        shift = shift.copy()
+        shift[:, :n] += np.log(cfg.beta) if cfg.beta > 0 else -np.inf
+        mask = mask & (shift > -np.inf)
+        _require_live_rows(mask)
     outer = 1.0 / (yf.sum() if row.scope == "pair" else n)
     return LossSpec(coeff=coeff, outer=np.full(n, outer), include_batch=include_batch,
-                    include_prototypes=row.prototypes, log_g=log_g)
+                    include_prototypes=row.prototypes, positive_mask=coeff > 0.0, total=total,
+                    lam_norm=coeff / np.where(total > 0.0, total, 1.0)[:, None],
+                    denominator=(mask, shift), gated=row.host is not None)
 
 
 CONTRASTIVE_LOSS_IDS = tuple(_CONTRASTIVE_LOSSES)
@@ -626,8 +608,7 @@ def contrastive_loss(loss_id: str, batch: ContrastiveBatch, cfg: LossConfig,
                      compute_gradients: bool = True) -> GradientBundle:
     """Evaluate a contrastive loss by string identifier: build the id's spec
     (contrastive_spec) and run it through the engine once."""
-    return _run_engine(batch, contrastive_spec(loss_id, batch, cfg), cfg,
-                       loss_id in REGULARIZED_LOSS_IDS, compute_gradients=compute_gradients)
+    return _run_engine(batch, contrastive_spec(loss_id, batch, cfg), cfg, compute_gradients)
 
 
 def logit_loss(loss_id: str, logits, y, cfg: LossConfig) -> LogitLossResult:

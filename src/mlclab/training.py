@@ -28,6 +28,7 @@ import numpy as np
 
 from .datamodel import ContrastiveBatch, MultiLabelDataset
 from .errors import ConfigError, DomainError, NormRangeError, TrainingDivergence
+from .evaluation import micro_f1
 from .losses import (
     LossConfig,
     check_loss_id,
@@ -572,8 +573,6 @@ def linear_eval(
     `lrs` is accepted for callers that still pass the `eval.lrs` grid and
     is not read: Newton's method has no step size.
     """
-    from .evaluation import micro_f1  # local import to avoid a module cycle
-
     del lrs
     check_weight_decays(wds)
     if max_iters < 1 or not (0 < tol < 1):
@@ -695,9 +694,10 @@ def _param_shapes(loss_id: str, n_features: int, n_labels: int,
 
 def load_checkpoint(path) -> tuple[TrainedModel, dict]:
     """Read a checkpoint that save_checkpoint wrote. A file that is not JSON,
-    not a checkpoint, of another version, missing a field, or whose
-    parameters are not the finite arrays its loss id, sizes and train config
-    call for is a ConfigError naming the path."""
+    not a checkpoint, of another version, missing a field, whose params or
+    dataset_meta is not a JSON object, or whose parameters are not the
+    finite arrays its loss id, sizes and train config call for is a
+    ConfigError naming the path."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -707,6 +707,9 @@ def load_checkpoint(path) -> tuple[TrainedModel, dict]:
         raise ConfigError(f"not a checkpoint file: {path}")
     if doc.get("version") != CHECKPOINT_VERSION:
         raise ConfigError(f"unsupported checkpoint version {doc.get('version')}: {path}")
+    for key in ("params", "dataset_meta"):
+        if not isinstance(doc.get(key, {}), dict):
+            raise ConfigError(f"malformed checkpoint {path}: {key} is not a JSON object")
     try:
         params = {k: np.asarray(v["data"], dtype=np.float64).reshape(v["shape"])
                   for k, v in doc["params"].items()}

@@ -18,7 +18,7 @@ of the engine's positive weights from them.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -248,36 +248,29 @@ def _max_err(analytic, reference):
 
 
 def _fd_estimates(batch: ContrastiveBatch, spec: LossSpec, cfg: LossConfig):
-    """Central differences, at FD_STEP, of the unregularized engine value of
-    spec with respect to the embeddings and (when the batch has them) the
-    prototypes: (fd_z, fd_c), fd_c None without prototypes. The labels never
-    change, so every evaluation runs the one spec."""
+    """Central differences, at FD_STEP, of the engine value of spec (a host's:
+    the detached gate term is not variational) with respect to the
+    embeddings and (when the batch has them) the prototypes: (fd_z, fd_c),
+    fd_c None without prototypes. The labels never change, so every
+    evaluation runs the one spec, on a fresh batch of the perturbed arrays."""
 
-    def value_of(attr):
-        start = getattr(batch, attr)
+    def value(z, prototypes):
+        return _run_engine(ContrastiveBatch._trusted(z, batch.y, prototypes), spec, cfg,
+                           compute_gradients=False).loss_value
 
-        def value(x):
-            setattr(batch, attr, x)
-            try:
-                return _run_engine(batch, spec, cfg, False, compute_gradients=False).loss_value
-            finally:
-                setattr(batch, attr, start)
-
-        return value
-
-    fd_z = finite_difference_gradient(value_of("z"), batch.z, FD_STEP)
+    fd_z = finite_difference_gradient(lambda z: value(z, batch.prototypes), batch.z, FD_STEP)
     fd_c = None
     if batch.prototypes is not None:
-        fd_c = finite_difference_gradient(value_of("prototypes"), batch.prototypes, FD_STEP)
+        fd_c = finite_difference_gradient(lambda c: value(batch.z, c), batch.prototypes, FD_STEP)
     return fd_z, fd_c
 
 
 def _check_contrastive_trial(loss_id, trial, rng, tol, cfg) -> GradCheckReport:
     batch = random_batch(rng, loss_id)
     # the detached gate term is not variational: finite-difference the host
-    # loss, whose spec is the regularized id's own
+    # loss, whose spec, gated, is the regularized id's
     spec = contrastive_spec(host_loss_id(loss_id), batch, cfg)
-    bundle = _run_engine(batch, spec, cfg, False)
+    bundle = _run_engine(batch, spec, cfg)
 
     fd_z, fd_c = _fd_estimates(batch, spec, cfg)
     rel, abs_err, worst = _max_err(bundle.d_z, fd_z)
@@ -289,7 +282,7 @@ def _check_contrastive_trial(loss_id, trial, rng, tol, cfg) -> GradCheckReport:
 
     reg_err = None
     if loss_id in REGULARIZED_LOSS_IDS:
-        full = _run_engine(batch, spec, cfg, True)
+        full = _run_engine(batch, replace(spec, gated=True), cfg)
         reg_dz = full.d_z - bundle.d_z
         ref_dz, ref_dc = reg_gradient_reference(batch, full, cfg)
         reg_err = float(relative_error(reg_dz, ref_dz).max())
@@ -350,10 +343,14 @@ def check_gradients(loss_id: str, trials: int, tol: float, seed: int,
     Deterministic in the master seed: trial seeds are spawned from it, so
     trials are independent and could run concurrently. Returns one report per
     trial. cfg overrides the loss configuration (default: stock LossConfig).
-    trials below 1, a tol that is not finite and positive and negative seeds
-    are a ConfigError.
+    trials or a seed that is not an integer (a bool is not), trials below 1,
+    a tol that is not finite and positive and negative seeds are a
+    ConfigError.
     """
     check_loss_id(loss_id)
+    for name, value in (("trials", trials), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
     if trials < 1:
         raise ConfigError(f"trials must be at least 1, got {trials}")
     if not (np.isfinite(tol) and tol > 0):

@@ -280,7 +280,8 @@ def test_gen_data_invalid_value_exits_2_before_output(line, tmp_path, capsys):
     "data.cooccur_boost = nan", "data.cooccur_boost = 1.5", "data.split = 0.5,0.5",
     "data.split = 0.8,0.3,-0.1", "data.split = 0.8,0.1,nan", "run.taus = nan",
     "run.taus = 0", "run.fractions = nan", "run.fractions = 0", "run.fractions = 1.5",
-    "run.seeds = -1", "train.seed = -1",
+    "run.seeds = -1", "train.seed = -1", "run.seeds =", "run.losses =", "run.taus =",
+    "run.fractions =",
 ])
 def test_gen_data_bad_data_or_run_value_exits_2_before_output(line, tmp_path, capsys):
     cfg = tmp_path / "c.txt"
@@ -289,6 +290,17 @@ def test_gen_data_bad_data_or_run_value_exits_2_before_output(line, tmp_path, ca
     assert main(["gen-data", "--config", str(cfg), "--out", str(out)]) == 2
     assert "config error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_eval_checkpoint_params_not_an_object_exits_2(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    save_checkpoint(_init_model("reg", 6, 5, LossConfig(), TrainConfig(), np.random.default_rng(0)),
+                    path)
+    doc = json.loads(path.read_text())
+    doc["params"] = []
+    path.write_text(json.dumps(doc))
+    assert main(["eval", "--checkpoint", str(path), "--dataset", str(tmp_path / "d.txt")]) == 2
+    assert "config error: malformed checkpoint" in capsys.readouterr().err
 
 
 def test_eval_details_record_probe_cells(tiny_config, tmp_path):

@@ -187,6 +187,15 @@ class TestParseTimeValidation:
         with pytest.raises(ConfigError):
             parse_config_text(text)
 
+    @pytest.mark.parametrize("key", ["run.seeds", "run.losses", "run.taus", "run.fractions"])
+    def test_empty_run_list_rejected(self, key):
+        with pytest.raises(ConfigError, match=f"{key} must not be empty"):
+            parse_config_text(f"{key} =\n")
+        cfg = default_config()
+        with pytest.raises(ConfigError, match=f"{key} must not be empty"):
+            cfg.override(key, "")
+        assert cfg[key] == default_config()[key]
+
     def test_data_and_run_range_edges_accepted(self):
         cfg = parse_config_text(
             "data.noise = 0\ndata.cooccur_boost = 1\ndata.avg_labels = 20\n"

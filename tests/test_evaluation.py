@@ -158,6 +158,10 @@ class TestAlignment:
         y = np.array([[1, 0], [0, 1]])
         assert alignment(f, y) is None
 
+    def test_zero_d_labels_are_a_domain_error(self):
+        with pytest.raises(DomainError, match="binary 2-D"):
+            alignment(np.eye(2), np.array(1))
+
     def test_norm_invariance(self):
         # features are normalized internally
         rng = np.random.default_rng(3)

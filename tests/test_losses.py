@@ -4,7 +4,7 @@ engine's denominator, the gate regularizer's clamp and shared-minimum
 properties, the matrix-form equivalence of the regularized loss, and exact
 gradient identities that need no finite-difference step."""
 
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -20,9 +20,12 @@ from mlclab.losses import (
     PROTOTYPE_LOSS_IDS,
     REGULARIZED_LOSS_IDS,
     LossConfig,
+    _build_spec,
+    _ContrastiveLoss,
     _denominator,
     _raw_pool,
     _run_engine,
+    _uniform,
     contrastive_loss,
     contrastive_spec,
     host_loss_id,
@@ -445,7 +448,18 @@ class TestDenominatorMask:
         assert mask[0, 1] and not mask[0, 0]
 
 
-def _two_exponential_host(batch, spec, cfg):
+def _log_g(loss_id, n, m, cfg):
+    """msc's per-column denominator log-multipliers as the spec once held
+    them: log(beta) on the instance columns, -inf there at beta = 0; None
+    for every other id."""
+    if loss_id != "msc":
+        return None
+    log_g = np.zeros((n, m))
+    log_g[:, :n] = np.log(cfg.beta) if cfg.beta > 0 else -np.inf
+    return log_g
+
+
+def _two_exponential_host(batch, spec, cfg, log_g):
     """(value, lse, masked logits) of the unregularized engine as it formed
     them before its one-exponential softmax: the masked logits
     where(mask, s + log_g, -inf) and masked_logsumexp's two-pass form."""
@@ -455,10 +469,10 @@ def _two_exponential_host(batch, spec, cfg):
     if spec.include_batch:
         np.fill_diagonal(mask, False)
     den = s
-    if spec.log_g is not None:
+    if log_g is not None:
         with np.errstate(invalid="ignore"):
-            den = s + spec.log_g
-        mask &= spec.log_g > -np.inf
+            den = s + log_g
+        mask &= log_g > -np.inf
     x = np.where(mask, den, -np.inf)
     rowmax = np.max(x, axis=1, keepdims=True)
     lse = rowmax[:, 0] + np.log(np.sum(np.exp(x - rowmax), axis=1))
@@ -496,7 +510,8 @@ class TestOneExponentialEngine:
         batches += [_training_shaped_batch(rng, loss_id) for _ in range(3)]
         for batch in batches:
             spec = contrastive_spec(loss_id, batch, cfg)
-            want, lse, x = _two_exponential_host(batch, spec, cfg)
+            want, lse, x = _two_exponential_host(batch, spec, cfg,
+                                                 _log_g(loss_id, *spec.coeff.shape, cfg))
             for compute_gradients in (True, False):
                 got = contrastive_loss(loss_id, batch, cfg, compute_gradients)
                 assert np.float64(got.loss_value).tobytes() == np.float64(want).tobytes()
@@ -506,18 +521,24 @@ class TestOneExponentialEngine:
             assert np.all(got.sigma[~big] < 1e-289)
 
     def test_spec_inputs_computed_once(self):
+        # the spec is plain data: no engine run, gated or not, replaces or
+        # writes into its fields, or into the batch
         batch = random_batch(np.random.default_rng(62), "msc")
         spec = contrastive_spec("msc", batch, CFG)
-        inputs = ("positive_mask", "total", "lam_norm", "denominator")
-        first = [getattr(spec, name) for name in inputs]
-        for compute_gradients in (True, False):
-            assert _run_engine(batch, spec, CFG, False, compute_gradients).spec is spec
-            for name, value in zip(inputs, first):
-                assert getattr(spec, name) is value, name
-        total = spec.coeff.sum(axis=1)
-        np.testing.assert_array_equal(spec.lam_norm,
-                                      spec.coeff / np.where(total > 0, total, 1.0)[:, None])
-        np.testing.assert_array_equal(spec.positive_mask, spec.coeff > 0)
+        first = {f.name: getattr(spec, f.name) for f in fields(spec)}
+        before = _field_bits(spec), batch.z.tobytes(), batch.prototypes.tobytes()
+        for gated in (False, True):
+            run = replace(spec, gated=gated)
+            for compute_gradients in (True, False):
+                bundle = _run_engine(batch, run, CFG, compute_gradients)
+                assert bundle.spec is run
+                # the gate views and the PRR counts read the spec too
+                positives = int(np.count_nonzero(run.positive_mask))
+                assert bundle.gate_value.size == bundle.prr_counts()[1] == positives
+        assert all(getattr(spec, name) is value for name, value in first.items())
+        assert (_field_bits(spec), batch.z.tobytes(), batch.prototypes.tobytes()) == before
+        with pytest.raises(FrozenInstanceError):
+            spec.gated = True
 
     def test_diagonal_shift_is_cached_and_read_only(self):
         mask, shift = _denominator(4, 7, True)
@@ -538,14 +559,62 @@ class TestOneExponentialEngine:
         assert np.isnan(bundle.loss_value)
 
     def test_fully_masked_row_is_a_domain_error(self):
-        # the mask decides, not the softmax sums
-        batch = random_batch(np.random.default_rng(64), "msc")
-        spec = contrastive_spec("msc", batch, LossConfig(beta=0.0))
-        spec.log_g[2, :] = -np.inf
-        with pytest.raises(DomainError, match="fully-masked row at index 2"):
-            _run_engine(batch, spec, CFG, False)
+        # the mask decides, not the softmax sums: beta = 0 takes every
+        # instance column out, and a pool without prototypes has no other
+        batch = random_batch(np.random.default_rng(64), "mulsupcon")
+        row = _ContrastiveLoss(_uniform, "pair", False, beta=True)
+        with pytest.raises(DomainError, match="fully-masked row at index 0"):
+            _build_spec(row, batch, LossConfig(beta=0.0))
+        _build_spec(row, batch, LossConfig(beta=0.5))
         with pytest.raises(DomainError, match="fully-masked row at index 0"):
             _denominator(1, 1, True)
+
+
+def _same_bits(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _field_bits(spec):
+    """Every field of spec, arrays as (dtype, shape, bytes)."""
+    def bits(v):
+        if isinstance(v, tuple):
+            return tuple(bits(x) for x in v)
+        return (v.dtype, v.shape, v.tobytes()) if isinstance(v, np.ndarray) else v
+    return {f.name: bits(getattr(spec, f.name)) for f in fields(spec)}
+
+
+class TestSpecFields:
+    """_build_spec states every input the engine reads. Each field keeps the
+    bits of the derivation the spec once made lazily, restated here."""
+
+    @pytest.mark.parametrize("loss_id,cfg", [
+        *(pytest.param(lid, CFG, id=lid) for lid in CONTRASTIVE_LOSS_IDS),
+        pytest.param("msc", LossConfig(beta=0.0), id="msc-beta0"),
+        pytest.param("msc", LossConfig(beta=0.5), id="msc-beta0.5"),
+        pytest.param("proto", LossConfig(proto_denominator="batch+prototypes"),
+                     id="proto-batch+prototypes"),
+    ])
+    def test_fields_match_the_lazy_derivation(self, loss_id, cfg):
+        rng = np.random.default_rng(65)
+        batches = [random_batch(rng, loss_id) for _ in range(20)]
+        batches += [_training_shaped_batch(rng, loss_id) for _ in range(3)]
+        for batch in batches:
+            spec = contrastive_spec(loss_id, batch, cfg)
+            coeff = spec.coeff
+            total = coeff.sum(axis=1)
+            assert _same_bits(spec.positive_mask, coeff > 0)
+            assert _same_bits(spec.total, total)
+            assert _same_bits(spec.lam_norm, coeff / np.where(total > 0, total, 1.0)[:, None])
+            n, m = coeff.shape
+            mask, shift = _denominator(n, m, spec.include_batch)
+            log_g = _log_g(loss_id, n, m, cfg)
+            if log_g is not None:
+                mask = mask & (log_g > -np.inf)
+                shift = log_g if shift is None else log_g + shift
+            assert _same_bits(spec.denominator[0], mask)
+            assert (spec.denominator[1] is None if shift is None
+                    else _same_bits(spec.denominator[1], shift))
+            assert spec.gated is (loss_id in REGULARIZED_LOSS_IDS)
 
 
 class TestLossReg:

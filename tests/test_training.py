@@ -763,6 +763,18 @@ class TestCheckpoint:
         with pytest.raises(ConfigError, match="n_features and n_labels must be positive"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("key, value", [("params", []), ("params", "abc"), ("params", 3),
+                                            ("dataset_meta", None)])
+    def test_rejects_params_or_meta_that_is_not_an_object(self, tmp_path, key, value):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(_init_model("reg", 6, 5, LossConfig(), FAST, np.random.default_rng(0)),
+                        path)
+        doc = json.loads(path.read_text())
+        doc[key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match=f"^malformed checkpoint {path}: {key} is not a JSON"):
+            load_checkpoint(path)
+
     def test_two_saves_identical_bytes(self, tmp_path):
         ds = _tiny_dataset()
         result = train_model(ds, "mulsupcon", LossConfig(), FAST)

@@ -99,6 +99,9 @@ class TestCheckGradients:
         (0, 0, "trials must be at least 1, got 0"),
         (-1, 0, "trials must be at least 1, got -1"),
         (1, -1, "seed must be nonnegative, got -1"),
+        (3, 1.5, "seed must be an integer, got 1.5"),
+        (True, 0, "trials must be an integer, got True"),
+        (1, True, "seed must be an integer, got True"),
     ])
     def test_count_and_seed_checked_at_the_boundary(self, trials, seed, match):
         with pytest.raises(ConfigError, match=match):
