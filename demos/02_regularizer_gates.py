@@ -8,7 +8,7 @@
 import numpy as np
 
 from mlclab import ContrastiveBatch, LossConfig, contrastive_loss, prr, reg_term
-from mlclab.verification import gate_report, minimum_residual
+from mlclab.verification import gate_report, minimum_residual, pair_gates
 
 # two nearly identical instances sharing a label, prototypes rotated away:
 # the pair (0, 1) saturates its softmax score
@@ -24,14 +24,14 @@ batch = ContrastiveBatch(z=z, y=y, prototypes=prototypes)
 
 cfg = LossConfig()
 bundle = contrastive_loss("reg", batch, cfg)
+gates = pair_gates(bundle)
 
 print("positive pairs (anchor, pool index, gate = -weight + score):")
-for i, k, g, c in zip(bundle.gate_anchor, bundle.gate_pool,
-                      bundle.gate_value, bundle.combined_coeff):
+for i, k, g, c in zip(*gates):
     state = "OPEN  (clamped)" if g > 0 else "closed"
     print(f"  anchor {i} -> pool {k}:  gate {g:+.4f}  combined {c:+.4f}  {state}")
 
-print(f"\nbatch PRR (fraction of open gates): {prr(bundle.gate_value):.3f}")
+print(f"\nbatch PRR (fraction of open gates): {prr(gates.value):.3f}")
 
 # the independent per-anchor recomputation agrees with the engine
 report = gate_report(batch, cfg, "reg")

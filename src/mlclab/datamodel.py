@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DomainError, ParseError
-from .numerics import _inverse_norms, as_matrix, require_finite_floats
+from .numerics import _inverse_norms, as_matrix, check_number_fields
 
 RNG_ALGORITHM = "numpy-pcg64"
 
@@ -160,7 +160,8 @@ class MultiLabelDataset:
 class DataConfig:
     """Parameters of the synthetic long-tailed generator, the config's
     `data.*` keys: n instances with `labels` labels and `features` features,
-    split into (train, val, test) fractions. Every float must be finite.
+    split into (train, val, test) fractions. Every int field must be an
+    integer and every float finite.
     """
 
     n: int = 2500
@@ -174,11 +175,11 @@ class DataConfig:
     split: tuple[float, ...] = (0.8, 0.1, 0.1)
 
     def __post_init__(self):
-        require_finite_floats(self)
+        check_number_fields(self)
         for name, low in (("n", 1), ("labels", 1), ("features", 1), ("seed", 0)):
             value = getattr(self, name)
-            if not (np.isfinite(value) and value >= low):
-                raise ConfigError(f"{name} must be finite and >= {low}, got {value}")
+            if value < low:
+                raise ConfigError(f"{name} must be >= {low}, got {value}")
         if self.tail_exponent <= 0:
             raise ConfigError(f"tail_exponent must be positive, got {self.tail_exponent}")
         if not (0 < self.avg_labels <= self.labels):

@@ -24,7 +24,7 @@ Loss selection by string identifier:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -38,7 +38,7 @@ from .numerics import (
     _require_live_rows,
     _softmax_rows,
     as_matrix,
-    require_finite_floats,
+    check_number_fields,
     sigmoid,
     tempered_cosine_backward,
 )
@@ -66,7 +66,7 @@ class LossConfig:
     proto_denominator: str = "prototypes"
 
     def __post_init__(self):
-        require_finite_floats(self)
+        check_number_fields(self)
         if self.tau <= 0:
             raise ConfigError(f"tau must be positive, got {self.tau}")
         if self.alpha < 0:
@@ -85,24 +85,13 @@ class LossConfig:
             )
 
 
-@dataclass
+@dataclass(frozen=True)
 class GradientBundle:
     """One engine run: the loss value, its exact gradients, the LossSpec it
-    ran (spec, what the labels decide) and the forward's softmax (sigma, 0
-    off the denominator and gradient-opaque).
-
-    gate_anchor / gate_pool / gate_value list, for every positive pair in
-    anchor-major index-ascending order, the gate coefficient
-    (-lam_norm + sigma). combined_coeff holds the final per-positive
-    coefficient on the similarity (host term plus any regularizer term,
-    before the outer weight), which the clamp invariant constrains to
-    min(0, gate) when the regularizer is on; it is None when the bundle was
-    made without gradients.
-
-    The four gate arrays are built from spec and sigma when first read and
-    then kept, so a training step that reads none of them pays nothing for
-    them; a value-only bundle (compute_gradients=False) still has the gate
-    arrays. prr_counts() needs none of them.
+    ran (spec, what the labels decide), the forward's softmax (sigma, 0 off
+    the denominator and gradient-opaque) and d loss / d s before the outer
+    weight (d_s). Without gradients, d_z, d_prototypes and d_s are None.
+    verification.pair_gates reads each positive pair's gate from it.
     """
 
     loss_value: float
@@ -110,35 +99,13 @@ class GradientBundle:
     d_prototypes: np.ndarray | None
     spec: LossSpec
     sigma: np.ndarray = field(repr=False)
-    # d loss / d s before the outer weight; None without gradients
     d_s: np.ndarray | None = field(default=None, repr=False)
 
-    @cached_property
-    def _positive_index(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.nonzero(self.spec.positive_mask)
-
-    @property
-    def gate_anchor(self) -> np.ndarray:
-        return self._positive_index[0]
-
-    @property
-    def gate_pool(self) -> np.ndarray:
-        return self._positive_index[1]
-
-    @cached_property
-    def gate_value(self) -> np.ndarray:
-        return (-self.spec.lam_norm + self.sigma)[self._positive_index]
-
-    @cached_property
-    def combined_coeff(self) -> np.ndarray | None:
-        if self.d_s is None:
-            return None
-        return self.d_s[self._positive_index]
-
     def prr_counts(self) -> tuple[int, int]:
-        """(open gates, positive pairs): prr(gate_value) is their quotient. -a +
-        b > 0 exactly when b > a (IEEE subtraction with gradual underflow is
-        zero only for equal operands), so counting needs no gate array."""
+        """(open gates, positive pairs): prr of the gate values (-lam_norm +
+        sigma) is their quotient. -a + b > 0 exactly when b > a (IEEE
+        subtraction with gradual underflow is zero only for equal operands),
+        so counting needs no gate array."""
         positive_mask = self.spec.positive_mask
         return (int(np.count_nonzero(positive_mask & (self.sigma > self.spec.lam_norm))),
                 int(np.count_nonzero(positive_mask)))
@@ -282,9 +249,8 @@ def _run_engine(
     outer * (-coeff + T * sigma - gate) carries both terms.
 
     compute_gradients=False skips the backward pass: d_z, d_prototypes and
-    combined_coeff come back as None, while the gate arrays and prr_counts()
-    read the spec and sigma as usual. The finite-difference oracle and
-    the PRR measurement use it.
+    d_s come back as None. The finite-difference oracle and the PRR
+    measurement use it.
 
     The engine checks nothing of the batch but rows whose norms the cosine
     kernels cannot scale (numerics._inverse_norms): its arrays come from the

@@ -1,7 +1,7 @@
 """Dense float64 kernels: tempered cosine similarity, the masked row
 softmax and log-sum-exp of the loss engine, a stable sigmoid, and the
-finite-difference gradient oracle; plus the finite check every config
-dataclass runs on its float fields.
+finite-difference gradient oracle; plus the check every config dataclass
+runs on its number fields.
 
 The kernels are pure and operate on 2-D numpy arrays (rows are instances,
 columns are coordinates). Everything runs in 64-bit floating point; gradient
@@ -48,12 +48,17 @@ def as_matrix(x, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def require_finite_floats(cfg) -> None:
-    """Reject a NaN or infinite value in any float field of a config dataclass."""
+def check_number_fields(cfg) -> None:
+    """Check the fields of a config dataclass by their defaults' types: an
+    int field takes an integer (a numpy integer too) and a float field a
+    finite number. Neither takes a bool."""
     for f in fields(cfg):
         value = getattr(cfg, f.name)
-        if isinstance(f.default, float) and not np.isfinite(value):
-            raise ConfigError(f"{f.name} must be finite, got {value}")
+        if type(f.default) is int and (isinstance(value, bool)
+                                       or not isinstance(value, (int, np.integer))):
+            raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+        if type(f.default) is float and (isinstance(value, bool) or not np.isfinite(value)):
+            raise ConfigError(f"{f.name} must be a finite number, got {value}")
 
 
 _TINY = np.finfo(np.float64).tiny

@@ -38,7 +38,7 @@ from .losses import (
     needs_prototypes,
     needs_single_label,
 )
-from .numerics import require_finite_floats, sigmoid
+from .numerics import check_number_fields, sigmoid
 
 CHECKPOINT_FORMAT = "mlclab-checkpoint"
 CHECKPOINT_VERSION = 4
@@ -49,7 +49,8 @@ _BIAS_KEYS = ("b1", "b2", "cls_b")
 
 @dataclass
 class TrainConfig:
-    """Optimizer and architecture settings; every float must be finite."""
+    """Optimizer and architecture settings; every int field must be an
+    integer and every float finite."""
 
     epochs: int = 20
     batch_size: int = 64
@@ -63,7 +64,7 @@ class TrainConfig:
     proj_dim: int = 256
 
     def __post_init__(self):
-        require_finite_floats(self)
+        check_number_fields(self)
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
         if self.batch_size < 2:
@@ -714,7 +715,7 @@ def load_checkpoint(path) -> tuple[TrainedModel, dict]:
         params = {k: np.asarray(v["data"], dtype=np.float64).reshape(v["shape"])
                   for k, v in doc["params"].items()}
         tcfg = TrainConfig(**doc["train_config"])
-        if not all(isinstance(doc[k], int) and doc[k] > 0 for k in ("n_features", "n_labels")):
+        if not all(type(doc[k]) is int and doc[k] > 0 for k in ("n_features", "n_labels")):
             raise ConfigError("n_features and n_labels must be positive integers")
         table = _param_shapes(check_loss_id(doc["loss_id"]), doc["n_features"],
                               doc["n_labels"], tcfg)

@@ -12,13 +12,15 @@ evaluation.
 
 The positive-pair oracles, `positive_sets` and the reg loss's scalar pair
 weight `overlap_ratio`, live here too: the tests build per-pair references
-of the engine's positive weights from them.
+of the engine's positive weights from them. `pair_gates`, the gates of one
+engine run's positive pairs, is an oracle view too and lives here.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -164,6 +166,27 @@ def _pair_cosine_grads(z_i, p_l, tau):
     return d_zi, d_pl
 
 
+class PairGates(NamedTuple):
+    """Every positive pair of one engine run, anchor-major and
+    index-ascending: its anchor, its pool row, its gate coefficient
+    (-lam_norm + sigma) and its combined coefficient on the similarity
+    (d loss / d s before the outer weight: the host term plus any gate
+    term), which the clamp invariant holds at min(0, gate) when the
+    regularizer is on. combined is None for a run without gradients."""
+
+    anchor: np.ndarray
+    pool: np.ndarray
+    value: np.ndarray
+    combined: np.ndarray | None
+
+
+def pair_gates(bundle: GradientBundle) -> PairGates:
+    """The per-pair gate arrays of bundle, read from its spec, sigma and d_s."""
+    pairs = np.nonzero(bundle.spec.positive_mask)
+    combined = None if bundle.d_s is None else bundle.d_s[pairs]
+    return PairGates(*pairs, (-bundle.spec.lam_norm + bundle.sigma)[pairs], combined)
+
+
 def reg_gradient_reference(batch: ContrastiveBatch, bundle: GradientBundle, cfg: LossConfig):
     """Closed-form gradient of the gate regularizer, assembled pair by pair.
 
@@ -182,7 +205,8 @@ def reg_gradient_reference(batch: ContrastiveBatch, bundle: GradientBundle, cfg:
     offset = batch.n if spec.include_batch else 0
     d_z = np.zeros_like(batch.z)
     d_c = np.zeros_like(batch.prototypes) if batch.prototypes is not None else None
-    for i, k, gate in zip(bundle.gate_anchor, bundle.gate_pool, bundle.gate_value):
+    gates = pair_gates(bundle)
+    for i, k, gate in zip(gates.anchor, gates.pool, gates.value):
         g = max(0.0, float(gate))
         if g == 0.0:
             continue
@@ -344,8 +368,8 @@ def check_gradients(loss_id: str, trials: int, tol: float, seed: int,
     trials are independent and could run concurrently. Returns one report per
     trial. cfg overrides the loss configuration (default: stock LossConfig).
     trials or a seed that is not an integer (a bool is not), trials below 1,
-    a tol that is not finite and positive and negative seeds are a
-    ConfigError.
+    a tol that is a bool or not finite and positive and negative seeds are
+    a ConfigError.
     """
     check_loss_id(loss_id)
     for name, value in (("trials", trials), ("seed", seed)):
@@ -353,7 +377,7 @@ def check_gradients(loss_id: str, trials: int, tol: float, seed: int,
             raise ConfigError(f"{name} must be an integer, got {value!r}")
     if trials < 1:
         raise ConfigError(f"trials must be at least 1, got {trials}")
-    if not (np.isfinite(tol) and tol > 0):
+    if isinstance(tol, bool) or not (np.isfinite(tol) and tol > 0):
         raise ConfigError(f"tol must be finite and positive, got {tol}")
     if seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {seed}")
@@ -445,20 +469,20 @@ def gate_report(batch: ContrastiveBatch, cfg: LossConfig, loss_id: str = "reg") 
     min(0, gate) within 1e-12; any violation raises OracleError. For reg the
     reference gates come from a per-anchor loop recomputation of the
     lam/sigma pair (a second implementation of the same math), for
-    supcon-reg from the bundle itself. A host id (reg-noreg, supcon) reports
+    supcon-reg they are the run's own gates. A host id (reg-noreg, supcon) reports
     its gates with no clamp check (clamp_max_dev is None).
     """
     if loss_id not in _GATED_LOSS_IDS:
         raise ConfigError(f"gate_report expects a regularized loss id, got {loss_id!r}")
-    bundle = contrastive_loss(loss_id, batch, cfg)
+    gates = pair_gates(contrastive_loss(loss_id, batch, cfg))
 
     clamp_dev = None
     if loss_id in REGULARIZED_LOSS_IDS:
-        gates = bundle.gate_value
+        reference = gates.value
         if loss_id == "reg":
             lam_norm, sigma = _independent_reg_structure(batch, cfg)
-            gates = (-lam_norm + sigma)[bundle.gate_anchor, bundle.gate_pool]
-        deviation = np.abs(bundle.combined_coeff - np.minimum(0.0, gates))
+            reference = (-lam_norm + sigma)[gates.anchor, gates.pool]
+        deviation = np.abs(gates.combined - np.minimum(0.0, reference))
         clamp_dev = float(np.max(deviation, initial=0.0))
         if clamp_dev > 1e-12:
             raise OracleError(
@@ -466,9 +490,9 @@ def gate_report(batch: ContrastiveBatch, cfg: LossConfig, loss_id: str = "reg") 
             )
 
     return GateReport(
-        anchors=bundle.gate_anchor,
-        pool_indices=bundle.gate_pool,
-        gate_values=bundle.gate_value,
-        prr=prr(bundle.gate_value),
+        anchors=gates.anchor,
+        pool_indices=gates.pool,
+        gate_values=gates.value,
+        prr=prr(gates.value),
         clamp_max_dev=clamp_dev,
     )

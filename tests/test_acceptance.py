@@ -36,6 +36,7 @@ from mlclab.losses import (
 from mlclab.verification import (
     check_gradients,
     loss_reg_matrix_value,
+    pair_gates,
     positive_sets,
     random_batch,
 )
@@ -96,13 +97,14 @@ class TestCriterion2ClampInvariant:
                 bundle = contrastive_loss("reg", batch, cfg)
             else:
                 bundle = contrastive_loss("supcon-reg", batch, cfg)
-            if bundle.gate_value.size == 0:
+            gates = pair_gates(bundle)
+            if gates.value.size == 0:
                 continue
-            expected = np.minimum(0.0, bundle.gate_value)
-            dev = float(np.abs(bundle.combined_coeff - expected).max())
+            expected = np.minimum(0.0, gates.value)
+            dev = float(np.abs(gates.combined - expected).max())
             worst = max(worst, dev)
-            assert np.all(bundle.combined_coeff <= 1e-12)
-            count += bundle.gate_value.size
+            assert np.all(gates.combined <= 1e-12)
+            count += gates.value.size
         _report("criterion 2 (positive-gradient clamp, 1000 batches)",
                 worst <= 1e-12, f"{count} positive pairs, max deviation {worst:.2e}")
         assert worst <= 1e-12

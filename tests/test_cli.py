@@ -303,6 +303,23 @@ def test_eval_checkpoint_params_not_an_object_exits_2(tmp_path, capsys):
     assert "config error: malformed checkpoint" in capsys.readouterr().err
 
 
+def test_eval_checkpoint_with_a_fractional_batch_size_exits_2(tiny_config, tmp_path, capsys):
+    run, data = tmp_path / "run", tmp_path / "data"
+    main(["train", "--config", str(tiny_config), "--out", str(run), "--loss", "base"])
+    main(["gen-data", "--config", str(tiny_config), "--out", str(data)])
+    path = run / "checkpoint.json"
+    doc = json.loads(path.read_text())
+    doc["train_config"]["batch_size"] = 2.5
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    args = ["eval", "--checkpoint", str(path), "--dataset", str(data / "dataset.txt"),
+            "--config", str(tiny_config), "--out", str(tmp_path / "eval")]
+    assert main(args) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"config error: malformed checkpoint {path}: ConfigError: "
+                           "batch_size must be an integer, got 2.5")
+
+
 def test_eval_details_record_probe_cells(tiny_config, tmp_path):
     run, data, ev = tmp_path / "run", tmp_path / "data", tmp_path / "eval"
     main(["train", "--config", str(tiny_config), "--out", str(run)])

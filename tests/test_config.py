@@ -177,6 +177,28 @@ class TestSectionsFromDataclasses:
                 parse_config_text(line)
 
 
+class TestNumberFields:
+    @pytest.mark.parametrize("cls, name, value, match", [
+        (TrainConfig, "epochs", True, "epochs must be an integer, got True"),
+        (TrainConfig, "batch_size", 2.5, "batch_size must be an integer, got 2.5"),
+        (TrainConfig, "hidden", True, "hidden must be an integer, got True"),
+        (TrainConfig, "seed", 1.0, "seed must be an integer, got 1.0"),
+        (DataConfig, "n", False, "n must be an integer, got False"),
+        (DataConfig, "labels", 4.0, "labels must be an integer, got 4.0"),
+        (DataConfig, "seed", np.nan, "seed must be an integer, got nan"),
+        (TrainConfig, "lr", True, "lr must be a finite number, got True"),
+        (LossConfig, "tau", True, "tau must be a finite number, got True"),
+        (DataConfig, "noise", False, "noise must be a finite number, got False"),
+    ])
+    def test_int_fields_take_integers_and_no_field_takes_a_bool(self, cls, name, value, match):
+        with pytest.raises(ConfigError, match=f"^{match}$"):
+            cls(**{name: value})
+
+    def test_numpy_integers_accepted(self):
+        assert TrainConfig(epochs=np.int64(3), batch_size=np.int32(8)).epochs == 3
+        assert DataConfig(n=np.int64(40), seed=np.uint8(2)).n == 40
+
+
 class TestParseTimeValidation:
     @pytest.mark.parametrize("text", [
         "train.lr = nan\n", "train.batch_size = 1\n", "loss.tau = 0\n",

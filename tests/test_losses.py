@@ -46,6 +46,7 @@ from mlclab.numerics import (
 from mlclab.verification import (
     loss_reg_matrix_value,
     overlap_ratio,
+    pair_gates,
     positive_sets,
     random_batch,
     relative_error,
@@ -235,9 +236,9 @@ class TestRegTerm:
         batch = ContrastiveBatch(z=z, y=y, prototypes=np.eye(2))
         reg = contrastive_loss("reg", batch, CFG)
         noreg = contrastive_loss("reg-noreg", batch, CFG)
-        assert reg.gate_value.max() > 0  # at least one open gate
-        np.testing.assert_allclose(
-            reg.combined_coeff, np.minimum(0.0, reg.gate_value), atol=1e-15)
+        gates = pair_gates(reg)
+        assert gates.value.max() > 0  # at least one open gate
+        np.testing.assert_allclose(gates.combined, np.minimum(0.0, gates.value), atol=1e-15)
         assert not np.allclose(reg.d_z, noreg.d_z)
 
 
@@ -305,7 +306,7 @@ class TestTrustedBatch:
             b = contrastive_loss(loss_id, trusted, CFG)
             assert np.float64(a.loss_value).tobytes() == np.float64(b.loss_value).tobytes()
             for x, y in ((a.d_z, b.d_z), (a.d_prototypes, b.d_prototypes),
-                         (a.gate_value, b.gate_value)):
+                         (pair_gates(a).value, pair_gates(b).value)):
                 assert (x is None and y is None) or x.tobytes() == y.tobytes()
 
     @pytest.mark.parametrize("loss_id", CONTRASTIVE_LOSS_IDS)
@@ -532,13 +533,16 @@ class TestOneExponentialEngine:
             for compute_gradients in (True, False):
                 bundle = _run_engine(batch, run, CFG, compute_gradients)
                 assert bundle.spec is run
-                # the gate views and the PRR counts read the spec too
+                # the gate arrays and the PRR counts read the spec too
                 positives = int(np.count_nonzero(run.positive_mask))
-                assert bundle.gate_value.size == bundle.prr_counts()[1] == positives
+                assert pair_gates(bundle).value.size == bundle.prr_counts()[1] == positives
         assert all(getattr(spec, name) is value for name, value in first.items())
         assert (_field_bits(spec), batch.z.tobytes(), batch.prototypes.tobytes()) == before
         with pytest.raises(FrozenInstanceError):
             spec.gated = True
+        # the engine's result is plain data too
+        with pytest.raises(FrozenInstanceError):
+            bundle.d_s = None
 
     def test_diagonal_shift_is_cached_and_read_only(self):
         mask, shift = _denominator(4, 7, True)
@@ -662,7 +666,7 @@ class TestLossReg:
         noreg = contrastive_loss("reg-noreg", batch, CFG)
         reg = contrastive_loss("reg", batch, CFG)
         np.testing.assert_array_equal(noreg.spec.coeff, reg.spec.coeff)
-        np.testing.assert_array_equal(noreg.gate_value, reg.gate_value)
+        np.testing.assert_array_equal(pair_gates(noreg).value, pair_gates(reg).value)
         assert noreg.loss_value != reg.loss_value
 
 
@@ -710,7 +714,7 @@ class TestSupcon:
         y[:, 0] = 1
         bundle = contrastive_loss("supcon-reg", ContrastiveBatch(z=z, y=y), CFG)
         expected = -1.0 / (n - 1) + bundle.sigma[bundle.spec.positive_mask]
-        np.testing.assert_allclose(bundle.gate_value, expected, atol=1e-15)
+        np.testing.assert_allclose(pair_gates(bundle).value, expected, atol=1e-15)
 
     def test_minimum_condition_equals_plain_supcon(self):
         rng = np.random.default_rng(30)
@@ -816,7 +820,7 @@ class TestLogitLosses:
 
 
 def _eager_gates(bundle, regularized):
-    """(gate_anchor, gate_pool, gate_value, combined_coeff) extracted from the
+    """(anchor, pool, gate value, combined coefficient) extracted from the
     spec and sigma eagerly, as the engine did before it built them on demand."""
     spec, sigma = bundle.spec, bundle.sigma
     gi, gk = np.nonzero(spec.positive_mask)
@@ -840,8 +844,9 @@ def _counted_prr(bundle):
 
 
 class TestGatesOnDemand:
-    """The gate arrays are built when first read; they must equal eager
-    extraction, and the PRR from prr_counts() must equal prr(gate_value)."""
+    """verification.pair_gates builds the per-pair gate arrays of one engine
+    run on demand; they must equal eager extraction byte for byte, and the
+    PRR from prr_counts() must equal prr of the gate values."""
 
     @pytest.mark.parametrize("loss_id", CONTRASTIVE_LOSS_IDS)
     def test_on_demand_gates_match_eager_extraction(self, loss_id):
@@ -851,13 +856,13 @@ class TestGatesOnDemand:
             full = contrastive_loss(loss_id, batch, CFG)
             lean = contrastive_loss(loss_id, batch, CFG, compute_gradients=False)
             eager = _eager_gates(full, loss_id in REGULARIZED_LOSS_IDS)
-            on_demand = (full.gate_anchor, full.gate_pool, full.gate_value, full.combined_coeff)
-            for got, want in zip(on_demand, eager):
+            for got, want in zip(pair_gates(full), eager):
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-            for got, want in zip((lean.gate_anchor, lean.gate_pool, lean.gate_value), eager):
-                assert got.tobytes() == want.tobytes()
-            assert lean.combined_coeff is None
-            gates = full.gate_value
+            lean_gates = pair_gates(lean)
+            for got, want in zip(lean_gates[:3], eager):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert lean_gates.combined is None
+            gates = eager[2]
             assert full.prr_counts() == lean.prr_counts() == (
                 int(np.count_nonzero(gates > 0.0)), gates.size)
             assert _same_prr(_counted_prr(full), prr(gates))
@@ -868,8 +873,9 @@ class TestGatesOnDemand:
         # one label per row, no label shared: no anchor has a positive
         z = np.random.default_rng(48).normal(size=(4, 3))
         bundle = contrastive_loss(loss_id, ContrastiveBatch(z=z, y=np.eye(4, dtype=np.int8)), CFG)
-        assert bundle.gate_value.size == 0 and bundle.combined_coeff.size == 0
-        assert bundle.prr_counts() == (0, 0) and prr(bundle.gate_value) is None
+        gates = pair_gates(bundle)
+        assert gates.value.size == 0 and gates.combined.size == 0
+        assert bundle.prr_counts() == (0, 0) and prr(gates.value) is None
 
     def test_gate_exactly_zero_counts_as_closed(self):
         # orthonormal rows of one class: sigma is uniform and equals lam_norm,
@@ -881,7 +887,7 @@ class TestGatesOnDemand:
         spec = bundle.spec
         assert np.array_equal(bundle.sigma[spec.positive_mask], spec.lam_norm[spec.positive_mask])
         assert bundle.prr_counts() == (0, 12)
-        assert _counted_prr(bundle) == prr(bundle.gate_value) == 0.0
+        assert _counted_prr(bundle) == prr(pair_gates(bundle).value) == 0.0
 
 
 class TestPrr:

@@ -46,6 +46,7 @@ from mlclab.training import (
     save_checkpoint,
     train_model,
 )
+from mlclab.verification import pair_gates
 
 FAST = TrainConfig(epochs=2, batch_size=16, lr=0.05, hidden=16, proj_dim=24)
 
@@ -319,9 +320,10 @@ class TestTraining:
         model = train_model(ds, "reg", LossConfig(), FAST).model
         x, y = ds.subset("train")
         cfg = LossConfig(tau=tau)
-        gates = [contrastive_loss("reg", ContrastiveBatch(z=model.project(x[idx]), y=y[idx],
-                                                          prototypes=model.prototypes),
-                                  cfg).gate_value
+        gates = [pair_gates(contrastive_loss("reg", ContrastiveBatch(z=model.project(x[idx]),
+                                                                     y=y[idx],
+                                                                     prototypes=model.prototypes),
+                                             cfg)).value
                  for idx in _epoch_batches(x.shape[0], FAST.batch_size,
                                            np.random.default_rng(FAST.seed))]
         want = prr(np.concatenate(gates))
@@ -374,7 +376,7 @@ def _single_label(ds):
 def _reference_train(ds, loss_id, cfg):
     """train_model as written before its step went in place: an out-of-place
     clip that copies, lr * v and lr * wd * p as fresh products, and the
-    batch PRR as prr(gate_value). Returns (model, log, steps clipped)."""
+    batch PRR as prr of pair_gates' values. Returns (model, log, steps clipped)."""
     x_train, y_train = ds.subset("train")
     loss_cfg = LossConfig()
     rng = np.random.default_rng(cfg.seed)
@@ -392,7 +394,7 @@ def _reference_train(ds, loss_id, cfg):
             xb, yb = x_train[idx], y_train[idx]
             if model.head is not None:
                 batch = ContrastiveBatch._trusted(model.project(xb), yb, model.prototypes)
-                prrs.append(prr(contrastive_loss(loss_id, batch, loss_cfg).gate_value))
+                prrs.append(prr(pair_gates(contrastive_loss(loss_id, batch, loss_cfg)).value))
             loss_val, _ = _batch_step(model, xb, yb, scratch)
             flat = np.concatenate([g.ravel() for g in scratch.values()])
             norm = np.sqrt(np.dot(flat, flat))
@@ -752,10 +754,12 @@ class TestCheckpoint:
         assert meta["seed"] == ds.meta["seed"]
 
     @pytest.mark.parametrize("key, value", [("n_features", 0), ("n_features", -6),
-                                            ("n_labels", 0), ("n_features", 6.5)])
+                                            ("n_labels", 0), ("n_features", 6.5),
+                                            ("n_features", True), ("n_labels", True)])
     def test_rejects_sizes_that_are_not_positive_integers(self, tmp_path, key, value):
+        # a 1-feature, 1-label checkpoint, whose shapes true would fit as 1
         path = tmp_path / "ckpt.json"
-        save_checkpoint(_init_model("reg", 6, 5, LossConfig(), FAST, np.random.default_rng(0)),
+        save_checkpoint(_init_model("bce", 1, 1, LossConfig(), FAST, np.random.default_rng(0)),
                         path)
         doc = json.loads(path.read_text())
         doc[key] = value

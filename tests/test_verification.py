@@ -23,6 +23,7 @@ from mlclab.verification import (
     check_gradients,
     gate_report,
     minimum_residual,
+    pair_gates,
     random_batch,
     reg_gradient_reference,
     write_reports,
@@ -107,7 +108,7 @@ class TestCheckGradients:
         with pytest.raises(ConfigError, match=match):
             check_gradients("reg", trials=trials, tol=1e-5, seed=seed)
 
-    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0, 0.0])
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0, 0.0, True])
     def test_tol_checked_at_the_boundary(self, tol):
         with pytest.raises(ConfigError, match=f"tol must be finite and positive, got {tol}"):
             check_gradients("reg", trials=1, tol=tol, seed=0)
@@ -224,12 +225,11 @@ class TestGateReport:
     def test_perturbed_combined_coeff_raises(self, loss_id, monkeypatch):
         import mlclab.verification as verification
 
-        def perturbed(*args, **kwargs):
-            bundle = contrastive_loss(*args, **kwargs)
-            bundle.combined_coeff = bundle.combined_coeff + 1e-9
-            return bundle
+        def perturbed(bundle):
+            gates = pair_gates(bundle)
+            return gates._replace(combined=gates.combined + 1e-9)
 
-        monkeypatch.setattr(verification, "contrastive_loss", perturbed)
+        monkeypatch.setattr(verification, "pair_gates", perturbed)
         batch = random_batch(np.random.default_rng(20), loss_id)
         with pytest.raises(OracleError, match="clamp"):
             gate_report(batch, CFG, loss_id)
