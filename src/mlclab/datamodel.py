@@ -22,24 +22,30 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DomainError, ParseError
-from .numerics import _inverse_norms, as_matrix, check_number_fields
+from .numerics import _inverse_norms, _is_integer, as_matrix, check_number_fields
 
 RNG_ALGORITHM = "numpy-pcg64"
 
 SPLIT_NAMES = ("train", "val", "test")
 
 
-def validate_label_matrix(y, require_nonempty_rows: bool = False) -> np.ndarray:
-    """Coerce to an (n, L) int8 binary matrix; optionally require >= 1 label per row."""
+def _check_binary_labels(y, name: str = "label matrix") -> np.ndarray:
+    """np.asarray(y), not copied, after requiring a 2-D matrix of 0s and 1s
+    of any dtype."""
     arr = np.asarray(y)
     if arr.ndim != 2:
-        raise DomainError(f"label matrix must be 2-D, got ndim={arr.ndim}")
+        raise DomainError(f"{name} must be 2-D, got ndim={arr.ndim}")
     # two comparisons: np.isin holds about 12 bytes per entry of an int8 matrix
     binary = arr == 0
     binary |= arr == 1
     if not binary.all():
-        raise DomainError("label matrix entries must be 0 or 1")
-    arr = arr.astype(np.int8)
+        raise DomainError(f"{name} entries must be 0 or 1")
+    return arr
+
+
+def validate_label_matrix(y, require_nonempty_rows: bool = False) -> np.ndarray:
+    """Coerce to an (n, L) int8 binary matrix; optionally require >= 1 label per row."""
+    arr = _check_binary_labels(y).astype(np.int8)
     if require_nonempty_rows:
         empty = np.nonzero(arr.sum(axis=1) == 0)[0]
         if empty.size:
@@ -111,23 +117,29 @@ class ContrastiveBatch:
 
 @dataclass(eq=False)
 class MultiLabelDataset:
-    """Feature matrix, label matrix, per-instance split tags, and generation
-    metadata sufficient to regenerate the dataset bit-exactly."""
+    """Feature matrix, label matrix, the sizes of the train, val and test
+    blocks its rows come in (in that order, as the dataset file keeps them),
+    and generation metadata sufficient to regenerate the dataset bit-exactly."""
 
     features: np.ndarray
     labels: np.ndarray
-    split: np.ndarray                     # array of 'train'/'val'/'test' tags
+    split_counts: tuple[int, int, int]    # rows of train, val and test
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.features = as_matrix(self.features, "features")
         self.labels = validate_label_matrix(self.labels, require_nonempty_rows=True)
-        self.split = np.asarray(self.split, dtype=object)
-        if not (self.features.shape[0] == self.labels.shape[0] == self.split.shape[0]):
-            raise DomainError("features, labels, and split must agree on instance count")
-        unknown = set(self.split.tolist()) - set(SPLIT_NAMES)
-        if unknown:
-            raise DomainError(f"unknown split tags: {sorted(unknown)}")
+        if self.features.shape[0] != self.labels.shape[0]:
+            raise DomainError("features and labels must agree on instance count")
+        counts = self.split_counts
+        if not (isinstance(counts, (tuple, list)) and len(counts) == 3
+                and all(_is_integer(c) and c >= 0 for c in counts)):
+            raise DomainError(f"split_counts must be three non-negative integers, "
+                              f"got {counts!r}")
+        self.split_counts = tuple(int(c) for c in counts)
+        if sum(self.split_counts) != self.n:
+            raise DomainError(f"split_counts sum to {sum(self.split_counts)}, "
+                              f"the dataset has {self.n} rows")
 
     @property
     def n(self) -> int:
@@ -141,16 +153,23 @@ class MultiLabelDataset:
     def n_features(self) -> int:
         return self.features.shape[1]
 
+    @property
+    def split(self) -> np.ndarray:
+        """Each row's split tag, 'train', 'val' or 'test': a read-only array
+        built from split_counts."""
+        tags = np.repeat(np.array(SPLIT_NAMES, dtype=object), self.split_counts)
+        tags.flags.writeable = False
+        return tags
+
     def subset(self, split_name: str) -> tuple[np.ndarray, np.ndarray]:
-        """(features, labels) of the split's rows. When they form one
-        contiguous block, as in every generated or read dataset, these are
-        read-only views of the dataset's arrays; otherwise they are copies."""
+        """(features, labels) of the split's block, as read-only views of the
+        dataset's arrays."""
         if split_name not in SPLIT_NAMES:
             raise ConfigError(f"unknown split {split_name!r}")
-        idx = np.flatnonzero(self.split == split_name)
-        if idx.size == 0 or idx[-1] - idx[0] + 1 != idx.size:
-            return self.features[idx], self.labels[idx]
-        views = self.features[idx[0]:idx[-1] + 1], self.labels[idx[0]:idx[-1] + 1]
+        i = SPLIT_NAMES.index(split_name)
+        start = sum(self.split_counts[:i])
+        block = slice(start, start + self.split_counts[i])
+        views = self.features[block], self.labels[block]
         for view in views:
             view.flags.writeable = False
         return views
@@ -161,7 +180,7 @@ class DataConfig:
     """Parameters of the synthetic long-tailed generator, the config's
     `data.*` keys: n instances with `labels` labels and `features` features,
     split into (train, val, test) fractions. Every int field must be an
-    integer and every float finite.
+    integer, every float finite, and split three finite fractions.
     """
 
     n: int = 2500
@@ -189,7 +208,6 @@ class DataConfig:
             raise ConfigError(f"noise must be nonnegative, got {self.noise}")
         if not (0 <= self.cooccur_boost <= 1):
             raise ConfigError(f"cooccur_boost must be in [0, 1], got {self.cooccur_boost}")
-        # a NaN fails f >= 0 and an infinity the sum
         split = self.split
         if len(split) != 3 or not all(f >= 0 for f in split) or abs(sum(split) - 1.0) > 1e-9:
             raise ConfigError(f"split must be three fractions >= 0 summing to 1, "
@@ -229,10 +247,7 @@ def generate_longtail(cfg: DataConfig) -> MultiLabelDataset:
 
     n_train = int(np.floor(cfg.split[0] * n))
     n_val = int(np.floor(cfg.split[1] * n))
-    split = np.array(
-        ["train"] * n_train + ["val"] * n_val + ["test"] * (n - n_train - n_val),
-        dtype=object,
-    )
+    counts = (n_train, n_val, n - n_train - n_val)
 
     meta = {
         "generator": "longtail-v1",
@@ -245,34 +260,20 @@ def generate_longtail(cfg: DataConfig) -> MultiLabelDataset:
         "avg_labels": float(cfg.avg_labels),
         "noise": float(cfg.noise),
         "cooccur_boost": float(cfg.cooccur_boost),
-        "split_counts": {
-            "train": int(n_train),
-            "val": int(n_val),
-            "test": int(n - n_train - n_val),
-        },
+        "split_counts": dict(zip(SPLIT_NAMES, counts)),
     }
-    return MultiLabelDataset(features=features, labels=labels, split=split, meta=meta)
+    return MultiLabelDataset(features=features, labels=labels, split_counts=counts, meta=meta)
 
 
 def write_dataset(dataset: MultiLabelDataset, path) -> None:
     """Write the line-oriented text format: a `# meta:` comment, a header
     `n L p`, then one instance per line as `label,indices<TAB>features`,
     each feature the repr of a Python float (the shortest string that reads
-    back exactly). Rows go to the file one at a time. The file keeps only
-    the split counts and read_dataset rebuilds the tags as train, val, test
-    blocks, so a row out of that order is a DomainError."""
-    rank = np.select([dataset.split == name for name in SPLIT_NAMES], range(len(SPLIT_NAMES)))
-    behind = np.nonzero(np.diff(rank) < 0)[0]
-    if behind.size:
-        i = int(behind[0]) + 1
-        raise DomainError(f"row {i} is tagged {dataset.split[i]!r} after a "
-                          f"{dataset.split[i - 1]!r} row; splits must come as "
-                          f"{', '.join(SPLIT_NAMES)} blocks")
+    back exactly). Rows go to the file one at a time, and the meta records
+    the split counts."""
     meta = dict(dataset.meta)
     meta.setdefault("rng", RNG_ALGORITHM)
-    meta["split_counts"] = {
-        name: int((dataset.split == name).sum()) for name in SPLIT_NAMES
-    }
+    meta["split_counts"] = dict(zip(SPLIT_NAMES, dataset.split_counts))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# meta: " + json.dumps(meta, sort_keys=True) + "\n")
         fh.write(f"{dataset.n} {dataset.n_labels} {dataset.n_features}\n")
@@ -422,18 +423,14 @@ def read_dataset(path) -> MultiLabelDataset:
 
     counts = meta.get("split_counts")
     if counts:
-        sizes = [counts.get(name, 0) for name in SPLIT_NAMES]
+        sizes = tuple(counts.get(name, 0) for name in SPLIT_NAMES)
         for name, size in zip(SPLIT_NAMES, sizes):
             # bool is an int subclass; JSON true is not a count
             if type(size) is not int or size < 0:
                 raise ParseError(f"meta split_counts[{name!r}] must be a non-negative "
                                  f"integer, got {size!r}")
-        split = np.repeat(np.array(SPLIT_NAMES, dtype=object), sizes)
-        if split.shape[0] != n:
-            raise ParseError(
-                f"meta split_counts sum to {split.shape[0]}, header declares {n}"
-            )
+        if sum(sizes) != n:
+            raise ParseError(f"meta split_counts sum to {sum(sizes)}, header declares {n}")
     else:
-        split = np.array(["train"] * n, dtype=object)
-    return MultiLabelDataset(features=features, labels=labels, split=split, meta=meta)
-
+        sizes = (n, 0, 0)
+    return MultiLabelDataset(features=features, labels=labels, split_counts=sizes, meta=meta)

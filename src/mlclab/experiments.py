@@ -169,18 +169,18 @@ def run_sweep_tau(dataset: MultiLabelDataset, cfg: ExperimentConfig) -> list[dic
 
 
 def _subsample_train(dataset: MultiLabelDataset, fraction: float, seed: int) -> MultiLabelDataset:
-    train_idx = np.nonzero(dataset.split == "train")[0]
-    other_idx = np.nonzero(dataset.split != "train")[0]
-    keep = max(int(np.floor(fraction * train_idx.size)), 2)
+    """The dataset with its train block cut to a seeded, order-kept sample of
+    max(floor(fraction * rows), 2) rows; the val and test blocks follow."""
+    n_train, n_val, n_test = dataset.split_counts
+    keep = max(int(np.floor(fraction * n_train)), 2)
     rng = np.random.default_rng([seed, 9173])
-    kept = np.sort(rng.permutation(train_idx)[:keep])
-    order = np.concatenate([kept, other_idx])
+    kept = np.sort(rng.permutation(n_train)[:keep])
     meta = dict(dataset.meta)
     meta["train_fraction"] = float(fraction)
     return MultiLabelDataset(
-        features=dataset.features[order],
-        labels=dataset.labels[order],
-        split=dataset.split[order],
+        features=np.concatenate([dataset.features[kept], dataset.features[n_train:]]),
+        labels=np.concatenate([dataset.labels[kept], dataset.labels[n_train:]]),
+        split_counts=(kept.size, n_val, n_test),
         meta=meta,
     )
 

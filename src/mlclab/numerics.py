@@ -28,6 +28,8 @@ public form.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import fields
 from typing import Callable
 
@@ -48,17 +50,31 @@ def as_matrix(x, name: str = "matrix") -> np.ndarray:
     return a
 
 
+def _is_integer(value) -> bool:
+    """An int or a numpy integer, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _finite_real(value) -> bool:
+    """A real number, not a bool, and finite; an integer of any size counts."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and (isinstance(value, numbers.Integral) or math.isfinite(value)))
+
+
 def check_number_fields(cfg) -> None:
     """Check the fields of a config dataclass by their defaults' types: an
-    int field takes an integer (a numpy integer too) and a float field a
-    finite number. Neither takes a bool."""
+    int field takes an integer (a numpy integer too), a float field a finite
+    real number, and a tuple field a tuple or list of finite real numbers.
+    No field takes a bool."""
     for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        if type(f.default) is int and (isinstance(value, bool)
-                                       or not isinstance(value, (int, np.integer))):
+        value, kind = getattr(cfg, f.name), type(f.default)
+        if kind is int and not _is_integer(value):
             raise ConfigError(f"{f.name} must be an integer, got {value!r}")
-        if type(f.default) is float and (isinstance(value, bool) or not np.isfinite(value)):
-            raise ConfigError(f"{f.name} must be a finite number, got {value}")
+        if kind is float and not _finite_real(value):
+            raise ConfigError(f"{f.name} must be a finite number, got {value!r}")
+        if kind is tuple and not (isinstance(value, (tuple, list))
+                                  and all(map(_finite_real, value))):
+            raise ConfigError(f"{f.name} must hold finite numbers, got {value!r}")
 
 
 _TINY = np.finfo(np.float64).tiny

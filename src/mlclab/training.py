@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .datamodel import ContrastiveBatch, MultiLabelDataset
+from .datamodel import ContrastiveBatch, MultiLabelDataset, _check_binary_labels
 from .errors import ConfigError, DomainError, NormRangeError, TrainingDivergence
 from .evaluation import micro_f1
 from .losses import (
@@ -38,7 +38,7 @@ from .losses import (
     needs_prototypes,
     needs_single_label,
 )
-from .numerics import check_number_fields, sigmoid
+from .numerics import _is_integer, as_matrix, check_number_fields, sigmoid
 
 CHECKPOINT_FORMAT = "mlclab-checkpoint"
 CHECKPOINT_VERSION = 4
@@ -192,6 +192,8 @@ def lr_schedule(step: int, total_steps: int, base_lr: float, warmup_frac: float)
     decay from base_lr to 0 at the final step."""
     if total_steps < 1:
         raise ConfigError("total_steps must be >= 1")
+    if not (0 <= warmup_frac < 1):
+        raise ConfigError(f"warmup_frac must be in [0, 1), got {warmup_frac}")
     if not (0 <= step < total_steps):
         raise ConfigError(f"step {step} outside [0, {total_steps})")
     warm = int(np.floor(warmup_frac * total_steps))
@@ -211,7 +213,7 @@ def clip_gradient(gradient: np.ndarray, threshold: float) -> np.ndarray:
     The vector is scaled in place and returned; it gets the same bytes as
     `g * (threshold / norm)`.
     """
-    if threshold <= 0:
+    if not threshold > 0:
         raise ConfigError(f"clip threshold must be positive, got {threshold}")
     norm = np.sqrt(np.dot(gradient, gradient))
     if norm > threshold:
@@ -571,21 +573,36 @@ def linear_eval(
     training instance have no finite minimizer; they get w = 0, a bias whose
     gradient is below tol (constant predictions), and are flagged.
 
+    The inputs are checked before any work: features must be finite, labels
+    2-D and 0/1 (of any dtype; they are not copied), each split's features
+    and labels must agree on rows, and train and val on widths (DomainError);
+    max_iters must be an integer (ConfigError).
+
     `lrs` is accepted for callers that still pass the `eval.lrs` grid and
     is not read: Newton's method has no step size.
     """
     del lrs
     check_weight_decays(wds)
+    if not _is_integer(max_iters):
+        raise ConfigError(f"max_iters must be an integer, got {max_iters!r}")
     if max_iters < 1 or not (0 < tol < 1):
         raise ConfigError(f"need max_iters >= 1 and 0 < tol < 1, got {max_iters} and {tol}")
-    x = np.asarray(train_features, dtype=np.float64)
+    x = as_matrix(train_features, "train features")
+    xv = as_matrix(val_features, "val features")
     # 0/1 labels of any dtype: p - y is exact, so an int8 split is not copied
-    y = np.asarray(train_labels)
+    y = _check_binary_labels(train_labels, "train labels")
+    yv = _check_binary_labels(val_labels, "val labels")
+    for what, feats, labels in (("train", x, y), ("val", xv, yv)):
+        if feats.shape[0] != labels.shape[0]:
+            raise DomainError(f"{what} features have {feats.shape[0]} rows, "
+                              f"{what} labels {labels.shape[0]}")
+    if (x.shape[1], y.shape[1]) != (xv.shape[1], yv.shape[1]):
+        raise DomainError(f"train and val must have the same widths, got features "
+                          f"{x.shape[1]} and {xv.shape[1]}, labels {y.shape[1]} and {yv.shape[1]}")
     mean = x.mean(axis=0)
     scale = np.maximum(x.std(axis=0), 1e-8)
     xb = _design(x, mean, scale)
-    xvb = _design(val_features, mean, scale)
-    yv = np.asarray(val_labels)
+    xvb = _design(xv, mean, scale)
 
     positives = y.sum(axis=0)
     degenerate = (positives == 0) | (positives == y.shape[0])

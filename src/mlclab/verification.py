@@ -44,6 +44,7 @@ from .losses import (
     prr,
 )
 from .numerics import (
+    _is_integer,
     finite_difference_gradient,
     masked_logsumexp,
     tempered_cosine_matrix,
@@ -373,7 +374,7 @@ def check_gradients(loss_id: str, trials: int, tol: float, seed: int,
     """
     check_loss_id(loss_id)
     for name, value in (("trials", trials), ("seed", seed)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        if not _is_integer(value):
             raise ConfigError(f"{name} must be an integer, got {value!r}")
     if trials < 1:
         raise ConfigError(f"trials must be at least 1, got {trials}")
@@ -420,11 +421,10 @@ def minimum_residual(spec: LossSpec, sigma: np.ndarray) -> float:
 
 @dataclass
 class GateReport:
-    """Per-pair gate values of a regularized loss plus the batch PRR."""
+    """The per-pair gates of one run of a gated loss, the batch PRR and the
+    clamp check's max deviation (None for a host id)."""
 
-    anchors: np.ndarray
-    pool_indices: np.ndarray
-    gate_values: np.ndarray
+    gates: PairGates
     prr: float | None
     clamp_max_dev: float | None
 
@@ -489,10 +489,4 @@ def gate_report(batch: ContrastiveBatch, cfg: LossConfig, loss_id: str = "reg") 
                 f"positive-gradient clamp violated: max deviation {clamp_dev:.3e}"
             )
 
-    return GateReport(
-        anchors=gates.anchor,
-        pool_indices=gates.pool,
-        gate_values=gates.value,
-        prr=prr(gates.value),
-        clamp_max_dev=clamp_dev,
-    )
+    return GateReport(gates=gates, prr=prr(gates.value), clamp_max_dev=clamp_dev)

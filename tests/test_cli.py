@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from mlclab.cli import main
-from mlclab.datamodel import read_dataset
+from mlclab.datamodel import DataConfig, generate_longtail, read_dataset
+from mlclab.experiments import _subsample_train
 from mlclab.losses import LossConfig
 from mlclab.training import TrainConfig, _init_model, save_checkpoint
 
@@ -200,6 +201,21 @@ def test_fraction_csv(tiny_config, tmp_path):
     assert lines[0] == "fraction,loss,macro_f1"
     # 2 fractions x 2 losses
     assert len(lines) == 5
+
+
+@pytest.mark.parametrize("split, fraction", [((0.8, 0.1, 0.1), 0.3), ((0.02, 0.5, 0.48), 0.5)])
+def test_subsample_keeps_a_seeded_train_sample_and_the_other_blocks(split, fraction):
+    ds = generate_longtail(DataConfig(n=50, labels=4, features=3, seed=5, split=split))
+    n_train = ds.split_counts[0]
+    sub = _subsample_train(ds, fraction, 3)
+    # at least 2 rows are asked for; a 1-row train block keeps its one row
+    keep = max(int(np.floor(fraction * n_train)), 2)
+    kept = np.sort(np.random.default_rng([3, 9173]).permutation(n_train)[:keep])
+    assert sub.split_counts == (kept.size,) + ds.split_counts[1:]
+    rows = np.concatenate([kept, np.arange(n_train, ds.n)])
+    assert sub.features.tobytes() == ds.features[rows].tobytes()
+    assert sub.labels.tobytes() == ds.labels[rows].tobytes()
+    assert sub.meta["train_fraction"] == fraction
 
 
 def test_fraction_degenerate_single_row(tmp_path):

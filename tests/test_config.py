@@ -1,5 +1,6 @@
 """Config format: parse / render round trips, defaults, and error reporting."""
 
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -189,10 +190,23 @@ class TestNumberFields:
         (TrainConfig, "lr", True, "lr must be a finite number, got True"),
         (LossConfig, "tau", True, "tau must be a finite number, got True"),
         (DataConfig, "noise", False, "noise must be a finite number, got False"),
+        (LossConfig, "tau", "0.1", "tau must be a finite number, got '0.1'"),
+        (TrainConfig, "clip", None, "clip must be a finite number, got None"),
+        (DataConfig, "split", (True, False, False),
+         "split must hold finite numbers, got (True, False, False)"),
+        (DataConfig, "split", (0.8, 0.1, "0.1"),
+         "split must hold finite numbers, got (0.8, 0.1, '0.1')"),
+        (DataConfig, "split", (0.8, np.inf, 0.1),
+         "split must hold finite numbers, got (0.8, inf, 0.1)"),
+        (DataConfig, "split", 1.0, "split must hold finite numbers, got 1.0"),
     ])
     def test_int_fields_take_integers_and_no_field_takes_a_bool(self, cls, name, value, match):
-        with pytest.raises(ConfigError, match=f"^{match}$"):
+        with pytest.raises(ConfigError, match=f"^{re.escape(match)}$"):
             cls(**{name: value})
+
+    def test_numpy_numbers_and_list_split_accepted(self):
+        assert LossConfig(tau=np.float32(0.5)).tau == 0.5
+        assert DataConfig(split=[np.float64(0.5), 0.25, 0.25]).split[0] == 0.5
 
     def test_numpy_integers_accepted(self):
         assert TrainConfig(epochs=np.int64(3), batch_size=np.int32(8)).epochs == 3

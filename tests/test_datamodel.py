@@ -180,6 +180,7 @@ class TestGenerateLongtail:
     def test_split_counts(self):
         ds = generate_longtail(DataConfig(n=100, labels=4, features=3, seed=0,
                                            split=(0.8, 0.1, 0.1)))
+        assert ds.split_counts == (80, 10, 10)
         assert int((ds.split == "train").sum()) == 80
         assert int((ds.split == "val").sum()) == 10
         assert int((ds.split == "test").sum()) == 10
@@ -347,24 +348,11 @@ class TestDatasetIO:
         back = read_dataset(p)
         np.testing.assert_array_equal(ds.split, back.split)
 
-    @pytest.mark.parametrize("split,row", [
-        (["test", "train", "val", "train"], 1),
-        (["train", "val", "train", "test"], 2),
-        (["train", "test", "test", "val"], 3),
-    ])
-    def test_splits_out_of_block_order_rejected(self, tmp_path, split, row):
-        # the file keeps only split counts, so these would read back reordered
-        ds = MultiLabelDataset(features=np.ones((4, 2)), labels=np.ones((4, 2), dtype=np.int8),
-                               split=np.array(split, dtype=object))
-        p = tmp_path / "d.txt"
-        with pytest.raises(DomainError, match=f"row {row} is tagged"):
-            write_dataset(ds, p)
-        assert not p.exists()
-
     def test_dataset_without_meta_defaults_to_train(self, tmp_path):
         p = tmp_path / "plain.txt"
         p.write_text("2 2 1\n0\t0.5\n1\t-1.5\n")
         ds = read_dataset(p)
+        assert ds.split_counts == (2, 0, 0)
         assert np.all(ds.split == "train")
         assert ds.features[1, 0] == -1.5
 
@@ -374,5 +362,34 @@ def test_multilabel_dataset_rejects_zero_label_rows():
         MultiLabelDataset(
             features=np.ones((2, 2)),
             labels=np.array([[1, 0], [0, 0]]),
-            split=np.array(["train", "train"], dtype=object),
+            split_counts=(2, 0, 0),
         )
+
+
+class TestSplitCounts:
+    def _dataset(self, counts):
+        return MultiLabelDataset(features=np.ones((4, 2)),
+                                 labels=np.ones((4, 2), dtype=np.int8), split_counts=counts)
+
+    @pytest.mark.parametrize("counts, match", [
+        ((2, 1, 0), "split_counts sum to 3, the dataset has 4 rows$"),
+        ((3, 1, 1), "split_counts sum to 5, the dataset has 4 rows$"),
+        ((4, 0), "three non-negative integers"),
+        ((5, -1, 0), "three non-negative integers"),
+        ((True, 3, 0), "three non-negative integers"),
+        ((2.0, 2, 0), "three non-negative integers"),
+        (np.array(["train"] * 4, dtype=object), "three non-negative integers"),
+    ])
+    def test_bad_counts_rejected(self, counts, match):
+        with pytest.raises(DomainError, match=match):
+            self._dataset(counts)
+
+    def test_tags_are_built_from_the_counts(self):
+        ds = self._dataset([np.int64(1), 0, np.uint8(3)])
+        assert ds.split_counts == (1, 0, 3)
+        assert all(type(c) is int for c in ds.split_counts)
+        assert ds.split.tolist() == ["train", "test", "test", "test"]
+        with pytest.raises(ValueError, match="read-only"):
+            ds.split[0] = "val"
+        with pytest.raises(AttributeError):
+            ds.split = np.array(["val"] * 4, dtype=object)

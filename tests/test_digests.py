@@ -1,6 +1,8 @@
 """Golden digests: `mlclab train` writes the checkpoint and log bytes that
 DIGESTS.json records for every loss id (default config, seed 0, one BLAS
-thread), and `mlclab gen-data` the recorded dataset.txt bytes. The bytes
+thread), `mlclab gen-data` the recorded dataset.txt bytes, and `mlclab eval`
+of the `reg` checkpoint on that dataset the recorded metrics.json and
+eval_details.json bytes. The bytes
 depend on the BLAS library, numpy and the thread count; in an environment
 with no recorded table the test skips and names the fields that differ."""
 

@@ -10,7 +10,6 @@ import pytest
 
 from mlclab.datamodel import (
     DataConfig,
-    MultiLabelDataset,
     generate_longtail,
     read_dataset,
     write_dataset,
@@ -46,7 +45,7 @@ def test_read_peak_is_its_output_and_a_slack(large, tmp_path):
     path = tmp_path / "d.txt"
     write_dataset(large, path)
     back, peak = _peak(read_dataset, path)
-    output = back.features.nbytes + back.labels.nbytes + back.split.nbytes
+    output = back.features.nbytes + back.labels.nbytes
     # the slack covers the finiteness mask (0.64 MB here), the rows' line
     # numbers and a line of text; a reader that holds the whole text and
     # its lines peaks at 4.6x output (26 MB)
@@ -77,18 +76,3 @@ def test_block_split_is_a_read_only_view():
                 view[0, 0] = 0
     assert ds.features.flags.writeable
 
-
-def test_interleaved_split_is_copied():
-    rng = np.random.default_rng(3)
-    features = rng.normal(size=(6, 2))
-    labels = np.eye(6, 3, dtype=np.int8)
-    labels[3:, 0] = 1
-    split = np.array(["train", "val", "test"] * 2, dtype=object)
-    ds = MultiLabelDataset(features=features, labels=labels, split=split)
-    for name in ("train", "val", "test"):
-        rows = np.flatnonzero(split == name)
-        x, y = ds.subset(name)
-        np.testing.assert_array_equal(x, features[rows])
-        np.testing.assert_array_equal(y, labels[rows])
-        assert not np.shares_memory(x, ds.features) and not np.shares_memory(y, ds.labels)
-        assert x.flags.writeable and y.flags.writeable

@@ -108,6 +108,12 @@ class TestLrSchedule:
         with pytest.raises(ConfigError):
             lr_schedule(-1, 100, 1.0, 0.05)
 
+    @pytest.mark.parametrize("warmup_frac", [np.nan, -0.1, 1.0])
+    def test_warmup_frac_outside_unit_interval_rejected(self, warmup_frac):
+        # TrainConfig's range: a NaN used to die converting the warmup length
+        with pytest.raises(ConfigError, match="warmup_frac must be in"):
+            lr_schedule(0, 10, 0.1, warmup_frac)
+
 
 class TestClipGradient:
     def test_below_threshold_unchanged(self):
@@ -135,8 +141,9 @@ class TestClipGradient:
                                    before / np.linalg.norm(before), atol=1e-15)
 
     def test_bad_threshold(self):
-        for threshold in (0.0, -1.0):
-            with pytest.raises(ConfigError):
+        # a NaN threshold used to pass and clip nothing
+        for threshold in (0.0, -1.0, np.nan):
+            with pytest.raises(ConfigError, match="clip threshold must be positive"):
                 clip_gradient(np.array([1.0]), threshold)
 
     def test_scales_in_place(self):
@@ -192,15 +199,15 @@ class TestTraining:
 
         monkeypatch.setattr(training, "_batch_step", no_step)
         ds = _tiny_dataset(n=20)
-        split = np.array(["train"] * n_train + ["val"] * (ds.n - n_train), dtype=object)
-        ds = MultiLabelDataset(features=ds.features, labels=ds.labels, split=split)
+        ds = MultiLabelDataset(features=ds.features, labels=ds.labels,
+                               split_counts=(n_train, ds.n - n_train, 0))
         with pytest.raises(DomainError, match=f"at least 2 train rows, got {n_train}$"):
             train_model(ds, "reg", LossConfig(), FAST)
 
     def test_two_train_rows_take_one_step_per_epoch(self):
         ds = _tiny_dataset(n=20)
-        split = np.array(["train"] * 2 + ["val"] * (ds.n - 2), dtype=object)
-        ds = MultiLabelDataset(features=ds.features, labels=ds.labels, split=split)
+        ds = MultiLabelDataset(features=ds.features, labels=ds.labels,
+                               split_counts=(2, ds.n - 2, 0))
         log = train_model(ds, "reg", LossConfig(), FAST).log
         assert len(log) == FAST.epochs
         assert all(np.isfinite(row["loss"]) for row in log) and log[0]["lr"] > 0
@@ -355,8 +362,7 @@ class TestTraining:
         y[n // 2:, 1] = 1
         feats = np.where(y[:, :1] == 1, 2.0, -2.0) + 0.3 * rng.normal(size=(n, 4))
         from mlclab.datamodel import MultiLabelDataset
-        ds = MultiLabelDataset(features=feats, labels=y,
-                               split=np.array(["train"] * n, dtype=object))
+        ds = MultiLabelDataset(features=feats, labels=y, split_counts=(n, 0, 0))
         cfg = TrainConfig(epochs=50, batch_size=32, lr=0.05, hidden=16, proj_dim=16)
         result = train_model(ds, "reg", LossConfig(), cfg)
         from mlclab.training import _init_model
@@ -370,7 +376,8 @@ class TestTraining:
 def _single_label(ds):
     y = np.zeros_like(ds.labels)
     y[np.arange(ds.n), np.argmax(ds.labels, axis=1)] = 1
-    return MultiLabelDataset(features=ds.features, labels=y, split=ds.split, meta=ds.meta)
+    return MultiLabelDataset(features=ds.features, labels=y, split_counts=ds.split_counts,
+                             meta=ds.meta)
 
 
 def _reference_train(ds, loss_id, cfg):
@@ -737,6 +744,53 @@ class TestLinearEval:
         with pytest.raises(ConfigError, match="eval.wds"):
             linear_eval(feats[:40], y[:40], feats[40:], y[40:], wds=wds)
 
+    @pytest.mark.parametrize("edit, match", [
+        pytest.param(lambda a: a[1].__setitem__((0, 0), 3),
+                     "^train labels entries must be 0 or 1$", id="train-label-3"),
+        pytest.param(lambda a: a[3].__setitem__((0, 1), 3),
+                     "^val labels entries must be 0 or 1$", id="val-label-3"),
+        pytest.param(lambda a: a[0].__setitem__((2, 0), np.nan),
+                     "^train features contains non-finite", id="train-feature-nan"),
+        pytest.param(lambda a: a[2].__setitem__((2, 0), np.inf),
+                     "^val features contains non-finite", id="val-feature-inf"),
+        pytest.param(lambda a: a.__setitem__(1, a[1][:-1]),
+                     "^train features have 40 rows, train labels 39$", id="train-rows"),
+        pytest.param(lambda a: a.__setitem__(2, a[2][1:]),
+                     "^val features have 19 rows, val labels 20$", id="val-rows"),
+        pytest.param(lambda a: a.__setitem__(2, a[2][:, :2]),
+                     "^train and val must have the same widths", id="feature-width"),
+        pytest.param(lambda a: a.__setitem__(3, a[3][:, :1]),
+                     "^train and val must have the same widths", id="label-width"),
+        pytest.param(lambda a: a.__setitem__(1, a[1][:, 0]),
+                     "^train labels must be 2-D, got ndim=1$", id="labels-1d"),
+    ])
+    def test_bad_data_rejected_before_any_work(self, edit, match, monkeypatch):
+        import mlclab.training as training
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a probe cell was fitted")
+
+        monkeypatch.setattr(training, "_fit_probe", no_fit)
+        feats, y = _probe_problem(6, 60, 3, 2)
+        args = [feats[:40].copy(), y[:40].copy(), feats[40:].copy(), y[40:].copy()]
+        edit(args)
+        with pytest.raises(DomainError, match=match):
+            linear_eval(*args)
+
+    @pytest.mark.parametrize("max_iters", [2.5, True, 50.0, "50"])
+    def test_max_iters_must_be_an_integer(self, max_iters):
+        feats, y = _probe_problem(6, 60, 3, 2)
+        with pytest.raises(ConfigError, match="^max_iters must be an integer, got "):
+            linear_eval(feats[:40], y[:40], feats[40:], y[40:], max_iters=max_iters)
+
+    def test_numpy_integer_max_iters_and_float_labels_accepted(self):
+        feats, y = _probe_problem(6, 60, 3, 2)
+        args = (feats[:40], y[:40], feats[40:], y[40:])
+        ref = linear_eval(*args)
+        res = linear_eval(feats[:40], y[:40].astype(np.float64), feats[40:], y[40:],
+                          max_iters=np.int64(50))
+        assert res.weights.tobytes() == ref.weights.tobytes()
+
 
 class TestCheckpoint:
     # heads, heads with prototypes and classifiers all load through from_params
@@ -887,7 +941,8 @@ class TestSingleLabelLosses:
         ds = _tiny_dataset()
         y = np.zeros_like(ds.labels)
         y[np.arange(ds.n), np.argmax(ds.labels, axis=1)] = 1
-        single = MultiLabelDataset(features=ds.features, labels=y, split=ds.split, meta=ds.meta)
+        single = MultiLabelDataset(features=ds.features, labels=y,
+                                   split_counts=ds.split_counts, meta=ds.meta)
         for loss_id in ("supcon", "supcon-reg"):
             result = train_model(single, loss_id, LossConfig(), FAST)
             assert len(result.log) == FAST.epochs

@@ -19,6 +19,7 @@ from mlclab.numerics import finite_difference_gradient
 from mlclab.verification import (
     FD_STEP,
     GradCheckReport,
+    PairGates,
     _fd_estimates,
     check_gradients,
     gate_report,
@@ -171,8 +172,13 @@ class TestGateReport:
         batch = ContrastiveBatch(z=z, y=y, prototypes=protos)
         report = gate_report(batch, CFG, "reg")
         assert report.prr is not None and report.prr > 0
-        pair_01 = (report.anchors == 0) & (report.pool_indices == 1)
-        assert report.gate_values[pair_01].max() > 0
+        # the report holds the run's own PairGates
+        run = pair_gates(contrastive_loss("reg", batch, CFG))
+        assert isinstance(report.gates, PairGates)
+        for got, want in zip(report.gates, run):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        pair_01 = (report.gates.anchor == 0) & (report.gates.pool == 1)
+        assert report.gates.value[pair_01].max() > 0
 
     def test_clamp_checked_independently(self):
         rng = np.random.default_rng(15)
@@ -197,7 +203,7 @@ class TestGateReport:
         y[:, 0] = 1
         batch = ContrastiveBatch(z=z, y=y)
         report = gate_report(batch, CFG, "supcon-reg")
-        assert np.abs(report.gate_values).max() < 1e-12
+        assert np.abs(report.gates.value).max() < 1e-12
         v_reg = contrastive_loss("supcon-reg", batch, CFG).loss_value
         v_host = contrastive_loss("supcon", batch, CFG).loss_value
         assert abs(v_reg - v_host) < 1e-12
@@ -219,7 +225,7 @@ class TestGateReport:
         batch = random_batch(np.random.default_rng(19), loss_id)
         report = gate_report(batch, CFG, loss_id)
         assert report.clamp_max_dev is None
-        assert report.gate_values.size > 0
+        assert report.gates.value.size > 0
 
     @pytest.mark.parametrize("loss_id", ["reg", "supcon-reg"])
     def test_perturbed_combined_coeff_raises(self, loss_id, monkeypatch):

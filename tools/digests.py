@@ -1,7 +1,9 @@
 """Golden digests: SHA-256 prefixes of the checkpoint and the training log
 that `mlclab train` writes for every loss id, at the default config and seed
-0, and of the dataset.txt that `mlclab gen-data` writes at the default
-config, recorded in DIGESTS.json at the repository root.
+0, of the dataset.txt that `mlclab gen-data` writes at the default config,
+and of the metrics.json and eval_details.json that `mlclab eval` writes for
+the `reg` checkpoint on that dataset, recorded in DIGESTS.json at the
+repository root.
 
     python tools/digests.py            # print the digests, compare with DIGESTS.json
     python tools/digests.py --write    # record them in DIGESTS.json
@@ -38,8 +40,9 @@ def _sha(path: Path) -> str:
 
 
 def _child(workdir: Path) -> None:
-    """Run `mlclab gen-data`, train every loss id with `mlclab train` and
-    write the environment and the digests to workdir/digests.json."""
+    """Run `mlclab gen-data`, train every loss id with `mlclab train`,
+    evaluate the `reg` checkpoint with `mlclab eval` and write the
+    environment and the digests to workdir/digests.json."""
     import contextlib
     import io
 
@@ -55,8 +58,8 @@ def _child(workdir: Path) -> None:
     first = np.zeros_like(ds.labels)
     first[np.arange(ds.n), np.argmax(ds.labels, axis=1)] = 1
     cut_data = workdir / "first_label.txt"
-    write_dataset(MultiLabelDataset(features=ds.features, labels=first, split=ds.split,
-                                    meta=ds.meta), cut_data)
+    write_dataset(MultiLabelDataset(features=ds.features, labels=first,
+                                    split_counts=ds.split_counts, meta=ds.meta), cut_data)
     cut_config = workdir / "first_label.cfg"
     cut_config.write_text(f"data.source = {cut_data}\n", encoding="utf-8")
 
@@ -76,6 +79,11 @@ def _child(workdir: Path) -> None:
         run(argv)
         digests[loss_id] = {"checkpoint": _sha(out / "checkpoint.json"),
                             "log": _sha(out / "training_log.csv")}
+    out = workdir / "eval"
+    run(["eval", "--checkpoint", str(workdir / "reg" / "checkpoint.json"),
+         "--dataset", str(workdir / "gen-data" / "dataset.txt"), "--out", str(out)])
+    digests["eval"] = {"metrics": _sha(out / "metrics.json"),
+                       "details": _sha(out / "eval_details.json")}
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     env = {"blas": blas["name"], "blas_version": blas["version"], "numpy": np.__version__,
            "threads": int(os.environ["OPENBLAS_NUM_THREADS"])}
@@ -85,8 +93,8 @@ def _child(workdir: Path) -> None:
 
 def compute(workdir) -> dict:
     """{"env": ..., "digests": {loss id: {"checkpoint", "log"}, "gen-data":
-    {"dataset"}}} of this checkout, from a subprocess pinned to one BLAS
-    thread."""
+    {"dataset"}, "eval": {"metrics", "details"}}} of this checkout, from a
+    subprocess pinned to one BLAS thread."""
     workdir = Path(workdir)
     env = dict(os.environ)
     env.update({var: THREADS for var in _THREAD_VARS})
