@@ -29,7 +29,7 @@ from .experiments import (
     run_training,
     training_log_csv,
 )
-from .losses import LOGIT_LOSS_IDS, check_loss_id
+from .losses import LOGIT_LOSS_IDS
 from .training import load_checkpoint, save_checkpoint
 from .verification import check_gradients, write_reports
 
@@ -65,7 +65,6 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    check_loss_id(args.loss)
     tol = args.tol
     if tol is None:
         tol = 1e-6 if args.loss in LOGIT_LOSS_IDS else 1e-5

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 
-import numpy as np
-
 from .datamodel import DataConfig
 from .errors import ConfigError, ParseError
 from .losses import LOSS_IDS, LossConfig
+from .numerics import _finite_real
 from .training import TrainConfig, check_weight_decays
 
 
@@ -131,7 +130,7 @@ class ExperimentConfig:
         for key, (ok, rule) in _RANGES.items():
             value = self.values[key]
             items = value if isinstance(value, (tuple, list)) else (value,)
-            if not all(np.isfinite(x) and ok(x) for x in items):
+            if not all(_finite_real(x) and ok(x) for x in items):
                 raise ConfigError(f"{key} must be finite and {rule}, got {_fmt(value)}")
 
     def __getitem__(self, key: str):

@@ -5,11 +5,12 @@ A label matrix is an (n, L) array with entries in {0, 1}. Instances with zero
 labels are rejected: the contrastive losses divide by per-instance label
 counts, which is undefined at 0, and failing fast beats a silent skip.
 
-Labels are validated once, at the boundary: when a MultiLabelDataset is built
-(generated or read from disk) and when a ContrastiveBatch is built through
-its public constructor. Training and PRR measurement slice their batches
-from an already-validated dataset and build them with
-ContrastiveBatch._trusted, which skips the checks.
+Labels are validated once, at the boundary, by the one label rule,
+check_labels: when a MultiLabelDataset is built (generated or read from
+disk), when a ContrastiveBatch is built through its public constructor, and
+in every public function of the package that takes labels. Training and PRR
+measurement slice their batches from an already-validated dataset and build
+them with ContrastiveBatch._trusted, which skips the checks.
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ RNG_ALGORITHM = "numpy-pcg64"
 SPLIT_NAMES = ("train", "val", "test")
 
 
-def _check_binary_labels(y, name: str = "label matrix") -> np.ndarray:
-    """np.asarray(y), not copied, after requiring a 2-D matrix of 0s and 1s
-    of any dtype."""
+def check_labels(y, name: str = "label matrix", require_nonempty_rows: bool = False) -> np.ndarray:
+    """The label rule: np.asarray(y), not copied, after requiring a 2-D
+    matrix of 0s and 1s of any dtype and, optionally, a label in every row."""
     arr = np.asarray(y)
     if arr.ndim != 2:
         raise DomainError(f"{name} must be 2-D, got ndim={arr.ndim}")
@@ -40,14 +41,8 @@ def _check_binary_labels(y, name: str = "label matrix") -> np.ndarray:
     binary |= arr == 1
     if not binary.all():
         raise DomainError(f"{name} entries must be 0 or 1")
-    return arr
-
-
-def validate_label_matrix(y, require_nonempty_rows: bool = False) -> np.ndarray:
-    """Coerce to an (n, L) int8 binary matrix; optionally require >= 1 label per row."""
-    arr = _check_binary_labels(y).astype(np.int8)
     if require_nonempty_rows:
-        empty = np.nonzero(arr.sum(axis=1) == 0)[0]
+        empty = np.flatnonzero(~arr.any(axis=1))
         if empty.size:
             raise DomainError(
                 f"instances with zero labels rejected (first offender: row {int(empty[0])})"
@@ -72,7 +67,7 @@ class ContrastiveBatch:
 
     def __post_init__(self):
         self.z = as_matrix(self.z, "embeddings")
-        self.y = validate_label_matrix(self.y, require_nonempty_rows=True)
+        self.y = check_labels(self.y, require_nonempty_rows=True).astype(np.int8, copy=False)
         if self.z.shape[0] != self.y.shape[0]:
             raise DomainError(
                 f"embedding rows ({self.z.shape[0]}) != label rows ({self.y.shape[0]})"
@@ -128,7 +123,8 @@ class MultiLabelDataset:
 
     def __post_init__(self):
         self.features = as_matrix(self.features, "features")
-        self.labels = validate_label_matrix(self.labels, require_nonempty_rows=True)
+        self.labels = check_labels(self.labels, require_nonempty_rows=True).astype(
+            np.int8, copy=False)
         if self.features.shape[0] != self.labels.shape[0]:
             raise DomainError("features and labels must agree on instance count")
         counts = self.split_counts

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .datamodel import check_labels
 from .errors import DomainError
 from .numerics import as_matrix, row_normalize
 
@@ -22,13 +23,11 @@ def _prediction_metrics(pred, truth) -> tuple[float, float, float]:
     """Micro-F1, macro-F1 and the Hamming fraction from one set of per-label
     true-positive, false-positive and false-negative counts, after one check
     that pred and truth are binary 2-D matrices of the same shape."""
-    p = np.asarray(pred)
-    t = np.asarray(truth)
-    if p.shape != t.shape or p.ndim != 2:
-        raise DomainError(f"pred shape {p.shape} and truth shape {t.shape} must match and be 2-D")
+    p = check_labels(pred, "pred")
+    t = check_labels(truth, "truth")
+    if p.shape != t.shape:
+        raise DomainError(f"pred shape {p.shape} and truth shape {t.shape} must match")
     p_one, t_one = p == 1, t == 1
-    if not ((p_one | (p == 0)).all() and (t_one | (t == 0)).all()):
-        raise DomainError("pred and truth must be binary")
     tp = np.count_nonzero(p_one & t_one, axis=0)
     fp = np.count_nonzero(p_one, axis=0) - tp
     fn = np.count_nonzero(t_one, axis=0) - tp
@@ -70,12 +69,10 @@ def mean_average_precision(scores, truth) -> float | None:
     the result unchanged. truth must be binary, as in compute_report.
     """
     s = as_matrix(scores, "scores")
-    t = np.asarray(truth)
+    t = check_labels(truth, "truth")
     if t.shape != s.shape:
         raise DomainError(f"truth shape {t.shape} != scores shape {s.shape}")
     positive = t == 1
-    if not (positive | (t == 0)).all():
-        raise DomainError("truth must be binary")
     n, big_l = s.shape
     aps = []
     for j in range(big_l):
@@ -104,9 +101,7 @@ def alignment(features, labels) -> float | None:
     each group's rows together, in their original order, and the group sums
     are segment sums over the sorted rows."""
     f = row_normalize(as_matrix(features, "features"), "features")
-    y = np.asarray(labels)
-    if y.ndim != 2 or not ((y == 0) | (y == 1)).all():
-        raise DomainError("labels must be a binary 2-D matrix")
+    y = check_labels(labels, "labels")
     if y.shape[0] != f.shape[0]:
         raise DomainError("features and labels must agree on instance count")
     n = f.shape[0]

@@ -12,7 +12,8 @@ from dataclasses import replace
 import numpy as np
 
 from .config import ExperimentConfig
-from .datamodel import ContrastiveBatch, MultiLabelDataset, generate_longtail, read_dataset
+from .datamodel import (SPLIT_NAMES, ContrastiveBatch, MultiLabelDataset, generate_longtail,
+                        read_dataset)
 from .errors import ConfigError, DomainError
 from .evaluation import MetricsReport, compute_report
 from .losses import contrastive_loss, is_contrastive
@@ -44,6 +45,14 @@ def run_training(
     return train_model(dataset, loss_id, cfg.loss_config(), cfg.train_config(seed=seed))
 
 
+def _check_sizes(model: TrainedModel, dataset: MultiLabelDataset) -> None:
+    """A model of another feature or label count than the dataset's is a config error."""
+    for what in ("features", "labels"):
+        trained, given = getattr(model, f"n_{what}"), getattr(dataset, f"n_{what}")
+        if trained != given:
+            raise ConfigError(f"the model was trained on {trained} {what}, the dataset has {given}")
+
+
 def measure_prr(
     model: TrainedModel,
     dataset: MultiLabelDataset,
@@ -52,9 +61,10 @@ def measure_prr(
     """Pooled positive regularization ratio over the train split: the
     fraction, across one deterministic pass of training-sized batches of the
     trained projections, of positive pairs whose gate is open. Requires a
-    contrastive model; tau optionally overrides the evaluation temperature."""
+    contrastive model of the dataset's sizes; tau overrides the temperature."""
     if model.head is None:
         raise ConfigError("PRR needs a contrastive model (no projection head found)")
+    _check_sizes(model, dataset)
     # the batches below skip validation, so the model is checked once here
     if not all(np.all(np.isfinite(p)) for p in model.params().values()):
         raise DomainError("model has non-finite parameters")
@@ -84,11 +94,7 @@ def evaluate_trained(
     records the probe's chosen weight decay, its validation micro-F1, the
     number of degenerate labels and one record per weight-decay cell. A
     model trained on a different feature or label count is a config error."""
-    for what, trained, given in (("features", model.n_features, dataset.n_features),
-                                 ("labels", model.n_labels, dataset.n_labels)):
-        if trained != given:
-            raise ConfigError(f"the model was trained on {trained} {what}, "
-                              f"the dataset has {given}")
+    _check_sizes(model, dataset)
     x_train, y_train = dataset.subset("train")
     x_val, y_val = dataset.subset("val")
     x_test, y_test = dataset.subset("test")
@@ -103,9 +109,7 @@ def evaluate_trained(
     probe = linear_eval(f_train, y_train, f_val, y_val, wds=cfg["eval.wds"])
     scores = probe.scores(f_test)
     pred = (scores >= 0.5).astype(np.int8)
-    prr_value = None
-    if model.head is not None and is_contrastive(model.loss_id):
-        prr_value = measure_prr(model, dataset)
+    prr_value = measure_prr(model, dataset) if model.head is not None else None
     report = compute_report(
         pred, y_test, scores=scores, features=f_test, labels=y_test,
         prr_value=prr_value,
@@ -170,17 +174,19 @@ def run_sweep_tau(dataset: MultiLabelDataset, cfg: ExperimentConfig) -> list[dic
 
 def _subsample_train(dataset: MultiLabelDataset, fraction: float, seed: int) -> MultiLabelDataset:
     """The dataset with its train block cut to a seeded, order-kept sample of
-    max(floor(fraction * rows), 2) rows; the val and test blocks follow."""
+    max(floor(fraction * rows), 2) rows; the val and test blocks follow.
+    Its meta records the fraction, the seed and the new block sizes."""
     n_train, n_val, n_test = dataset.split_counts
     keep = max(int(np.floor(fraction * n_train)), 2)
     rng = np.random.default_rng([seed, 9173])
     kept = np.sort(rng.permutation(n_train)[:keep])
-    meta = dict(dataset.meta)
-    meta["train_fraction"] = float(fraction)
+    counts = (kept.size, n_val, n_test)
+    meta = {**dataset.meta, "train_fraction": float(fraction), "subsample_seed": int(seed),
+            "split_counts": dict(zip(SPLIT_NAMES, counts))}
     return MultiLabelDataset(
         features=np.concatenate([dataset.features[kept], dataset.features[n_train:]]),
         labels=np.concatenate([dataset.labels[kept], dataset.labels[n_train:]]),
-        split_counts=(kept.size, n_val, n_test),
+        split_counts=counts,
         meta=meta,
     )
 

@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .datamodel import ContrastiveBatch
+from .datamodel import ContrastiveBatch, check_labels
 from .errors import ConfigError, DomainError
 from .numerics import (
     _cosine_backward,
@@ -445,7 +445,7 @@ _PROB_FLOOR = 1e-12
 
 def _check_logits(logits, y):
     x = as_matrix(logits, "logits")
-    yb = np.asarray(y, dtype=np.float64)
+    yb = np.asarray(check_labels(y, "labels"), dtype=np.float64)
     if yb.shape != x.shape:
         raise DomainError(f"labels shape {yb.shape} != logits shape {x.shape}")
     return x, yb

@@ -117,7 +117,7 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def _check_tau(tau) -> None:
-    if not (isinstance(tau, (int, float)) and np.isfinite(tau) and tau > 0):
+    if not (_finite_real(tau) and tau > 0):
         raise ConfigError(f"temperature must be a positive real, got {tau!r}")
 
 
@@ -239,13 +239,16 @@ def _softmax_rows(x: np.ndarray) -> np.ndarray:
 
 
 def masked_logsumexp(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Per-row log(sum(exp(logits))) over unmasked entries, max-stabilized.
-
-    logits are consumed as-is (temperature, if any, is the caller's job).
-    It is the log-sum-exp that _softmax_rows, the loss engine's softmax
-    kernel, returns. Rows with no unmasked entry are a domain error.
+    """Per-row log(sum(exp(logits))) over unmasked entries, max-stabilized,
+    as _softmax_rows, the loss engine's softmax kernel, returns it; logits
+    are consumed as-is (temperature, if any, is the caller's job). Non-finite
+    logits, a mask of another shape and a row with no unmasked entry are a
+    domain error.
     """
+    logits = as_matrix(logits, "logits")
     mask = np.asarray(mask, dtype=bool)
+    if mask.shape != logits.shape:
+        raise DomainError(f"mask shape {mask.shape} != logits shape {logits.shape}")
     _require_live_rows(mask)
     # -inf off the mask stays -inf through the shift and exp()s to exactly 0
     return _softmax_rows(np.where(mask, logits, -np.inf))
@@ -258,9 +261,9 @@ def finite_difference_gradient(f: Callable[[np.ndarray], float], x, h: float = 1
     the analytic gradients are checked against; keep it independent of the
     code paths it verifies.
     """
+    if not (_finite_real(h) and h > 0):
+        raise ConfigError(f"step size must be a finite positive number, got {h!r}")
     x = np.array(x, dtype=np.float64)
-    if h <= 0:
-        raise ConfigError(f"step size must be positive, got {h}")
     grad = np.zeros_like(x)
     it = np.nditer(x, flags=["multi_index"])
     while not it.finished:

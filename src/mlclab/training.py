@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .datamodel import ContrastiveBatch, MultiLabelDataset, _check_binary_labels
+from .datamodel import ContrastiveBatch, MultiLabelDataset, check_labels
 from .errors import ConfigError, DomainError, NormRangeError, TrainingDivergence
 from .evaluation import micro_f1
 from .losses import (
@@ -38,7 +38,7 @@ from .losses import (
     needs_prototypes,
     needs_single_label,
 )
-from .numerics import _is_integer, as_matrix, check_number_fields, sigmoid
+from .numerics import _finite_real, _is_integer, as_matrix, check_number_fields, sigmoid
 
 CHECKPOINT_FORMAT = "mlclab-checkpoint"
 CHECKPOINT_VERSION = 4
@@ -190,12 +190,11 @@ class TrainedModel:
 def lr_schedule(step: int, total_steps: int, base_lr: float, warmup_frac: float) -> float:
     """Linear ramp from 0 to base_lr over the warmup window, then cosine
     decay from base_lr to 0 at the final step."""
-    if total_steps < 1:
-        raise ConfigError("total_steps must be >= 1")
-    if not (0 <= warmup_frac < 1):
-        raise ConfigError(f"warmup_frac must be in [0, 1), got {warmup_frac}")
-    if not (0 <= step < total_steps):
-        raise ConfigError(f"step {step} outside [0, {total_steps})")
+    if not (_is_integer(step) and _is_integer(total_steps) and 0 <= step < total_steps):
+        raise ConfigError(f"need integers 0 <= step < total_steps, got {step!r}, {total_steps!r}")
+    if not (_finite_real(base_lr) and _finite_real(warmup_frac) and 0 <= warmup_frac < 1):
+        raise ConfigError(f"warmup_frac must be in [0, 1) and base_lr finite, "
+                          f"got {warmup_frac!r} and {base_lr!r}")
     warm = int(np.floor(warmup_frac * total_steps))
     if step < warm:
         return base_lr * step / warm
@@ -213,7 +212,7 @@ def clip_gradient(gradient: np.ndarray, threshold: float) -> np.ndarray:
     The vector is scaled in place and returned; it gets the same bytes as
     `g * (threshold / norm)`.
     """
-    if not threshold > 0:
+    if not (_finite_real(threshold) and threshold > 0):
         raise ConfigError(f"clip threshold must be positive, got {threshold}")
     norm = np.sqrt(np.dot(gradient, gradient))
     if norm > threshold:
@@ -537,7 +536,7 @@ def _fit_probe(xb, y, wd, max_iters, tol):
 def check_weight_decays(wds) -> None:
     """The probe grid must be non-empty, finite and >= 0: a negative weight
     decay makes the Newton Hessian indefinite."""
-    if len(wds) == 0 or not all(np.isfinite(wd) and wd >= 0 for wd in wds):
+    if len(wds) == 0 or not all(_finite_real(wd) and wd >= 0 for wd in wds):
         raise ConfigError(f"probe weight decays (eval.wds) must be non-empty, finite and >= 0, "
                           f"got {tuple(wds)}")
 
@@ -585,13 +584,13 @@ def linear_eval(
     check_weight_decays(wds)
     if not _is_integer(max_iters):
         raise ConfigError(f"max_iters must be an integer, got {max_iters!r}")
-    if max_iters < 1 or not (0 < tol < 1):
+    if max_iters < 1 or not (_finite_real(tol) and 0 < tol < 1):
         raise ConfigError(f"need max_iters >= 1 and 0 < tol < 1, got {max_iters} and {tol}")
     x = as_matrix(train_features, "train features")
     xv = as_matrix(val_features, "val features")
     # 0/1 labels of any dtype: p - y is exact, so an int8 split is not copied
-    y = _check_binary_labels(train_labels, "train labels")
-    yv = _check_binary_labels(val_labels, "val labels")
+    y = check_labels(train_labels, "train labels")
+    yv = check_labels(val_labels, "val labels")
     for what, feats, labels in (("train", x, y), ("val", xv, yv)):
         if feats.shape[0] != labels.shape[0]:
             raise DomainError(f"{what} features have {feats.shape[0]} rows, "

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .datamodel import ContrastiveBatch, validate_label_matrix
+from .datamodel import ContrastiveBatch, check_labels
 from .errors import ConfigError, DomainError, OracleError
 from .losses import (
     CONTRASTIVE_LOSS_IDS,
@@ -44,6 +44,7 @@ from .losses import (
     prr,
 )
 from .numerics import (
+    _finite_real,
     _is_integer,
     finite_difference_gradient,
     masked_logsumexp,
@@ -75,8 +76,8 @@ def overlap_ratio(y_i, y_j, alpha: float) -> float:
     alpha = 0 gives 1 for every pair; larger alpha suppresses pairs whose
     labels are mostly outside the anchor's set. y_j must be nonempty.
     """
-    if alpha < 0:
-        raise ConfigError(f"alpha must be nonnegative, got {alpha}")
+    if not (_finite_real(alpha) and alpha >= 0):
+        raise ConfigError(f"alpha must be a finite nonnegative number, got {alpha!r}")
     a = np.asarray(y_i, dtype=bool)
     b = np.asarray(y_j, dtype=bool)
     size_j = b.sum()
@@ -99,7 +100,7 @@ class AnchorPositives:
 def positive_sets(y) -> list[AnchorPositives]:
     """Per-anchor positive sets: for each anchor i and each of its labels j,
     the indices of other instances that also carry label j."""
-    ym = validate_label_matrix(y)
+    ym = check_labels(y)
     n = ym.shape[0]
     out = []
     for i in range(n):
@@ -369,7 +370,7 @@ def check_gradients(loss_id: str, trials: int, tol: float, seed: int,
     trials are independent and could run concurrently. Returns one report per
     trial. cfg overrides the loss configuration (default: stock LossConfig).
     trials or a seed that is not an integer (a bool is not), trials below 1,
-    a tol that is a bool or not finite and positive and negative seeds are
+    a tol that is not a finite positive number and negative seeds are
     a ConfigError.
     """
     check_loss_id(loss_id)
@@ -378,7 +379,7 @@ def check_gradients(loss_id: str, trials: int, tol: float, seed: int,
             raise ConfigError(f"{name} must be an integer, got {value!r}")
     if trials < 1:
         raise ConfigError(f"trials must be at least 1, got {trials}")
-    if isinstance(tol, bool) or not (np.isfinite(tol) and tol > 0):
+    if not (_finite_real(tol) and tol > 0):
         raise ConfigError(f"tol must be finite and positive, got {tol}")
     if seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {seed}")

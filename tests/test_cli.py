@@ -216,6 +216,10 @@ def test_subsample_keeps_a_seeded_train_sample_and_the_other_blocks(split, fract
     assert sub.features.tobytes() == ds.features[rows].tobytes()
     assert sub.labels.tobytes() == ds.labels[rows].tobytes()
     assert sub.meta["train_fraction"] == fraction
+    # the meta states the subsample's own blocks and how to draw it again
+    assert sub.meta["split_counts"] == dict(zip(("train", "val", "test"), sub.split_counts))
+    again = _subsample_train(ds, sub.meta["train_fraction"], sub.meta["subsample_seed"])
+    assert again.labels.tobytes() == sub.labels.tobytes()
 
 
 def test_fraction_degenerate_single_row(tmp_path):

@@ -235,8 +235,11 @@ class TestParseTimeValidation:
     def test_data_and_run_range_edges_accepted(self):
         cfg = parse_config_text(
             "data.noise = 0\ndata.cooccur_boost = 1\ndata.avg_labels = 20\n"
-            "data.split = 1,0,0\nrun.fractions = 1\nrun.taus = 1e-3\nrun.seeds = 0\n")
+            "data.split = 1,0,0\nrun.fractions = 1\nrun.taus = 1e-3\n"
+            "run.seeds = 0,10000000000000000000000\n")
         assert cfg["data.split"] == (1.0, 0.0, 0.0) and cfg["run.fractions"] == (1.0,)
+        # an integer seed of any size is finite; numpy's isfinite raised a TypeError
+        assert cfg["run.seeds"] == (0, 10 ** 22)
 
     def test_zero_weight_decay_and_empty_lrs_accepted(self):
         cfg = parse_config_text("eval.wds = 0.0\neval.lrs = \n")

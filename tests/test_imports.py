@@ -69,3 +69,34 @@ def test_pipeline_modules_do_not_import_verification():
         assert "verification" not in import_parts((src / f"{name}.py").read_text("utf-8")), name
     # the detector sees the one module allowed to import it
     assert "verification" in import_parts((src / "cli.py").read_text("utf-8"))
+
+
+def label_rule_copies(source: str) -> list[int]:
+    """The lines of source with an expression that compares one operand with
+    both 0 and 1 by ==: a hand-written copy of the label rule."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.expr):
+            continue
+        compared = {}
+        for cmp in ast.walk(node):
+            if (isinstance(cmp, ast.Compare) and len(cmp.ops) == 1
+                    and isinstance(cmp.ops[0], ast.Eq)):
+                for side, other in ((cmp.left, cmp.comparators[0]), (cmp.comparators[0], cmp.left)):
+                    if isinstance(other, ast.Constant) and other.value in (0, 1):
+                        compared.setdefault(ast.dump(side), set()).add(other.value)
+        if any(values == {0, 1} for values in compared.values()):
+            found.add(node.lineno)
+    return sorted(found)
+
+
+def test_only_datamodel_states_the_label_rule():
+    # datamodel.check_labels is the one label rule; every other module calls it
+    for path in MODULES:
+        if path.name != "datamodel.py":
+            assert label_rule_copies(path.read_text(encoding="utf-8")) == [], path.name
+
+
+def test_label_rule_detector_sees_a_copy():
+    source = "a, b = p == 1, t == 0\nok = ((y == 0) | (1 == y)).all()\nc = x == 1.5\n"
+    assert label_rule_copies(source) == [2]

@@ -61,6 +61,10 @@ class TestTemperedCosine:
         with pytest.raises(ConfigError):
             tempered_cosine_matrix([[1.0]], [[1.0]], -0.5)
 
+    def test_numpy_float_temperature_accepted(self):
+        s = tempered_cosine_matrix([[1.0, 2.0]], [[3.0, 1.0]], np.float32(0.5))
+        assert s.tobytes() == tempered_cosine_matrix([[1.0, 2.0]], [[3.0, 1.0]], 0.5).tobytes()
+
     def test_backward_matches_fd(self):
         # the backward is the primitive every loss gradient routes through
         rng = np.random.default_rng(2)
@@ -213,6 +217,7 @@ class TestCosineKernels:
         ({"tau": 0.0}, ConfigError),
         ({"tau": float("nan")}, ConfigError),
         ({"tau": -1.0}, ConfigError),
+        ({"tau": True}, ConfigError),
     ])
     def test_public_pair_rejects_bad_input(self, bad, error):
         args = {"a": [[1.0, 2.0]], "b": [[3.0, 1.0], [0.5, 1.0]], "tau": 0.5, **bad}
@@ -300,6 +305,17 @@ class TestMaskedLogSoftmax:
     def test_fully_masked_row(self):
         with pytest.raises(DomainError, match="fully-masked row at index 1"):
             masked_logsumexp(np.array([[1.0, 2.0], [1.0, 2.0]]), np.array([[1, 0], [0, 0]]))
+
+    @pytest.mark.parametrize("logits, mask, match", [
+        # a one-row mask used to broadcast over every row with one row checked
+        (np.zeros((2, 3)), np.array([[1, 1, 0]]), r"^mask shape \(1, 3\) != logits shape"),
+        (np.zeros((2, 3)), np.ones((2, 2)), r"^mask shape \(2, 2\) != logits shape \(2, 3\)$"),
+        # +inf used to return NaN with a RuntimeWarning
+        (np.array([[np.inf, 0.0]]), np.ones((1, 2)), "^logits contains non-finite entries$"),
+    ])
+    def test_bad_logits_or_mask_rejected(self, logits, mask, match):
+        with pytest.raises(DomainError, match=match):
+            masked_logsumexp(logits, mask)
 
 
 def _two_exponential_softmax(x):

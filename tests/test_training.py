@@ -108,7 +108,7 @@ class TestLrSchedule:
         with pytest.raises(ConfigError):
             lr_schedule(-1, 100, 1.0, 0.05)
 
-    @pytest.mark.parametrize("warmup_frac", [np.nan, -0.1, 1.0])
+    @pytest.mark.parametrize("warmup_frac", [np.nan, -0.1, 1.0, "0.1"])
     def test_warmup_frac_outside_unit_interval_rejected(self, warmup_frac):
         # TrainConfig's range: a NaN used to die converting the warmup length
         with pytest.raises(ConfigError, match="warmup_frac must be in"):
@@ -142,7 +142,7 @@ class TestClipGradient:
 
     def test_bad_threshold(self):
         # a NaN threshold used to pass and clip nothing
-        for threshold in (0.0, -1.0, np.nan):
+        for threshold in (0.0, -1.0, np.nan, np.inf, True, "1.0"):
             with pytest.raises(ConfigError, match="clip threshold must be positive"):
                 clip_gradient(np.array([1.0]), threshold)
 
@@ -316,6 +316,20 @@ class TestTraining:
         model.head.v1[0, 0] = np.inf
         with pytest.raises(DomainError, match="non-finite parameters"):
             measure_prr(model, ds)
+
+    @pytest.mark.parametrize("extra, what", [((1, 0), "6 features, the dataset has 7"),
+                                             ((0, 1), "5 labels, the dataset has 6")])
+    def test_prr_rejects_a_dataset_of_other_sizes(self, extra, what):
+        # one more feature used to die in a matmul, one more label in the engine
+        from mlclab.experiments import measure_prr
+
+        ds = _tiny_dataset()
+        model = train_model(ds, "reg", LossConfig(), FAST).model
+        other = MultiLabelDataset(np.hstack([ds.features, np.ones((ds.n, extra[0]))]),
+                                  np.hstack([ds.labels, np.ones((ds.n, extra[1]), np.int8)]),
+                                  ds.split_counts)
+        with pytest.raises(ConfigError, match=f"^the model was trained on {what}$"):
+            measure_prr(model, other)
 
     @pytest.mark.parametrize("tau", [0.1, 0.5])
     def test_measure_prr_equals_prr_of_concatenated_gates(self, tau):
@@ -738,7 +752,7 @@ class TestLinearEval:
             assert set(cell) == {"wd", "iterations", "grad_max", "converged", "val_micro_f1"}
         json.dumps(res.cells)  # plain JSON types only
 
-    @pytest.mark.parametrize("wds", [(), (-1e-3,), (np.nan,), (1e-2, np.inf)])
+    @pytest.mark.parametrize("wds", [(), (-1e-3,), (np.nan,), (1e-2, np.inf), (True,), ("0.1",)])
     def test_bad_weight_decays_rejected(self, wds):
         feats, y = _probe_problem(6, 60, 3, 2)
         with pytest.raises(ConfigError, match="eval.wds"):

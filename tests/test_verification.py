@@ -109,7 +109,7 @@ class TestCheckGradients:
         with pytest.raises(ConfigError, match=match):
             check_gradients("reg", trials=trials, tol=1e-5, seed=seed)
 
-    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0, 0.0, True])
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0, 0.0, True, "0.1"])
     def test_tol_checked_at_the_boundary(self, tol):
         with pytest.raises(ConfigError, match=f"tol must be finite and positive, got {tol}"):
             check_gradients("reg", trials=1, tol=tol, seed=0)
